@@ -120,17 +120,12 @@ class ProductColouring:
         # The pooled cycle edges form a forest but live in plain sets,
         # not in a link/cut structure, so walk v's component and take
         # the parity of the distance to its smallest vertex.
-        adj = {}
-        for ks in self.d.m:
-            for a, b in ks:
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-        if v not in adj:
-            return 0
+        incidence = self.d.incidence
         dist = {v: 0}
         order = [v]
         for x in order:
-            for y in adj[x]:
+            for a, b in incidence.get(x, ()):
+                y = b if a == x else a
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     order.append(y)

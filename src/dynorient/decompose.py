@@ -29,22 +29,22 @@ Three mechanisms keep the layers aligned with the rounding as counts move:
   other way with room to spare.
 
 * validity repair.  An inversion can leave a rounded edge pointing up a
-  load gap of 2 or more.  Candidates come from flag search over the layer
-  forest (a flag marks a load gap of 2 either way, so it may overshoot;
-  the repair re-checks direction by direction).  Each invalid direction is
-  repaired by deleting those copies and inserting them back through the
-  fractional engine, whose walks end at genuinely light vertices.
+  load gap of 2 or more.  Candidates are the loop edges whose endpoint
+  loads differ by 2 or more either way (the repair re-checks direction by
+  direction).  Each invalid direction is repaired by deleting those copies
+  and inserting them back through the fractional engine, whose walks end
+  at genuinely light vertices.
 
-Flags live in the link/cut trees and are refreshed like the rounding
-forest's own direction cache: eagerly on solid heavy-path edges whenever
-an endpoint load moves, lazily on dashed ones just before a path is read.
+Layer bundles keep their counts in the raw tables; the layer trees carry
+connectivity, roots and depth parity only.  Every non-root vertex of F_i
+hangs from its root by its slot-i edge, so a loop is read off the slot
+table by walking slot-i edges up to the component root.
 """
 
 from collections import deque
 
 from .errors import ConfigurationError, ConsistencyError
 from .forest import LinkCutForest, edge_key
-from .hl import HeavyLightOrienter
 from .oracles import is_forest
 from .refine import RefinementEngine
 from .split import SlotTable
@@ -76,7 +76,6 @@ class ArboricityDecomposer:
         self.frac = self.refine.frac
         self.split = SlotTable()
         self.F = []         # layer -> LinkCutForest of that layer's tree edges
-        self.mirror = []    # layer -> heavy-light copy of F_i for flag upkeep
         self.m = []         # layer -> set of designated cycle edge keys
         self.m_tail = []    # layer -> {tail vertex: cycle edge key}
         self.placed = {}    # key -> ("F", i) or ("M", i)
@@ -87,12 +86,6 @@ class ArboricityDecomposer:
         self.inversions = 0
         self.repair_pairs = 0
         self.surplus_ops = 0
-        if params.alpha_max is not None:
-            bound = 2 * (int((1 + params.epsilon) * params.alpha_max) + 4)
-        else:
-            bound = 2 * params.n_cap + 4
-        self.frac.register_nbr_provider(self._suspect_nbrs, bound)
-        self.frac.paranoid = paranoid
 
     # ------------------------------------------------------------------
     # public updates
@@ -140,34 +133,20 @@ class ArboricityDecomposer:
 
     def _ensure_layer(self, i):
         while len(self.F) <= i:
-            f = LinkCutForest(self.params.gamma)
-            loads = self.g.loads
-
-            def refresh(a, b, f=f, loads=loads):
-                f.set_flag(a, b, abs(loads[a] - loads[b]) >= 2)
-
-            hlm = HeavyLightOrienter(self.g, refresher=refresh)
-            self.g.load_listeners.append(hlm.on_load_change)
-            self.F.append(f)
-            self.mirror.append(hlm)
+            self.F.append(LinkCutForest(self.params.gamma))
             self.m.append(set())
             self.m_tail.append({})
 
-    def _suspect_nbrs(self, v):
-        """Bundles around v whose stored membership may trail the true
-        counts.  Raw counters are written back eagerly everywhere they
-        move, so this is a defensive superset: the remembered out-edges
-        plus the first tree edge toward each layer root (the only place a
-        new out-edge of v can hide)."""
-        keys = []
-        for w in sorted(self.g.out_nbrs[v]):
-            f = self.store.forest_of(v, w)
-            if f is not None and f is not self.refine.H:
-                keys.append(edge_key(v, w))
-        for f in self.F:
-            if f.has_vertex(v) and f.find_root(v) != v:
-                keys.append(edge_key(*f.first_edge_on_root_path(v)))
-        return keys
+    def _loop_path(self, i, h, t):
+        """Layer-i tree path from h up to its component root t.  Every
+        non-root vertex of F_i hangs from its parent by its slot-i edge,
+        also while the placement queue is non-empty."""
+        slots = self.split.slots
+        path = [h]
+        while path[-1] != t:
+            x = path[-1]
+            path.append(_other(slots[x][i], x))
+        return path
 
     def _evict(self, a, b):
         # refinement is about to absorb this edge; get it out of the layers
@@ -208,9 +187,7 @@ class ArboricityDecomposer:
             t = a
         else:
             t = b
-        self.store.release(a, b)
         f.cut(t, _other(key, t))
-        self.mirror[i].cut(t, _other(key, t))
         # the cut may have severed the path that made the component's
         # designated edge close a cycle
         me = self.m_tail[i].get(old_root)
@@ -301,9 +278,8 @@ class ArboricityDecomposer:
             self._pool_add(key)
             self._dirty.append(key)
         else:
-            f.link(t, h, self.g.count(t, h))
-            self.mirror[i].link(t, h)
-            self.store.place(t, h, f)
+            # layer trees carry no counts, so the edge weight is unused
+            f.link(t, h, 0)
             self.placed[key] = ("F", i)
 
     # ------------------------------------------------------------------
@@ -505,17 +481,13 @@ class ArboricityDecomposer:
         (both edges keep their tails), only tree and pool membership swap."""
         u = _other(key, v)
         f = self.F[i]
-        y = self.mirror[i].path_vertices(u, v)[-2]
+        y = self._loop_path(i, u, v)[-2]
         ykey = edge_key(y, v)
-        self.store.release(y, v)
         f.cut(y, v)
-        self.mirror[i].cut(y, v)
         del self.m_tail[i][v]
         self.m[i].discard(key)
         self._pool_discard(key)
-        f.link(v, u, self.g.count(v, u))
-        self.mirror[i].link(v, u)
-        self.store.place(v, u, f)
+        f.link(v, u, 0)
         self.placed[key] = ("F", i)
         self.m[i].add(ykey)
         self.m_tail[i][y] = ykey
@@ -537,37 +509,29 @@ class ArboricityDecomposer:
         put, so validity suspects collected before the shift are exactly
         the suspects after it."""
         p = self.params
-        f = self.F[i]
-        hlm = self.mirror[i]
+        g = self.g
+        loads = g.loads
         t = self.split.where[key][0]
         h = _other(key, t)
-        hlm.clean_path(h, t)
-        suspects = [edge_key(a, b) for a, b in f.flagged_edges_on_path(h, t)]
-        path = hlm.path_vertices(h, t)
+        path = self._loop_path(i, h, t)
+        loop = list(zip(path, path[1:] + [h]))  # h -> ... -> t -> h
+        suspects = [edge_key(a, b) for a, b in loop
+                    if abs(loads[a] - loads[b]) >= 2]
         if self.paranoid:
-            loads_before = list(self.g.loads)
-            direct = sorted(edge_key(a, b) for a, b in zip(path, path[1:])
-                            if abs(self.g.loads[a] - self.g.loads[b]) >= 2)
-            assert direct == sorted(suspects), (direct, suspects)
-        if abs(self.g.loads[t] - self.g.loads[h]) >= 2:
-            suspects.append(key)
+            loads_before = list(loads)
         x = p.gamma - p.delta_num
-        ct = self.g.count(t, h)
-        f.add_weight(h, t, -x)
-        for a, b in zip(path, path[1:]):
-            self.store.sync_bundle(a, b)
-        self.g.set_counts_raw(t, h, ct - x, p.gamma - ct + x)
+        for a, b in loop:
+            ca, cb = g.counts(a, b)
+            g.set_counts_raw(a, b, ca - x, cb + x)
         # the component root slides t -> h; every loop vertex keeps one
         # out-edge in this layer, shifted one position around the loop
-        assignments = [(key, h)]
-        assignments += [(edge_key(a, b), b) for a, b in zip(path, path[1:])]
-        self.split.rotate(assignments)
-        f.set_root(h)
+        self.split.rotate([(edge_key(a, b), b) for a, b in loop])
+        self.F[i].set_root(h)
         del self.m_tail[i][t]
         self.m_tail[i][h] = key
         self.inversions += 1
         if self.paranoid:
-            assert self.g.loads == loads_before, "inversion moved a load"
+            assert loads == loads_before, "inversion moved a load"
         if suspects:
             self._repair(suspects)
 
@@ -627,10 +591,8 @@ class ArboricityDecomposer:
             kind, i = self.placed[key]
             assert self.split.where[key][1] == i
             if kind == "F":
-                assert self.store.forest_of(a, b) is self.F[i]
                 assert self.F[i].has_edge(a, b)
             else:
-                assert self.store.forest_of(a, b) is None
                 assert key in self.m[i]
                 assert self.m_tail[i].get(t) == key
                 assert self.F[i].connected(a, b), (key,)
@@ -672,20 +634,8 @@ class ArboricityDecomposer:
             labels = [self.placed[ck][1] for ck in comp_keys]
             assert len(labels) == len(set(labels)), "component not colourful"
             assert len(comp_keys) <= width, (len(comp_keys), width)
-        # raw counters are written back eagerly wherever counts move, so
-        # resident layer bundles never drift
-        for key, f in self.store.residency.items():
-            if f is self.refine.H:
-                continue
-            cu = f.edge_weight(*key)
-            assert g.counts(*key) == (cu, self.params.gamma - cu), (key,)
-        for i, hlm in enumerate(self.mirror):
-            for kkey in self.store.residency:
-                if self.store.residency[kkey] is self.F[i]:
-                    a, b = kkey
-                    if hlm.is_solid(a, b):
-                        want = abs(g.loads[a] - g.loads[b]) >= 2
-                        assert self.F[i].get_flag(a, b) == want, (i, kkey)
+        # layer bundles stay raw: only H holds counts in a tree
+        assert all(f is self.refine.H for f in self.store.residency.values())
         if alpha is not None:
             cap = int((1 + self.params.epsilon) * alpha) + 2
             assert len(self.forests()) <= cap, (len(self.forests()), cap)

@@ -21,10 +21,6 @@ class MissingEdgeError(DynOrientError):
     pass
 
 
-class MissingVertexError(DynOrientError):
-    pass
-
-
 class ConsistencyError(DynOrientError):
     """Internal bookkeeping contradicts itself; always a bug."""
 

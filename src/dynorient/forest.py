@@ -28,8 +28,7 @@ _INF = 1 << 60
 
 class _Node:
     __slots__ = ("parent", "left", "right", "vid", "a", "b", "is_edge",
-                 "val", "mn", "mx", "flag", "n_edges", "flag_agg",
-                 "rev", "add")
+                 "val", "mn", "mx", "n_edges", "rev", "add")
 
     def __init__(self):
         self.parent = None
@@ -42,9 +41,7 @@ class _Node:
         self.val = 0
         self.mn = _INF
         self.mx = -_INF
-        self.flag = False
         self.n_edges = 0
-        self.flag_agg = False
         self.rev = False
         self.add = 0
 
@@ -117,25 +114,21 @@ class LinkCutForest:
         mn = _INF
         mx = -_INF
         ne = 0
-        fl = False
         l, r = x.left, x.right
         if l is not None and l.n_edges:
             ne += l.n_edges
-            fl = fl or l.flag_agg
             if l.mn < mn:
                 mn = l.mn
             if l.mx > mx:
                 mx = l.mx
         if r is not None and r.n_edges:
             ne += r.n_edges
-            fl = fl or r.flag_agg
             if r.mn < mn:
                 mn = r.mn
             if r.mx > mx:
                 mx = r.mx
         if x.is_edge:
             ne += 1
-            fl = fl or x.flag
             if x.val < mn:
                 mn = x.val
             if x.val > mx:
@@ -143,7 +136,6 @@ class LinkCutForest:
         x.n_edges = ne
         x.mn = mn
         x.mx = mx
-        x.flag_agg = fl
 
     @staticmethod
     def _is_aux_root(x: _Node) -> bool:
@@ -412,65 +404,4 @@ class LinkCutForest:
         assert cur.is_edge
         out = (cur.a, cur.b)
         self._splay(cur)
-        return out
-
-    # ------------------------------------------------------------------
-    # per-edge flags with OR aggregation (auxiliary "needs attention" bits)
-
-    def set_flag(self, u: int, v: int, value: bool):
-        e = self._e.get(edge_key(u, v))
-        if e is None:
-            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
-        self._splay(e)
-        e.flag = value
-        self._pull(e)
-
-    def get_flag(self, u: int, v: int) -> bool:
-        e = self._e.get(edge_key(u, v))
-        if e is None:
-            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
-        self._splay(e)
-        return e.flag
-
-    def find_flagged_edge_on_path(self, u: int, v: int):
-        """Some flagged edge on the u..v path (nearest u), or None."""
-        top, saved = self._expose(u, v)
-        if not top.flag_agg:
-            self._restore(saved)
-            return None
-        cur = top
-        while True:
-            self._push(cur)
-            l = cur.left
-            if l is not None and l.flag_agg:
-                cur = l
-                continue
-            if cur.is_edge and cur.flag:
-                break
-            cur = cur.right
-        out = (cur.a, cur.b)
-        self._splay(cur)
-        self._restore(saved)
-        return out
-
-    def flagged_edges_on_path(self, u: int, v: int):
-        """All flagged edges on the u..v path, in path order."""
-        top, saved = self._expose(u, v)
-        out = []
-        stack = [(top, False)]
-        while stack:
-            cur, emit = stack.pop()
-            if emit:
-                out.append((cur.a, cur.b))
-                continue
-            if not cur.flag_agg:
-                continue
-            self._push(cur)
-            if cur.right is not None:
-                stack.append((cur.right, False))
-            if cur.is_edge and cur.flag:
-                stack.append((cur, True))
-            if cur.left is not None:
-                stack.append((cur.left, False))
-        self._restore(saved)
         return out

@@ -6,15 +6,14 @@ surplus down a chain of tight out-copies (each flip moves one unit of load
 to a strictly lighter vertex); deleting pulls a chain of tight in-copies the
 other way.  Exactly one load changes per copy update.
 
-Bundle counters can live in two places: the raw tables of GraphState, or as
-the weight of a tree-resident edge in some LinkCutForest (the refinement and
-partition layers park edges there so path-wide count shifts stay
-logarithmic).  EdgeStore hides the split: reads and single-copy flips are
-routed to wherever the authoritative counter sits, and tree-resident flips
-are mirrored into the raw tables so neighbour sets stay truthful.  Path-wide
-tree updates bypass the mirror on purpose; modes that can flip membership
-that way (count touching zero) must register a neighbour-change provider so
-update_nbrs can reconcile before anyone reads the sets.
+A bundle's counters live in the raw tables of GraphState, or, while the
+bundle sits in the refinement forest H, as the weight of its edge in that
+LinkCutForest (so path-wide count shifts around H cycles stay logarithmic).
+EdgeStore hides the split: reads and single-copy flips are routed to
+wherever the authoritative counter sits, and tree-resident flips are
+mirrored into the raw tables.  Path-wide shifts in H skip the raw tables;
+they keep every H count inside the widened ambiguity window, away from
+zero, so neighbour sets never depend on the stale raw values.
 """
 
 from .errors import MissingEdgeError, SelfLoopError, DuplicateEdgeError
@@ -114,20 +113,6 @@ class EdgeStore:
             f.set_edge_weight(u, v, cu)
         self.g.set_counts_raw(u, v, cu, cv)
 
-    def set_bundle(self, u, v, cu, cv):
-        """Overwrite both counters; endpoint loads shift by the change in
-        their out-copy counts."""
-        assert cu + cv == self.g.params.gamma
-        old_u, old_v = self.true_counts(u, v)
-        f = self.residency.get(edge_key(u, v))
-        if f is not None:
-            f.set_edge_weight(u, v, cu)
-        self.g.set_counts_raw(u, v, cu, cv)
-        if cu != old_u:
-            self.g.bump_load(u, cu - old_u)
-        if cv != old_v:
-            self.g.bump_load(v, cv - old_v)
-
 
 class FractionalOrienter:
     """Maintains 1-validity (s(tail) - s(head) <= 1 for every copy) under
@@ -139,38 +124,18 @@ class FractionalOrienter:
         self.copy_insertions = 0
         self.copy_deletions = 0
         self.repairs = 0
-        self.paranoid = False
-        self._provider = None
-        self._provider_bound = 0
-
-    def register_nbr_provider(self, fn, bound):
-        """fn(v) -> iterable of edge keys whose in/out status around v may
-        have drifted since v was last touched (a superset is fine, bounded
-        by `bound`)."""
-        self._provider = fn
-        self._provider_bound = bound
 
     def update_nbrs(self, v):
-        """Reconcile v's neighbourhood: write listed resident bundles back
-        so membership sets and heap keys match the true counters."""
-        if self._provider is None:
-            return
-        keys = list(self._provider(v))
-        if self.paranoid:
-            assert len(keys) <= self._provider_bound, \
-                (v, len(keys), self._provider_bound)
-        for a, b in keys:
-            if self.store.forest_of(a, b) is not None:
-                self.store.sync_bundle(a, b)
+        """Does nothing.  Neighbour sets are always current, so nothing
+        calls this; it stays only because the benchmark's traced runs
+        look the method up by name."""
 
     def tight_out_nbr(self, v):
         """First out-neighbour (id order) at least one unit lighter."""
-        self.update_nbrs(v)
         return self.g.tight_out_nbr(v)
 
     def tight_in_nbr(self, v):
         """A heaviest in-neighbour, provided it is one unit heavier."""
-        self.update_nbrs(v)
         w = self.g.max_load_in_nbr(v)
         if w is None or self.g.loads[w] < self.g.loads[v] + 1:
             return None
@@ -187,8 +152,6 @@ class FractionalOrienter:
         g = self.g
         if not g.has_edge(u, v):
             g.add_bundle(u, v)
-        self.update_nbrs(u)
-        self.update_nbrs(v)
         if g.loads[u] <= g.loads[v]:
             w = u
             self.store.add_copy(u, v)

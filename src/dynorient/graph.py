@@ -12,7 +12,10 @@ Loads change only through ``bump_load``.  Every increase pushes a fresh
 (load, vertex) entry into the in-neighbour heaps of everything the vertex
 points at, so ``max_load_in_nbr`` can discard stale heap entries and still
 never miss the true maximum: an entry's recorded load is always an upper
-bound on the current one.
+bound on the current one.  A heap that grows past 2·|in-neighbours| + 4
+entries, by a push or by losing an in-neighbour, is rebuilt from the live
+in-neighbours; each rebuild is paid for by the pushes and losses since the
+previous one, so the upkeep stays amortised O(1).
 """
 
 import heapq
@@ -28,7 +31,6 @@ class GraphState:
         self.gamma = params.gamma
         n = params.n_cap
         self.loads = [0] * n
-        self.load_version = [0] * n
         # (a, b) with a < b  ->  [copies toward b, copies toward a]
         # i.e. slot 0 counts copies oriented a -> b ("a's copies")
         self.bundles = {}
@@ -36,7 +38,6 @@ class GraphState:
         self.in_set = [set() for _ in range(n)]
         self.in_heap = [[] for _ in range(n)]
         self.adj = [set() for _ in range(n)]
-        self.load_listeners = []
 
     # ------------------------------------------------------------------
     # bundles
@@ -89,10 +90,11 @@ class GraphState:
         if old == 0 and new > 0:
             self.out_nbrs[u].add(v)
             self.in_set[v].add(u)
-            heapq.heappush(self.in_heap[v], (-self.loads[u], u))
+            self._push_in(v, (-self.loads[u], u))
         elif old > 0 and new == 0:
             self.out_nbrs[u].discard(v)
             self.in_set[v].discard(u)
+            self._bound_heap(v)
 
     def move_copies(self, u: int, v: int, k: int = 1):
         """Reorient k copies of (u, v) from u -> v to v -> u.  No load change."""
@@ -118,13 +120,21 @@ class GraphState:
     def bump_load(self, v: int, delta: int):
         self.loads[v] += delta
         assert self.loads[v] >= 0
-        self.load_version[v] += 1
         if delta > 0:
             entry = (-self.loads[v], v)
             for w in self.out_nbrs[v]:
-                heapq.heappush(self.in_heap[w], entry)
-        for cb in self.load_listeners:
-            cb(v)
+                self._push_in(w, entry)
+
+    def _push_in(self, w: int, entry):
+        heapq.heappush(self.in_heap[w], entry)
+        self._bound_heap(w)
+
+    def _bound_heap(self, w: int):
+        h = self.in_heap[w]
+        ins = self.in_set[w]
+        if len(h) > 2 * len(ins) + 4:
+            h[:] = [(-self.loads[x], x) for x in ins]
+            heapq.heapify(h)
 
     def max_load_in_nbr(self, w: int):
         """In-neighbour of w with maximum load, or None.  Ties pick lowest id."""

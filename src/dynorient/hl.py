@@ -5,17 +5,11 @@ majority of the parent's: 2·size(c) > size(p).  Every vertex then has at most
 one solid child edge, so orienting dashed edges child -> parent and leaving
 solid directions fixed-but-arbitrary caps every out-degree at 2.
 
-The structure shadows a LinkCutForest owned by the same engine: link, cut and
-set_root must be called with identical arguments on both so the rootings
-agree.  Maintenance is eager, walking ancestor paths and recomputing heavy
-children; per-vertex lazy max-heaps over child sizes make each recheck cheap.
-
-Each edge also carries a freshness stamp: the pair of endpoint load-versions
-at the time its auxiliary payload (owned by the caller, via the refresher
-callback) was last recomputed.  Solid edges are re-refreshed on every load
-change of an endpoint, so they are always fresh; dashed edges go stale
-silently and are brought up to date by clean_path right before a path search
-needs them.
+The refinement engine keeps one of these beside its forest H, a
+LinkCutForest: link, cut and set_root must be called with identical arguments
+on both so the rootings agree.  Maintenance is eager, walking ancestor paths
+and recomputing heavy children; per-vertex lazy max-heaps over child sizes
+make each recheck cheap.
 """
 
 import heapq
@@ -26,16 +20,13 @@ from .forest import edge_key
 
 class HeavyLightOrienter:
 
-    def __init__(self, graph, refresher=None):
-        self.g = graph
-        self.refresher = refresher or (lambda a, b: None)
+    def __init__(self):
         self.parent = {}
         self.children = {}
         self.size = {}
         self.heavy = {}          # v -> heavy child or None
         self.child_heap = {}
         self.dir_tail = {}       # edge key -> stored tail vertex
-        self.stamps = {}         # edge key -> (version at key[0], at key[1])
         self.out_edges = {}      # v -> set of keys oriented out of v
 
     # ------------------------------------------------------------------
@@ -88,19 +79,6 @@ class HeavyLightOrienter:
             raise MissingEdgeError(f"no tree edge {key}")
         return (tail, key[0] if tail == key[1] else key[1])
 
-    def refresh_edge(self, a, b):
-        self.refresher(a, b)
-        key = edge_key(a, b)
-        self.stamps[key] = (self.g.load_version[key[0]],
-                            self.g.load_version[key[1]])
-
-    def is_clean(self, a, b):
-        key = edge_key(a, b)
-        st = self.stamps.get(key)
-        return (st is not None
-                and st == (self.g.load_version[key[0]],
-                           self.g.load_version[key[1]]))
-
     def _push_size(self, c):
         p = self.parent[c]
         if p is not None:
@@ -111,7 +89,7 @@ class HeavyLightOrienter:
         cand = None
         while heap:
             negs, c = heap[0]
-            if self.parent.get(c) is not x or self.size[c] != -negs:
+            if self.parent.get(c) != x or self.size[c] != -negs:
                 heapq.heappop(heap)
                 continue
             cand = c
@@ -119,15 +97,13 @@ class HeavyLightOrienter:
         if cand is not None and 2 * self.size[cand] <= self.size[x]:
             cand = None
         old = self.heavy[x]
-        if old is cand:
+        if old == cand:
             return
-        if old is not None and self.parent.get(old) is x:
+        if old is not None and self.parent.get(old) == x:
             # demoted solid edge: dashed edges always point child -> parent
             self._set_direction(old, x)
+        # a newly solid edge keeps its stored direction
         self.heavy[x] = cand
-        if cand is not None:
-            # newly-heavy edges must be clean; direction stays as stored
-            self.refresh_edge(cand, x)
 
     # ------------------------------------------------------------------
     # structure updates
@@ -152,7 +128,7 @@ class HeavyLightOrienter:
             self._recompute_heavy(p)
         # ancestry flipped along the path; re-point surviving dashed edges
         for j in range(1, len(path)):
-            if self.heavy[path[j - 1]] is not path[j]:
+            if self.heavy[path[j - 1]] != path[j]:
                 self._set_direction(path[j], path[j - 1])
 
     def set_root(self, r):
@@ -171,7 +147,6 @@ class HeavyLightOrienter:
         self.children[v].add(u)
         self._push_size(u)
         self._set_direction(u, v)
-        self.refresh_edge(u, v)
         x = v
         while x is not None:
             self.size[x] += k
@@ -193,7 +168,6 @@ class HeavyLightOrienter:
         self.parent[c] = None
         tail = self.dir_tail.pop(key)
         self.out_edges[tail].discard(key)
-        self.stamps.pop(key, None)
         k = self.size[c]
         x = p
         while x is not None:
@@ -201,7 +175,7 @@ class HeavyLightOrienter:
             self._push_size(x)
             self._recompute_heavy(x)
             x = self.parent[x]
-        if c is v:
+        if c == v:
             self._reroot(u)
 
     # ------------------------------------------------------------------
@@ -248,24 +222,3 @@ class HeavyLightOrienter:
             if not self.is_solid(a, b):
                 out.append((a, b))
         return out
-
-    def clean_path(self, u, v, refresher=None):
-        """Refresh every dashed edge on the u..v path (solid ones are always
-        fresh by invariant)."""
-        fn = refresher or self.refresh_edge
-        edges = self.light_edges_between(u, v)
-        for a, b in edges:
-            fn(a, b)
-        return edges
-
-    def on_load_change(self, v):
-        """Keep the all-solid-edges-clean invariant: refresh v's incident
-        solid edges after its load moved."""
-        if v not in self.parent:
-            return
-        h = self.heavy[v]
-        if h is not None:
-            self.refresh_edge(h, v)
-        p = self.parent[v]
-        if p is not None and self.heavy[p] is v:
-            self.refresh_edge(v, p)

@@ -186,7 +186,6 @@ class NaiveWeightedForest:
         self.gamma = gamma
         self.nbrs = {}
         self.ew = {}     # key -> numerator at key[0]
-        self.flags = {}
         self.roots = set()
 
     def _touch(self, v):
@@ -272,7 +271,6 @@ class NaiveWeightedForest:
         self.nbrs[v].add(u)
         key = edge_key(u, v)
         self.ew[key] = weight_u if u == key[0] else self.gamma - weight_u
-        self.flags[key] = False
 
     def cut(self, u, v):
         key = edge_key(u, v)
@@ -282,7 +280,6 @@ class NaiveWeightedForest:
         self.nbrs[u].discard(v)
         self.nbrs[v].discard(u)
         del self.ew[key]
-        del self.flags[key]
         u_side = self._component(u)
         self.roots -= u_side
         self.roots.add(u)
@@ -339,30 +336,6 @@ class NaiveWeightedForest:
             return None
         path = self._path(v, r)
         return (path[0], path[1])
-
-    def set_flag(self, u, v, value):
-        key = edge_key(u, v)
-        if key not in self.flags:
-            raise MissingEdgeError(f"no edge {key}")
-        self.flags[key] = value
-
-    def get_flag(self, u, v):
-        key = edge_key(u, v)
-        if key not in self.flags:
-            raise MissingEdgeError(f"no edge {key}")
-        return self.flags[key]
-
-    def find_flagged_edge_on_path(self, u, v):
-        path = self._path(u, v)
-        for a, b in zip(path, path[1:]):
-            if self.flags[edge_key(a, b)]:
-                return (a, b)
-        return None
-
-    def flagged_edges_on_path(self, u, v):
-        path = self._path(u, v)
-        return [(a, b) for a, b in zip(path, path[1:])
-                if self.flags[edge_key(a, b)]]
 
 
 # ----------------------------------------------------------------------

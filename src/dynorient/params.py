@@ -24,9 +24,6 @@ class Params:
     epsilon: float = 1.0
     alpha_max: int | None = None
 
-    # eta is fixed at 1 copy; validity tests compare integer loads directly.
-    eta_num: int = 1
-
     def __post_init__(self):
         if self.n_cap < 1:
             raise ConfigurationError(f"n_cap must be >= 1, got {self.n_cap}")
@@ -49,8 +46,6 @@ class Params:
                 )
         if self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.eta_num != 1:
-            raise ConfigurationError("eta is fixed at 1")
         if self.alpha_max is not None and self.alpha_max < 1:
             raise ConfigurationError(f"alpha_max must be >= 1, got {self.alpha_max}")
 
@@ -98,15 +93,3 @@ class Params:
 
     def in_closed_interval(self, count: int) -> bool:
         return self.low_boundary <= count <= self.high_boundary
-
-    def load_bound(self, alpha: float, epsilon: float | None = None) -> float:
-        """(1+eps)*alpha*gamma + log_{1+eps}(n): 1-valid loads never exceed this."""
-        eps = self.epsilon if epsilon is None else eps_check(epsilon)
-        n = max(2, self.n_cap)
-        return (1 + eps) * alpha * self.gamma + math.log(n) / math.log(1 + eps)
-
-
-def eps_check(epsilon: float) -> float:
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    return epsilon

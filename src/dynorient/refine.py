@@ -52,8 +52,7 @@ class RefinementEngine:
         self.store = EdgeStore(self.g)
         self.frac = FractionalOrienter(self.g, self.store)
         self.H = LinkCutForest(params.gamma)
-        self.hl = HeavyLightOrienter(self.g)
-        self.g.load_listeners.append(self.hl.on_load_change)
+        self.hl = HeavyLightOrienter()
         self.in_h = set()
         self.paranoid = paranoid
         self.inversions = 0

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -83,6 +84,55 @@ def test_bf_mode_runs_and_reports_counters(tmp_path):
     assert report["status"] == "ok"
     assert report["counters"]["reorientations"] >= report["counters"]["flips"] > 0
 
+
+
+def _dense_churn_trace(seed, n=12, steps=150):
+    """Churn on a near-complete graph, shaped like the decomposer's dense
+    churn tests, so the run reaches layer cycle inversions and repairs."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set()
+    ops = []
+    for _ in range(steps):
+        if edges and rng.random() < (0.5 if len(edges) > len(pairs) * 0.8
+                                     else 0.1):
+            key = rng.choice(sorted(edges))
+            edges.discard(key)
+            ops.append(("d",) + key)
+        else:
+            free = [k for k in pairs if k not in edges]
+            if not free:
+                continue
+            key = rng.choice(free)
+            edges.add(key)
+            ops.append(("a",) + key)
+    return format_trace(ops)
+
+
+def _sparse_trace():
+    code, text = run_cli(["gen", "--kind", "uniform-sparse", "--n", "400",
+                          "--steps", "1200", "--seed", "1"])
+    assert code == cli.EXIT_OK
+    return text
+
+
+@pytest.mark.parametrize("trace, n, counters, state_hash", [
+    (_sparse_trace, 400,
+     {"reorientations": 0, "repairs": 0, "moves": 1124, "surplus_ops": 0},
+     "bdee85ceb7ba0f96c9db9bb7f490a820d9cca94377008cb689c2925c24c0ab12"),
+    (lambda: _dense_churn_trace(14), 12,
+     {"reorientations": 4, "repairs": 1, "moves": 465, "surplus_ops": 2},
+     "db31bd113b8ce25d7551f62c9868bae726b4f49379de9ca4adf1d93b9dd6c789"),
+], ids=["uniform-sparse", "dense-churn"])
+def test_run_end_state_is_pinned(trace, n, counters, state_hash, tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text(trace(), encoding="utf-8")
+    code, text = run_cli(["run", "--mode", "arb", "--n", str(n), str(path)])
+    report = json.loads(text)
+    assert code == cli.EXIT_OK, report["violations"]
+    assert report["status"] == "ok"
+    assert report["counters"] == counters
+    assert report["state_hash"] == state_hash
 
 def test_bench_header_is_frozen_and_counters_monotone(tmp_path):
     ops = generate("alpha-preserving", n=9, steps=80, seed=11, alpha_max=2)

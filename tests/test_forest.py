@@ -168,20 +168,6 @@ def test_path_ops_require_connectivity():
         f.add_weight(0, 0, 1)
 
 
-def test_flag_search():
-    f = LinkCutForest(gamma=8)
-    for a, b in ((0, 1), (1, 2), (2, 3)):
-        f.link(a, b, 4)
-    assert f.find_flagged_edge_on_path(0, 3) is None
-    f.set_flag(1, 2, True)
-    assert edge_key(*f.find_flagged_edge_on_path(0, 3)) == (1, 2)
-    f.set_flag(2, 3, True)
-    found = f.flagged_edges_on_path(0, 3)
-    assert [edge_key(*e) for e in found] == [(1, 2), (2, 3)]
-    f.set_flag(1, 2, False)
-    assert [edge_key(*e) for e in f.flagged_edges_on_path(0, 3)] == [(2, 3)]
-
-
 # ----------------------------------------------------------------------
 # differential driving against the naive mirror
 
@@ -218,9 +204,9 @@ def _drive(seed, n, steps, gamma=16):
             mirror.set_root(u)
         elif op == 6 and edges:
             a, b = edges[rng.randrange(len(edges))]
-            val = rng.random() < 0.5
-            real.set_flag(a, b, val)
-            mirror.set_flag(a, b, val)
+            w = rng.randint(0, gamma)
+            real.set_edge_weight(a, b, w)
+            mirror.set_edge_weight(a, b, w)
         else:
             assert real.connected(u, v) == mirror.connected(u, v)
             if u != v and mirror.connected(u, v):
@@ -229,11 +215,6 @@ def _drive(seed, n, steps, gamma=16):
                 rw = real.find_extreme_edge(u, v, "min")
                 mw = mirror.find_extreme_edge(u, v, "min")
                 assert edge_key(*rw) == edge_key(*mw)
-                rf = real.find_flagged_edge_on_path(u, v)
-                mf = mirror.find_flagged_edge_on_path(u, v)
-                assert (rf is None) == (mf is None)
-                if rf is not None:
-                    assert edge_key(*rf) == edge_key(*mf)
             assert real.find_root(u) == mirror.find_root(u)
             assert real.depth_parity(u) == mirror.depth_parity(u)
             re_ = real.first_edge_on_root_path(u)

@@ -87,17 +87,6 @@ def test_move_copies_and_membership():
         g.move_copies(0, 1, 1)
 
 
-def test_load_listeners_and_versions():
-    g = GraphState(small_params())
-    hits = []
-    g.load_listeners.append(hits.append)
-    g.bump_load(3, 2)
-    g.bump_load(3, -1)
-    assert g.loads[3] == 1
-    assert hits == [3, 3]
-    assert g.load_version[3] == 2
-
-
 def test_max_load_in_nbr_tracks_changes():
     g = GraphState(small_params())
     for v in (1, 2, 3):

@@ -5,18 +5,7 @@ import pytest
 
 from dynorient.errors import CycleError, MissingEdgeError
 from dynorient.forest import LinkCutForest, edge_key
-from dynorient.graph import GraphState
 from dynorient.hl import HeavyLightOrienter
-from dynorient.params import Params
-
-
-def make(n=16, wire=True):
-    g = GraphState(Params(n_cap=n, gamma=8))
-    calls = []
-    hl = HeavyLightOrienter(g, refresher=lambda a, b: calls.append(edge_key(a, b)))
-    if wire:
-        g.load_listeners.append(hl.on_load_change)
-    return g, hl, calls
 
 
 def audit(hl):
@@ -44,7 +33,7 @@ def audit(hl):
 
 
 def test_star_is_all_dashed():
-    g, hl, _ = make(8)
+    hl = HeavyLightOrienter()
     for leaf in range(1, 7):
         hl.link(leaf, 0)
     audit(hl)
@@ -56,7 +45,7 @@ def test_star_is_all_dashed():
 
 
 def test_leaf_grown_path_has_one_dashed_edge():
-    g, hl, _ = make(16)
+    hl = HeavyLightOrienter()
     for i in range(1, 16):
         hl.link(i, i - 1)
     audit(hl)
@@ -68,7 +57,7 @@ def test_leaf_grown_path_has_one_dashed_edge():
 
 def test_dashed_edges_on_any_root_path_logarithmic():
     rng = random.Random(3)
-    g, hl, _ = make(60)
+    hl = HeavyLightOrienter()
     for v in range(1, 60):
         hl.link(v, rng.randrange(v))
     audit(hl)
@@ -78,7 +67,7 @@ def test_dashed_edges_on_any_root_path_logarithmic():
 
 
 def test_link_rejects_cycle_cut_rejects_missing():
-    g, hl, _ = make(4)
+    hl = HeavyLightOrienter()
     hl.link(0, 1)
     with pytest.raises(CycleError):
         hl.link(1, 0)
@@ -87,7 +76,7 @@ def test_link_rejects_cycle_cut_rejects_missing():
 
 
 def test_cut_root_rule_matches_forest():
-    g, hl, _ = make(4)
+    hl = HeavyLightOrienter()
     hl.link(0, 1)
     hl.link(1, 2)
     hl.link(2, 3)         # path 0-1-2-3 rooted 3
@@ -98,93 +87,75 @@ def test_cut_root_rule_matches_forest():
     audit(hl)
 
 
-def test_roots_track_link_cut_forest():
+@pytest.mark.parametrize("offset", [0, 1000])
+def test_roots_track_link_cut_forest(offset):
+    # ids above 256 arrive as distinct int objects (int(str(...)) builds a
+    # fresh one per call), so identity comparisons of ids would break here
+    def vid(v):
+        return int(str(v + offset))
+
     rng = random.Random(11)
     n = 24
-    g, hl, _ = make(n)
+    hl = HeavyLightOrienter()
     lct = LinkCutForest(8)
     edges = set()
     for step in range(600):
         r = rng.random()
         if r < 0.45:
             u, v = rng.sample(range(n), 2)
-            if hl.root(u) == hl.root(v):
+            if hl.root(vid(u)) == hl.root(vid(v)):
                 continue
-            hl.link(u, v)
-            lct.link(u, v, 4)
+            hl.link(vid(u), vid(v))
+            lct.link(vid(u), vid(v), 4)
             edges.add(edge_key(u, v))
         elif r < 0.70 and edges:
             u, v = rng.choice(sorted(edges))
             if rng.random() < 0.5:
                 u, v = v, u
-            hl.cut(u, v)
-            lct.cut(u, v)
+            hl.cut(vid(u), vid(v))
+            lct.cut(vid(u), vid(v))
             edges.discard(edge_key(u, v))
         else:
             v = rng.randrange(n)
-            if not lct.has_vertex(v):
+            if not lct.has_vertex(vid(v)):
                 continue
-            hl.set_root(v)
-            lct.set_root(v)
+            hl.set_root(vid(v))
+            lct.set_root(vid(v))
         if step % 40 == 0:
             audit(hl)
             for v in range(n):
-                if lct.has_vertex(v):
-                    assert hl.root(v) == lct.find_root(v), (step, v)
+                if lct.has_vertex(vid(v)):
+                    assert hl.root(vid(v)) == lct.find_root(vid(v)), (step, v)
     audit(hl)
 
 
 def test_solid_edges_stay_clean_dashed_go_stale():
-    g, hl, calls = make(16)
+    hl = HeavyLightOrienter()
     for i in range(1, 6):
         hl.link(i, i - 1)   # heavy spine, last edge dashed
-    spine = edge_key(2, 3)
     assert hl.is_solid(2, 3)
-    dashed = edge_key(4, 5)
     assert not hl.is_solid(4, 5)
-    assert hl.is_clean(4, 5)   # fresh at link time
-    calls.clear()
-    g.bump_load(5, 2)
-    assert not hl.is_clean(4, 5)       # dashed: silently stale
-    g.bump_load(3, 1)
-    assert hl.is_clean(2, 3), calls    # solid: refreshed by listener
-    assert spine in calls
-    cleaned = hl.clean_path(5, 0)
-    assert [edge_key(a, b) for a, b in cleaned] == [dashed]
-    assert hl.is_clean(4, 5)
+    dashed = hl.light_edges_between(5, 0)
+    assert [edge_key(a, b) for a, b in dashed] == [(4, 5)]
 
 
 def test_promotion_refreshes_newly_heavy_edge():
-    g, hl, calls = make(16)
+    hl = HeavyLightOrienter()
     hl.link(1, 0)
     hl.link(2, 0)          # two children, neither a strict majority
     assert hl.heavy[0] is None
-    calls.clear()
     hl.link(3, 1)
     hl.link(4, 3)          # branch under 1 now dominates 0's subtree
     assert hl.heavy[0] == 1
-    assert edge_key(0, 1) in calls
-    assert hl.is_clean(0, 1)
+    assert hl.is_solid(0, 1)
     audit(hl)
 
 
 def test_random_loads_keep_solid_edges_clean():
     rng = random.Random(5)
-    g, hl, _ = make(30)
+    hl = HeavyLightOrienter()
     for v in range(1, 30):
         hl.link(v, rng.randrange(v))
-    for _ in range(300):
-        r = rng.random()
-        if r < 0.5:
-            g.bump_load(rng.randrange(30), 1)
-        elif r < 0.7:
-            hl.set_root(rng.randrange(30))
-        else:
-            v = rng.randrange(30)
-            if g.loads[v]:
-                g.bump_load(v, -1)
-    audit(hl)
-    for key, tail in hl.dir_tail.items():
-        a, b = key
-        if hl.is_solid(a, b):
-            assert hl.is_clean(a, b), key
+    for _ in range(60):
+        hl.set_root(rng.randrange(30))
+        audit(hl)
