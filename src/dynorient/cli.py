@@ -60,8 +60,7 @@ class _Session:
             self.d = None
             self.col = None
         else:
-            p = Params(n_cap=args.n, gamma=args.gamma, epsilon=args.epsilon,
-                       alpha_max=args.alpha_max)
+            p = Params(n_cap=args.n, gamma=args.gamma, epsilon=args.epsilon)
             self.bf = None
             self.d = ArboricityDecomposer(p, paranoid=args.paranoid)
             # colour queries are read-only, so every decomposer mode
@@ -268,7 +267,8 @@ def build_parser():
                        help="vertex id upper bound")
         p.add_argument("--epsilon", type=float, default=1.0)
         p.add_argument("--gamma", type=int, default=8)
-        p.add_argument("--alpha-max", type=int, default=None)
+        p.add_argument("--alpha-max", type=int, default=None,
+                       help="arboricity cap of bf mode; other modes ignore it")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--verify-every", type=int, default=0, metavar="K",
                        help="run the invariant suite after every K ops")

@@ -121,10 +121,10 @@ class ArboricityDecomposer:
         Every unambiguous bundle points away from the endpoint holding
         the larger share, which is exactly the slot table's tail, and
         the ambiguous forest contributes v's parent edge if there is
-        one."""
+        one, read from the heavy-light mirror of H, which shares H's
+        rooting."""
         deg = self.split.out_degree(v)
-        h = self.refine.H
-        if h.has_vertex(v) and h.first_edge_on_root_path(v) is not None:
+        if self.refine.hl.parent.get(v) is not None:
             deg += 1
         return deg
 
@@ -268,9 +268,11 @@ class ArboricityDecomposer:
         h = _other(key, t)
         self._ensure_layer(i)
         f = self.F[i]
-        if f.connected(t, h):
+        # t's only layer-i out-edge is this one, so t roots its tree and h
+        # lies in it exactly when h's root is t; link's CycleError still
+        # guards the other branch
+        if f.find_root(h) == t:
             # closes its component's cycle; becomes the designated edge
-            assert f.find_root(t) == t, (key, t)
             assert t not in self.m_tail[i]
             self.m[i].add(key)
             self.m_tail[i][t] = key

@@ -21,6 +21,10 @@ class MissingEdgeError(DynOrientError):
     pass
 
 
+class VertexRangeError(DynOrientError):
+    """Vertex id outside [0, n_cap)."""
+
+
 class ConsistencyError(DynOrientError):
     """Internal bookkeeping contradicts itself; always a bug."""
 

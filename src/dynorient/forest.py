@@ -8,14 +8,29 @@ relative to the endpoint nearer u, so reversing the direction of a query
 complements every weight.
 
 Implementation: splay-based link-cut trees with edges represented as their own
-nodes spliced between vertex nodes.  Preferred-path reversal therefore has to
-complement edge values, which is folded into the usual lazy reversal tag
-(pending transform: val <- (gamma - val if rev else val) + add).
+nodes spliced between vertex nodes.  An edge node's value is the numerator at
+its parent endpoint, the one nearer the root.  Preferred-path reversal
+therefore has to complement edge values, which is folded into the usual lazy
+reversal tag (pending transform: val <- (gamma - val if rev else val) + add).
+The same reversal toggles each edge node's orientation bit ``flip``: the parent
+endpoint is ``b`` (the link's v) while the bit is clear and ``a`` while it is
+set.  Once an edge node is splayed, its value and bit are current, so a single
+edge is read, written or cut without rerooting.
 
 Each tree also carries a root tag (the semantic root, i.e. the orientation
 sink when the forest mirrors an out-orientation).  The invariant is that the
-represented head of every preferred-path structure equals the tagged root;
-path queries evert internally and restore the tag before returning.
+represented head of every preferred-path structure equals the tagged root.
+Which operations evert:
+
+* ``set_root`` moves the tag;
+* ``link`` everts u's tree at u, unless u already heads it;
+* ``cut`` everts only when u is the parent endpoint, so that u's side ends
+  up rooted at u;
+* the path operations (``min_weight``, ``max_weight``, ``add_weight``,
+  ``find_extreme_edge``) evert at u and restore the old root before they
+  return, unless u is the root already;
+* ``edge_weight``, ``set_edge_weight``, ``connected``, ``find_root``,
+  ``depth_parity`` and ``first_edge_on_root_path`` never evert.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ _INF = 1 << 60
 
 class _Node:
     __slots__ = ("parent", "left", "right", "vid", "a", "b", "is_edge",
-                 "val", "mn", "mx", "n_edges", "rev", "add")
+                 "flip", "val", "mn", "mx", "n_edges", "rev", "add")
 
     def __init__(self):
         self.parent = None
@@ -38,6 +53,7 @@ class _Node:
         self.a = None
         self.b = None
         self.is_edge = False
+        self.flip = False
         self.val = 0
         self.mn = _INF
         self.mx = -_INF
@@ -88,6 +104,7 @@ class LinkCutForest:
         if x.is_edge:
             if rev:
                 x.val = self.gamma - x.val
+                x.flip = not x.flip
             x.val += add
         if x.n_edges:
             if rev:
@@ -256,13 +273,15 @@ class LinkCutForest:
         if key in self._e:
             raise CycleError(f"edge {key} already present")
         nu, nv = self._vnode(u), self._vnode(v)
-        if self.connected(u, v):
+        hu = self._find_head(nu)
+        if self._find_head(nv) is hu:
             raise CycleError(f"{u} and {v} already connected")
-        self._make_head(nu)
+        if hu is not nu:
+            self._make_head(nu)
         e = _Node()
         e.is_edge = True
         e.a, e.b = u, v
-        # e's path order places the v side first, so store that numerator
+        # v is the parent endpoint, so the value is the numerator at v
         e.val = self.gamma - weight_u
         self._pull(e)
         nu.parent = e
@@ -280,40 +299,48 @@ class LinkCutForest:
         e = self._e.get(key)
         if e is None:
             raise MissingEdgeError(f"no edge {key}")
-        nu, nv = self._v[u], self._v[v]
-        old_root = self.find_root(u)
-        self._make_head(nu)
-        self._access(nv)
         self._splay(e)
-        # path order is [u, e, v]; detach both sides
-        lu, rv = e.left, e.right
-        assert lu is not None and rv is not None
-        lu.parent = None
-        rv.parent = None
+        child = e.b if e.flip else e.a
+        self._access(self._v[child])
+        # the root path now ends [..., parent, e, child]; detach both sides
+        self._splay(e)
+        e.left.parent = None
+        e.right.parent = None
         e.left = e.right = None
-        e.parent = None
         del self._e[key]
-        # u's side is already headed by u, v's side by v
-        rn = self._v[old_root]
-        if self._find_head(rn) is self._find_head(nv):
-            self._make_head(rn)
+        # the parent side keeps the old root, the child side is headed by
+        # the child
+        if child != u:
+            self._make_head(self._v[u])
 
     # ------------------------------------------------------------------
     # path operations
 
     def _expose(self, u: int, v: int):
+        """Make u the root and access v, so v's aux tree holds the u..v
+        path.  Returns v's node and the old root to restore, or None when
+        u was the root already."""
         if u == v:
             raise NotConnectedError(f"trivial path at {u}")
-        if u not in self._v or v not in self._v or not self.connected(u, v):
+        nu, nv = self._v.get(u), self._v.get(v)
+        if nu is None or nv is None:
             raise NotConnectedError(f"{u} and {v} not connected")
-        saved = self.find_root(u)
-        nu, nv = self._v[u], self._v[v]
-        self._make_head(nu)
+        saved = self._find_head(nu)
+        if saved is nu:
+            saved = None
+        else:
+            self._make_head(nu)
         self._access(nv)
+        # nu headed its own tree's top aux tree; it gained a parent exactly
+        # when the access pulled it into v's
+        if nu.parent is None:
+            self._restore(saved)
+            raise NotConnectedError(f"{u} and {v} not connected")
         return nv, saved
 
-    def _restore(self, saved: int):
-        self._make_head(self._v[saved])
+    def _restore(self, saved):
+        if saved is not None:
+            self._make_head(saved)
 
     def min_weight(self, u: int, v: int) -> int:
         top, saved = self._expose(u, v)
@@ -361,24 +388,30 @@ class LinkCutForest:
         self._restore(saved)
         return out
 
+    def _splayed_edge(self, u: int, v: int) -> _Node:
+        """Edge node of (u, v), splayed so its value and bit are current."""
+        e = self._e.get(edge_key(u, v))
+        if e is None:
+            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
+        self._splay(e)
+        return e
+
     def edge_weight(self, u: int, v: int) -> int:
         """Weight of edge (u, v) as the numerator at u."""
-        if edge_key(u, v) not in self._e:
-            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
-        top, saved = self._expose(u, v)
-        assert top.mn == top.mx
-        out = top.mn
-        self._restore(saved)
-        return out
+        e = self._splayed_edge(u, v)
+        if u == (e.a if e.flip else e.b):
+            return e.val
+        return self.gamma - e.val
 
     def set_edge_weight(self, u: int, v: int, weight_u: int):
         if not 0 <= weight_u <= self.gamma:
             raise WeightRangeError(f"weight {weight_u} outside [0, {self.gamma}]")
-        if edge_key(u, v) not in self._e:
-            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
-        top, saved = self._expose(u, v)
-        self._apply(top, False, weight_u - top.mn)
-        self._restore(saved)
+        e = self._splayed_edge(u, v)
+        if u == (e.a if e.flip else e.b):
+            e.val = weight_u
+        else:
+            e.val = self.gamma - weight_u
+        self._pull(e)
 
     # ------------------------------------------------------------------
     # root-relative queries (no rerooting)

@@ -123,7 +123,6 @@ class FractionalOrienter:
         self.store = store or EdgeStore(graph)
         self.copy_insertions = 0
         self.copy_deletions = 0
-        self.repairs = 0
 
     def update_nbrs(self, v):
         """Does nothing.  Neighbour sets are always current, so nothing

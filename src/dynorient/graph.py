@@ -20,7 +20,8 @@ previous one, so the upkeep stays amortised O(1).
 
 import heapq
 
-from .errors import (DuplicateEdgeError, MissingEdgeError, SelfLoopError)
+from .errors import (DuplicateEdgeError, MissingEdgeError, SelfLoopError,
+                     VertexRangeError)
 from .forest import edge_key
 
 
@@ -46,12 +47,14 @@ class GraphState:
         return edge_key(u, v) in self.bundles
 
     def add_bundle(self, u: int, v: int):
+        n = self.params.n_cap
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge ({u}, {v}) leaves [0, {n})")
         if u == v:
             raise SelfLoopError(f"self loop at {u}")
         key = edge_key(u, v)
         if key in self.bundles:
             raise DuplicateEdgeError(f"edge {key} already present")
-        assert 0 <= u < self.params.n_cap and 0 <= v < self.params.n_cap
         self.bundles[key] = [0, 0]
         self.adj[u].add(v)
         self.adj[v].add(u)

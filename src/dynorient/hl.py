@@ -7,9 +7,12 @@ solid directions fixed-but-arbitrary caps every out-degree at 2.
 
 The refinement engine keeps one of these beside its forest H, a
 LinkCutForest: link, cut and set_root must be called with identical arguments
-on both so the rootings agree.  Maintenance is eager, walking ancestor paths
-and recomputing heavy children; per-vertex lazy max-heaps over child sizes
-make each recheck cheap.
+on both so the rootings agree.  ``ArboricityDecomposer.out_degree`` relies on
+that: it reads a vertex's H parent from ``parent`` here, a dict lookup, instead
+of accessing H, and ``RefinementEngine.verify`` checks that ``parent`` matches
+H's ``first_edge_on_root_path`` at every vertex.  Maintenance is eager,
+walking ancestor paths and recomputing heavy children; per-vertex lazy
+max-heaps over child sizes make each recheck cheap.
 """
 
 import heapq

@@ -22,7 +22,6 @@ class Params:
     delta_num: int | None = 2
     mu_num: int | None = 1
     epsilon: float = 1.0
-    alpha_max: int | None = None
 
     def __post_init__(self):
         if self.n_cap < 1:
@@ -46,12 +45,10 @@ class Params:
                 )
         if self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.alpha_max is not None and self.alpha_max < 1:
-            raise ConfigurationError(f"alpha_max must be >= 1, got {self.alpha_max}")
 
     @classmethod
-    def recommended(cls, n_cap: int, epsilon: float = 1.0, gamma_cap: int = 64,
-                    alpha_max: int | None = None) -> "Params":
+    def recommended(cls, n_cap: int, epsilon: float = 1.0,
+                    gamma_cap: int = 64) -> "Params":
         """Derive (gamma, delta, mu) from n and epsilon.
 
         The asymptotic recipe is eps' = epsilon/20, gamma = ceil(log2 n / eps'^2),
@@ -63,7 +60,7 @@ class Params:
         raw = math.ceil(math.log2(max(2, n_cap)) / (eps_prime * eps_prime))
         gamma = max(4, min(gamma_cap, raw))
         return cls(n_cap=n_cap, gamma=gamma, delta_num=2, mu_num=1,
-                   epsilon=epsilon, alpha_max=alpha_max)
+                   epsilon=epsilon)
 
     # -- derived integer thresholds ------------------------------------
 

@@ -265,12 +265,15 @@ class RefinementEngine:
         for key in self.in_h:
             assert self.hl.has_edge(*key)
             assert self.H.has_edge(*key)
+        assert len(self.H) == len(self.in_h)
+        # out-degree reads H's parent map off the heavy-light mirror; it
+        # must agree with H edge for edge (so the roots agree too)
+        for v, par in self.hl.parent.items():
+            fe = self.H.first_edge_on_root_path(v) if self.H.has_vertex(v) else None
+            got = None if fe is None else edge_key(*fe)
+            assert got == (None if par is None else edge_key(v, par)), (v, par, fe)
         if alpha is not None:
             cap = int((1 + p.epsilon) * alpha) + 2
             for v in range(p.n_cap):
                 d = self.rounded_out_degree(v)
                 assert d <= cap, (v, d, cap)
-        if self.paranoid:
-            for v in range(p.n_cap):
-                if self.H.has_vertex(v):
-                    assert self.hl.root(v) == self.H.find_root(v)

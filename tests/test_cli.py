@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -116,23 +119,40 @@ def _sparse_trace():
     return text
 
 
-@pytest.mark.parametrize("trace, n, counters, state_hash", [
-    (_sparse_trace, 400,
+def _run_cli_optimised(argv):
+    """Run the CLI under ``python -O``, where every assert is stripped."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "dynorient.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout
+
+
+_PINNED = [
+    ("uniform-sparse", _sparse_trace, 400,
      {"reorientations": 0, "repairs": 0, "moves": 1124, "surplus_ops": 0},
      "bdee85ceb7ba0f96c9db9bb7f490a820d9cca94377008cb689c2925c24c0ab12"),
-    (lambda: _dense_churn_trace(14), 12,
+    ("dense-churn", lambda: _dense_churn_trace(14), 12,
      {"reorientations": 4, "repairs": 1, "moves": 465, "surplus_ops": 2},
      "db31bd113b8ce25d7551f62c9868bae726b4f49379de9ca4adf1d93b9dd6c789"),
-], ids=["uniform-sparse", "dense-churn"])
-def test_run_end_state_is_pinned(trace, n, counters, state_hash, tmp_path):
+]
+
+
+@pytest.mark.parametrize("trace, n, counters, state_hash, optimised", [
+    pytest.param(*case, opt, id=name + ("-python-O" if opt else ""))
+    for opt in (False, True) for name, *case in _PINNED])
+def test_run_end_state_is_pinned(trace, n, counters, state_hash, optimised,
+                                 tmp_path):
     path = tmp_path / "t.trace"
     path.write_text(trace(), encoding="utf-8")
-    code, text = run_cli(["run", "--mode", "arb", "--n", str(n), str(path)])
+    argv = ["run", "--mode", "arb", "--n", str(n), str(path)]
+    code, text = _run_cli_optimised(argv) if optimised else run_cli(argv)
     report = json.loads(text)
     assert code == cli.EXIT_OK, report["violations"]
     assert report["status"] == "ok"
     assert report["counters"] == counters
     assert report["state_hash"] == state_hash
+
 
 def test_bench_header_is_frozen_and_counters_monotone(tmp_path):
     ops = generate("alpha-preserving", n=9, steps=80, seed=11, alpha_max=2)

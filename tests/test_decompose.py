@@ -3,7 +3,8 @@ import random
 import pytest
 
 from dynorient.decompose import ArboricityDecomposer
-from dynorient.errors import ConfigurationError, DuplicateEdgeError, MissingEdgeError
+from dynorient.errors import (ConfigurationError, DuplicateEdgeError,
+                              MissingEdgeError, VertexRangeError)
 from dynorient.forest import edge_key
 from dynorient.oracles import exact_arboricity, is_forest
 from dynorient.params import Params
@@ -163,20 +164,15 @@ def test_label_clash_switch_relayers_two_designated_edges():
     d.verify(alpha=exact_arboricity(sorted(d.g.bundles)))
 
 
-@pytest.mark.parametrize("seed", [2, 45, 92, 134])
-def test_dense_churn_exercises_inversion_repairs(seed):
-    # near-complete graphs churned under per-operation audits; these seeds
-    # historically drove a rounding up a load gap after an inversion
-    rng = random.Random(seed)
-    n = rng.choice([8, 10, 12, 14])
-    gamma = rng.choice([8, 16])
-    p = Params(n_cap=n, gamma=gamma, delta_num=2, mu_num=1, epsilon=0.5)
-    d = ArboricityDecomposer(p, paranoid=True)
+def dense_churn(d, rng, n, steps, dense_at, sparse_odds):
+    """Churn a near-complete graph on n vertices: delete with odds 0.5
+    above ``dense_at`` edges and ``sparse_odds`` at or below it, else
+    insert a free pair.  Yields after every update."""
     edges = set()
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(150):
-        dense = len(edges) > len(pairs) * 0.8
-        if edges and rng.random() < (0.5 if dense else 0.1):
+    for _ in range(steps):
+        dense = len(edges) > dense_at
+        if edges and rng.random() < (0.5 if dense else sparse_odds):
             key = rng.choice(sorted(edges))
             d.delete_edge(*key)
             edges.discard(key)
@@ -187,7 +183,53 @@ def test_dense_churn_exercises_inversion_repairs(seed):
             key = rng.choice(free)
             d.insert_edge(*key)
             edges.add(key)
+        yield
+
+
+@pytest.mark.parametrize("seed", [2, 45, 92, 134])
+def test_dense_churn_exercises_inversion_repairs(seed):
+    # near-complete graphs churned under per-operation audits; these seeds
+    # historically drove a rounding up a load gap after an inversion
+    rng = random.Random(seed)
+    n = rng.choice([8, 10, 12, 14])
+    gamma = rng.choice([8, 16])
+    p = Params(n_cap=n, gamma=gamma, delta_num=2, mu_num=1, epsilon=0.5)
+    d = ArboricityDecomposer(p, paranoid=True)
+    for _ in dense_churn(d, rng, n, 150, n * (n - 1) // 2 * 0.8, 0.1):
+        pass
     assert d.inversions >= 1 and d.repair_pairs >= 1
+
+
+@pytest.mark.parametrize("seed", [2, 45])
+def test_out_degree_matches_the_h_root_path_definition(seed):
+    # out_degree reads H's parent off the heavy-light mirror; the
+    # reference is the link-cut forest's own root path
+    rng = random.Random(seed)
+    n = 12
+    d = decomposer(n=n, paranoid=False, epsilon=0.5)
+    h = d.refine.H
+    h_parents = 0
+    for _ in dense_churn(d, rng, n, 150, n * (n - 1) // 2 * 0.8, 0.1):
+        for v in range(n):
+            up = h.first_edge_on_root_path(v) is not None
+            h_parents += up
+            assert d.out_degree(v) == d.split.out_degree(v) + up, v
+    assert h_parents > 0
+
+
+def test_out_of_range_vertex_is_rejected_and_changes_nothing():
+    n = 6
+    d = decomposer(n=n)
+    for u, v in ((0, 1), (1, 2), (0, 2), (3, 4)):
+        d.insert_edge(u, v)
+    bundles = {k: list(c) for k, c in d.g.bundles.items()}
+    loads = list(d.g.loads)
+    for bad in (-1, n):
+        with pytest.raises(VertexRangeError):
+            d.insert_edge(0, bad)
+        assert d.g.bundles == bundles
+        assert d.g.loads == loads
+    d.verify()
 
 
 def test_pooled_cycle_break_hands_designation_to_a_tree_edge():
@@ -206,21 +248,8 @@ def test_pooled_cycle_break_hands_designation_to_a_tree_edge():
     n = 12
     p = Params(n_cap=n, gamma=8, delta_num=2, mu_num=1, epsilon=0.5)
     d = Probe(p, paranoid=True)
-    edges = set()
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(170):
-        dense = len(edges) > 38
-        if edges and rng.random() < (0.5 if dense else 0.12):
-            key = rng.choice(sorted(edges))
-            d.delete_edge(*key)
-            edges.discard(key)
-        else:
-            free = [k for k in pairs if k not in edges]
-            if not free:
-                continue
-            key = rng.choice(free)
-            d.insert_edge(*key)
-            edges.add(key)
+    for _ in dense_churn(d, rng, n, 170, 38, 0.12):
+        pass
     assert hits["cycle"] >= 1 and hits["redesignate"] >= 1
 
 

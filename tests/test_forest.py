@@ -123,6 +123,22 @@ def test_roots_through_link_and_cut():
     assert f.find_root(0) == 1
     assert f.find_root(1) == 1
     assert f.find_root(2) == 2
+    # cut from the root side, cut(c, b) on a-b-c rooted at c: {c} keeps c,
+    # {a,b} is rooted at b
+    f.link(1, 2, 4)
+    f.cut(2, 1)
+    assert f.find_root(0) == 1
+    assert f.find_root(1) == 1
+    assert f.find_root(2) == 2
+    # u is the parent endpoint below the root, cut(b, a): {b,c} is rerooted
+    # at b, and the b-c weights keep their sides through that evert
+    f.link(1, 2, 3)
+    f.cut(1, 0)
+    assert f.find_root(0) == 0
+    assert f.find_root(1) == 1
+    assert f.find_root(2) == 1
+    assert f.edge_weight(1, 2) == 3
+    assert f.edge_weight(2, 1) == 5
 
 
 def test_cut_only_edge_isolates_both():
@@ -209,6 +225,11 @@ def _drive(seed, n, steps, gamma=16):
             mirror.set_edge_weight(a, b, w)
         else:
             assert real.connected(u, v) == mirror.connected(u, v)
+            if edges:
+                # single-edge reads go through the orientation bit
+                a, b = edges[rng.randrange(len(edges))]
+                assert real.edge_weight(a, b) == mirror.edge_weight(a, b)
+                assert real.edge_weight(b, a) == mirror.edge_weight(b, a)
             if u != v and mirror.connected(u, v):
                 assert real.min_weight(u, v) == mirror.min_weight(u, v)
                 assert real.max_weight(u, v) == mirror.max_weight(u, v)
