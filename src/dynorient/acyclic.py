@@ -19,7 +19,7 @@ directed cycle.
 """
 
 from .errors import (ConfigurationError, DuplicateEdgeError,
-                     MissingEdgeError, SelfLoopError)
+                     MissingEdgeError, SelfLoopError, VertexRangeError)
 from .forest import edge_key
 
 
@@ -46,9 +46,6 @@ class BFOrienter:
 
     # ------------------------------------------------------------------
 
-    def has_edge(self, u, v) -> bool:
-        return v in self.out[u] or u in self.out[v]
-
     def bf_out_edges(self, v):
         """Current out-neighbours of v, in list order."""
         return list(self.out[v])
@@ -70,13 +67,22 @@ class BFOrienter:
         """Add the edge oriented away from u, then make u a sink and chase
         any out-degree overflows.  Returns (#vertices flipped, #single-edge
         reorientations) for this update."""
+        # a negative id would index from the end of self.out and alias
+        # vertex n_cap + id; the list lookups catch ids of n_cap and up
+        if u < 0 or v < 0:
+            raise VertexRangeError(f"edge ({u}, {v}) leaves [0, {self.n_cap})")
+        try:
+            lu, lv = self.out[u], self.out[v]
+        except IndexError:
+            raise VertexRangeError(
+                f"edge ({u}, {v}) leaves [0, {self.n_cap})") from None
         if u == v:
             raise SelfLoopError(f"edge {u}->{u}")
-        if self.has_edge(u, v):
+        if v in lu or u in lv:
             raise DuplicateEdgeError(f"edge {edge_key(u, v)} already present")
         flips0 = self.flip_count
         moves0 = self.reorientations
-        self.out[u].append(v)
+        lu.append(v)
         self.edge_count += 1
         stack = [w for w in self._flip(u) if len(self.out[w]) > self.d]
         while stack:
@@ -89,10 +95,18 @@ class BFOrienter:
         return (self.flip_count - flips0, self.reorientations - moves0)
 
     def bf_delete(self, u, v):
-        if v in self.out[u]:
-            self.out[u].remove(v)
-        elif u in self.out[v]:
-            self.out[v].remove(u)
+        # range checked as in bf_insert
+        if u < 0 or v < 0:
+            raise VertexRangeError(f"edge ({u}, {v}) leaves [0, {self.n_cap})")
+        try:
+            lu, lv = self.out[u], self.out[v]
+        except IndexError:
+            raise VertexRangeError(
+                f"edge ({u}, {v}) leaves [0, {self.n_cap})") from None
+        if v in lu:
+            lu.remove(v)
+        elif u in lv:
+            lv.remove(u)
         else:
             raise MissingEdgeError(f"edge {edge_key(u, v)} not present")
         self.edge_count -= 1

@@ -7,7 +7,8 @@ Three subcommands:
   status ("ok" or "violation"), the violations as
   ``{op_index, invariant, detail}`` with stable invariant names, query
   results, cumulative counters, and a hash of the semantic end state.
-* ``gen`` prints a deterministic trace of the requested kind.
+* ``gen`` prints a deterministic trace of the requested kind; --seed
+  picks its random stream and is the only seed any subcommand takes.
 * ``bench`` replays a trace without verification and prints one CSV row
   per op: ``op_index,op,micros,reorientations,repairs,moves,surplus_ops``
   (counters are cumulative, so every column is monotone).
@@ -153,7 +154,15 @@ class _Session:
     def state_hash(self):
         """Digest of the semantic state only, indifferent to internal
         tree shapes, cached laziness, and list orderings that carry no
-        meaning.  Verification must never change it."""
+        meaning.  Verification must never change it.
+
+        Bundles are hashed by their raw counters, also while they sit in
+        H, whose true counts are the link-cut edge weights; path-wide H
+        rotations leave the raw counters of H bundles behind, so the
+        hash can miss a difference in H counts (a FOUND line in
+        CHANGES.md).  ``perfbench/checks.py`` copies this basis.
+        Hashing true counts would change every recorded hash, so the
+        basis stays as it is until a change made for that alone."""
         if self.bf is not None:
             basis = tuple(tuple(self.bf.bf_out_edges(v))
                           for v in range(self.n))
@@ -269,7 +278,6 @@ def build_parser():
         p.add_argument("--gamma", type=int, default=8)
         p.add_argument("--alpha-max", type=int, default=None,
                        help="arboricity cap of bf mode; other modes ignore it")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--verify-every", type=int, default=0, metavar="K",
                        help="run the invariant suite after every K ops")
         p.add_argument("--paranoid", action="store_true",
@@ -285,7 +293,9 @@ def build_parser():
     p_gen.add_argument("--kind", choices=TRACE_KINDS, required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--steps", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=0,
+                       help="random stream of the generator; run and bench "
+                            "replay the trace as given and take no seed")
     p_gen.add_argument("--alpha-max", type=int, default=None)
     p_gen.add_argument("--query-rate", type=float, default=0.0)
     return ap

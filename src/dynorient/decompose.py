@@ -294,8 +294,17 @@ class ArboricityDecomposer:
         if self.placed.get(key, ("", 0))[0] != "M":
             return
         comp_keys, comp_verts = self._component(key)
-        path = self._label_clash_path(comp_keys)
-        if path is not None:
+        by_label = {}
+        for k in comp_keys:
+            by_label.setdefault(self.placed[k][1], []).append(k)
+        clashes = sorted(i for i, ks in by_label.items() if len(ks) > 1)
+        if clashes:
+            # same-layer cycle edges are never adjacent (each M_i is a
+            # matching: one designated edge per component of P_i), so the
+            # path has at least one edge of another layer between them
+            src, dst = sorted(by_label[clashes[0]])[:2]
+            path = self._pool_path(src, lambda k: k == dst)
+            assert len(path) >= 3, path
             self._switch(path[-2], path[-1])
             self._dirty.extend(sorted(comp_keys))
             return
@@ -303,10 +312,6 @@ class ArboricityDecomposer:
         if cycle is not None:
             self._break_cycle_step(cycle, comp_keys, comp_verts)
             self._dirty.extend(sorted(comp_keys))
-            return
-        if self.paranoid:
-            labels = [self.placed[k][1] for k in comp_keys]
-            assert len(labels) == len(set(labels)), "component not colourful"
 
     def _component(self, start):
         keys = {start}
@@ -323,37 +328,6 @@ class ArboricityDecomposer:
                         verts.add(w)
                         frontier.append(w)
         return keys, verts
-
-    def _label_clash_path(self, comp_keys):
-        """A pooled path whose two end edges share a layer, or None.
-
-        Same-layer cycle edges are never adjacent (each M_i is a matching:
-        one designated edge per component of P_i), so the path has at
-        least one edge of another layer between them."""
-        by_label = {}
-        for k in comp_keys:
-            by_label.setdefault(self.placed[k][1], []).append(k)
-        clashes = sorted(i for i, ks in by_label.items() if len(ks) > 1)
-        if not clashes:
-            return None
-        src, dst = sorted(by_label[clashes[0]])[:2]
-        parent = {src: None}
-        frontier = deque([src])
-        while frontier:
-            k = frontier.popleft()
-            if k == dst:
-                break
-            for v in k:
-                for nk in sorted(self.incidence.get(v, ())):
-                    if nk not in parent:
-                        parent[nk] = k
-                        frontier.append(nk)
-        path = [dst]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        assert len(path) >= 3, path
-        return path
 
     def _pool_cycle(self, comp_keys, comp_verts):
         """Some cycle among the pooled edges as (keys, vertices), or None."""
@@ -386,14 +360,16 @@ class ArboricityDecomposer:
                 del depth[v]
         return None
 
-    def _pool_path(self, src, v):
-        """Shortest pooled edge path from edge src to some edge at v."""
+    def _pool_path(self, src, stop):
+        """Shortest pooled edge path from edge src to the first edge that
+        satisfies stop, in breadth-first order with each vertex's edges
+        visited sorted."""
         parent = {src: None}
         frontier = deque([src])
         target = None
         while frontier:
             k = frontier.popleft()
-            if v in k:
+            if stop(k):
                 target = k
                 break
             for w in k:
@@ -401,7 +377,7 @@ class ArboricityDecomposer:
                     if nk not in parent:
                         parent[nk] = k
                         frontier.append(nk)
-        assert target is not None, (src, v)
+        assert target is not None, src
         path = [target]
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
@@ -435,7 +411,7 @@ class ArboricityDecomposer:
         v, i = choice
         e_star = next(k for k in sorted(comp_keys) if self.placed[k][1] == i)
         if v not in e_star:
-            path = self._pool_path(e_star, v)
+            path = self._pool_path(e_star, lambda k: v in k)
             self._switch(path[0], path[1])
             return
         e_c = next(k for k in sorted(cyc_keys) if v in k and k != e_star)
@@ -636,8 +612,6 @@ class ArboricityDecomposer:
             labels = [self.placed[ck][1] for ck in comp_keys]
             assert len(labels) == len(set(labels)), "component not colourful"
             assert len(comp_keys) <= width, (len(comp_keys), width)
-        # layer bundles stay raw: only H holds counts in a tree
-        assert all(f is self.refine.H for f in self.store.residency.values())
         if alpha is not None:
             cap = int((1 + self.params.epsilon) * alpha) + 2
             assert len(self.forests()) <= cap, (len(self.forests()), cap)

@@ -48,15 +48,3 @@ class SizeError(DynOrientError):
 class TraceError(DynOrientError):
     """Malformed trace line or op not applicable to the current state."""
 
-
-class InvariantViolation(DynOrientError):
-    """Raised by verification when a maintained invariant fails.
-
-    ``name`` is a stable identifier for the invariant, suitable for
-    machine-readable reports.
-    """
-
-    def __init__(self, name: str, detail: str = ""):
-        self.name = name
-        self.detail = detail
-        super().__init__(f"{name}: {detail}" if detail else name)

@@ -9,11 +9,12 @@ other way.  Exactly one load changes per copy update.
 A bundle's counters live in the raw tables of GraphState, or, while the
 bundle sits in the refinement forest H, as the weight of its edge in that
 LinkCutForest (so path-wide count shifts around H cycles stay logarithmic).
-EdgeStore hides the split: reads and single-copy flips are routed to
-wherever the authoritative counter sits, and tree-resident flips are
-mirrored into the raw tables.  Path-wide shifts in H skip the raw tables;
-they keep every H count inside the widened ambiguity window, away from
-zero, so neighbour sets never depend on the stale raw values.
+EdgeStore hides the split with one set of resident keys, the edges of H:
+a key in the set reads and flips through the tree, any other key through
+the raw tables, and tree-resident flips are mirrored into the raw tables.
+Path-wide shifts in H skip the raw tables; they keep every H count inside
+the widened ambiguity window, away from zero, so neighbour sets never
+depend on the stale raw values.
 """
 
 from .errors import MissingEdgeError, SelfLoopError, DuplicateEdgeError
@@ -34,66 +35,59 @@ def dedup_keep_last(keys):
 
 
 class EdgeStore:
-    """Routes bundle-counter access between raw tables and resident trees."""
+    """Routes bundle-counter access between the raw tables and the tree."""
 
-    def __init__(self, graph):
+    def __init__(self, graph, tree=None):
         self.g = graph
-        self.residency = {}
+        self.tree = tree
+        self.resident = set()   # keys whose counter is the tree edge weight
 
-    def forest_of(self, u, v):
-        return self.residency.get(edge_key(u, v))
-
-    def place(self, u, v, forest):
-        """Declare the tree edge (u, v) of `forest` authoritative for the
-        bundle.  Raw counters must already agree (they do right after a
-        link, which copies the current count into the edge weight)."""
+    def place(self, u, v):
+        """Declare the tree edge (u, v) authoritative for the bundle.  Raw
+        counters must already agree (they do right after a link, which
+        copies the current count into the edge weight)."""
         key = edge_key(u, v)
-        assert key not in self.residency
-        self.residency[key] = forest
+        assert key not in self.resident
+        self.resident.add(key)
 
     def release(self, u, v):
         """Hand the bundle back to the raw tables, writing the tree count
         through first."""
-        key = edge_key(u, v)
         self.sync_bundle(u, v)
-        del self.residency[key]
+        self.resident.remove(edge_key(u, v))
 
     def true_counts(self, u, v):
         """Authoritative (count toward v, count toward u) pair."""
-        key = edge_key(u, v)
-        f = self.residency.get(key)
-        if f is None:
+        if edge_key(u, v) not in self.resident:
             return self.g.counts(u, v)
-        cu = f.edge_weight(u, v)
+        cu = self.tree.edge_weight(u, v)
         return cu, self.g.params.gamma - cu
 
     def sync_bundle(self, u, v):
         """Write a resident edge's count back into the raw tables.  Loads
         are untouched: they already account for every copy wherever its
         counter lives."""
-        f = self.residency[edge_key(u, v)]
-        cu = f.edge_weight(u, v)
+        cu = self.tree.edge_weight(u, v)
         self.g.set_counts_raw(u, v, cu, self.g.params.gamma - cu)
 
     def flip_copy(self, u, v):
         """Reorient one copy from u->v to v->u (no load change)."""
-        f = self.residency.get(edge_key(u, v))
-        if f is None:
+        if edge_key(u, v) not in self.resident:
             self.g.move_copies(u, v, 1)
             return
-        cu = f.edge_weight(u, v)
+        cu = self.tree.edge_weight(u, v)
         assert cu >= 1, f"no copy {u}->{v} to flip"
-        f.set_edge_weight(u, v, cu - 1)
+        self.tree.set_edge_weight(u, v, cu - 1)
         self.g.set_counts_raw(u, v, cu - 1, self.g.params.gamma - cu + 1)
 
     def add_copy(self, u, v):
-        assert edge_key(u, v) not in self.residency, \
+        assert edge_key(u, v) not in self.resident, \
             "bundles only grow while raw"
         cu, cv = self.g.counts(u, v)
         self.g.set_counts_raw(u, v, cu + 1, cv)
 
     def remove_copy(self, u, v):
-        assert edge_key(u, v) not in self.residency, \
+        assert edge_key(u, v) not in self.resident, \
             "bundles only shrink while raw"
         cu, cv = self.g.counts(u, v)
         assert cu >= 1, f"no copy {u}->{v} to remove"
@@ -104,13 +98,12 @@ class EdgeStore:
 
         Only sound when the caller moves the same amount back elsewhere
         (cycle rotations shift every vertex's out-copies by +x on one
-        incident edge and -x on the other).  Writes through to the resident
-        forest so the tree copy stays the authority.
+        incident edge and -x on the other).  Writes through to the tree
+        for a resident edge so the tree copy stays the authority.
         """
         assert cu + cv == self.g.params.gamma
-        f = self.residency.get(edge_key(u, v))
-        if f is not None:
-            f.set_edge_weight(u, v, cu)
+        if edge_key(u, v) in self.resident:
+            self.tree.set_edge_weight(u, v, cu)
         self.g.set_counts_raw(u, v, cu, cv)
 
 
@@ -217,7 +210,7 @@ class FractionalOrienter:
         key = edge_key(u, v)
         if not self.g.has_edge(u, v):
             raise MissingEdgeError(f"no bundle {key}")
-        assert self.store.forest_of(u, v) is None, \
+        assert key not in self.store.resident, \
             "resident bundles must be released before deletion"
         log = []
         for _ in range(self.g.params.gamma):

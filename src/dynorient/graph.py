@@ -38,7 +38,6 @@ class GraphState:
         self.out_nbrs = [set() for _ in range(n)]
         self.in_set = [set() for _ in range(n)]
         self.in_heap = [[] for _ in range(n)]
-        self.adj = [set() for _ in range(n)]
 
     # ------------------------------------------------------------------
     # bundles
@@ -56,8 +55,6 @@ class GraphState:
         if key in self.bundles:
             raise DuplicateEdgeError(f"edge {key} already present")
         self.bundles[key] = [0, 0]
-        self.adj[u].add(v)
-        self.adj[v].add(u)
 
     def drop_bundle(self, u: int, v: int):
         key = edge_key(u, v)
@@ -66,8 +63,6 @@ class GraphState:
             raise MissingEdgeError(f"no edge {key}")
         assert counts == [0, 0], "bundle still holds copies"
         del self.bundles[key]
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
 
     def count(self, u: int, v: int) -> int:
         """Raw number of copies of edge (u, v) oriented u -> v."""

@@ -7,10 +7,12 @@ solid directions fixed-but-arbitrary caps every out-degree at 2.
 
 The refinement engine keeps one of these beside its forest H, a
 LinkCutForest: link, cut and set_root must be called with identical arguments
-on both so the rootings agree.  ``ArboricityDecomposer.out_degree`` relies on
-that: it reads a vertex's H parent from ``parent`` here, a dict lookup, instead
-of accessing H, and ``RefinementEngine.verify`` checks that ``parent`` matches
-H's ``first_edge_on_root_path`` at every vertex.  Maintenance is eager,
+on both so the rootings agree.  The orienter has no query API; its readers
+use two maps directly.  ``RefinementEngine.rounded_out_edges`` reads
+``out_edges``, and ``ArboricityDecomposer.out_degree`` reads a vertex's H
+parent from ``parent``, a dict lookup, instead of accessing H.
+``RefinementEngine.verify`` checks that ``parent`` matches H's
+``first_edge_on_root_path`` at every vertex.  Maintenance is eager,
 walking ancestor paths and recomputing heavy children; per-vertex lazy
 max-heaps over child sizes make each recheck cheap.
 """
@@ -59,12 +61,6 @@ class HeavyLightOrienter:
     def has_edge(self, u, v):
         return edge_key(u, v) in self.dir_tail
 
-    def is_solid(self, u, v):
-        if self.parent.get(u) == v:
-            return self.heavy[v] == u
-        assert self.parent.get(v) == u, f"no tree edge {u},{v}"
-        return self.heavy[u] == v
-
     def _set_direction(self, tail, head):
         key = edge_key(tail, head)
         old = self.dir_tail.get(key)
@@ -74,13 +70,6 @@ class HeavyLightOrienter:
             self.out_edges[old].discard(key)
         self.dir_tail[key] = tail
         self.out_edges[tail].add(key)
-
-    def direction(self, u, v):
-        key = edge_key(u, v)
-        tail = self.dir_tail.get(key)
-        if tail is None:
-            raise MissingEdgeError(f"no tree edge {key}")
-        return (tail, key[0] if tail == key[1] else key[1])
 
     def _push_size(self, c):
         p = self.parent[c]
@@ -180,48 +169,3 @@ class HeavyLightOrienter:
             x = self.parent[x]
         if c == v:
             self._reroot(u)
-
-    # ------------------------------------------------------------------
-    # queries
-
-    def explicit_out_edges(self, v):
-        """Stored out-directions incident to v, as (tail, head) pairs."""
-        self._touch(v)
-        out = []
-        for key in self.out_edges[v]:
-            head = key[0] if v == key[1] else key[1]
-            out.append((v, head))
-        out.sort()
-        return out
-
-    def out_degree(self, v):
-        if v not in self.out_edges:
-            return 0
-        return len(self.out_edges[v])
-
-    def path_vertices(self, u, v):
-        """Tree path from u to v inclusive (root choice does not matter)."""
-        pu = self._root_path(u)
-        pv = self._root_path(v)
-        index = {x: i for i, x in enumerate(pu)}
-        meet = None
-        for j, x in enumerate(pv):
-            if x in index:
-                meet = (index[x], j)
-                break
-        assert meet is not None, f"{u} and {v} not connected"
-        i, j = meet
-        return pu[:i + 1] + pv[:j][::-1]
-
-    def light_edges_between(self, u, v):
-        """Dashed edges on the u..v tree path."""
-        self._touch(u)
-        self._touch(v)
-        if u == v:
-            return []
-        path = self.path_vertices(u, v)
-        out = []
-        for a, b in zip(path, path[1:]):
-            if not self.is_solid(a, b):
-                out.append((a, b))
-        return out

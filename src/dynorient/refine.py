@@ -49,11 +49,13 @@ class RefinementEngine:
         assert params.delta_num is not None, "refinement needs delta and mu"
         self.params = params
         self.g = GraphState(params)
-        self.store = EdgeStore(self.g)
-        self.frac = FractionalOrienter(self.g, self.store)
         self.H = LinkCutForest(params.gamma)
+        self.store = EdgeStore(self.g, self.H)
+        self.frac = FractionalOrienter(self.g, self.store)
         self.hl = HeavyLightOrienter()
-        self.in_h = set()
+        # H's edge set: the store's resident keys, written only by
+        # place/release
+        self.in_h = self.store.resident
         self.paranoid = paranoid
         self.inversions = 0
         self.expulsions = 0
@@ -107,8 +109,7 @@ class RefinementEngine:
             self.on_pre_enroll(a, b)
         self.H.link(a, b, self.g.count(a, b))
         self.hl.link(a, b)
-        self.store.place(a, b, self.H)
-        self.in_h.add(edge_key(a, b))
+        self.store.place(a, b)
         self._touched.add(edge_key(a, b))
 
     def _unhook(self, a, b):
@@ -116,7 +117,6 @@ class RefinementEngine:
         self.store.release(a, b)
         self.H.cut(a, b)
         self.hl.cut(a, b)
-        self.in_h.discard(edge_key(a, b))
         self._touched.add(edge_key(a, b))
 
     # ------------------------------------------------------------------
@@ -220,9 +220,10 @@ class RefinementEngine:
     def rounded_out_edges(self, v):
         """Explicit out-edges of v: non-H edges point away from the endpoint
         carrying the larger count, H edges follow the heavy-path directions.
-        Pure: mutates nothing."""
+        A non-H edge rounded away from v has a positive count out of v, so
+        v's out-neighbour set holds every candidate.  Pure: mutates nothing."""
         out = []
-        for w in sorted(self.g.adj[v]):
+        for w in sorted(self.g.out_nbrs[v]):
             key = edge_key(v, w)
             if key in self.in_h:
                 continue

@@ -21,7 +21,6 @@ class SlotTable:
     def __init__(self):
         self.slots = {}      # vertex -> {slot index: edge key}
         self.where = {}      # edge key -> (tail vertex, slot index)
-        self.by_slot = {}    # slot index -> set of edge keys
 
     def _table(self, v):
         return self.slots.setdefault(v, {})
@@ -29,31 +28,14 @@ class SlotTable:
     def _set(self, key, tail, i):
         self.slots[tail][i] = key
         self.where[key] = (tail, i)
-        self.by_slot.setdefault(i, set()).add(key)
 
     def _clear(self, key):
         tail, i = self.where.pop(key)
         del self.slots[tail][i]
-        self.by_slot[i].discard(key)
         return tail, i
 
     # ------------------------------------------------------------------
     # queries
-
-    def assigned(self, u, v):
-        return edge_key(u, v) in self.where
-
-    def partition_of(self, u, v):
-        key = edge_key(u, v)
-        if key not in self.where:
-            raise MissingEdgeError(f"edge {key} not assigned to any slot")
-        return self.where[key][1]
-
-    def tail_of(self, u, v):
-        key = edge_key(u, v)
-        if key not in self.where:
-            raise MissingEdgeError(f"edge {key} not assigned to any slot")
-        return self.where[key][0]
 
     def out_degree(self, v):
         return len(self.slots.get(v, ()))
@@ -61,9 +43,6 @@ class SlotTable:
     def partition_count(self):
         """Number of nonempty layers = the largest out-degree."""
         return max((len(t) for t in self.slots.values()), default=0)
-
-    def edges_in(self, i):
-        return sorted(self.by_slot.get(i, ()))
 
     # ------------------------------------------------------------------
     # orientation events
@@ -148,7 +127,3 @@ class SlotTable:
                 assert self.where[key] == (v, i), (key, self.where[key])
         for key, (tail, i) in self.where.items():
             assert self.slots[tail][i] == key
-            assert key in self.by_slot[i]
-        for i, keys in self.by_slot.items():
-            for key in keys:
-                assert self.where[key][1] == i

@@ -4,7 +4,7 @@ import pytest
 
 from dynorient.acyclic import BFOrienter
 from dynorient.errors import (ConfigurationError, DuplicateEdgeError,
-                              MissingEdgeError)
+                              MissingEdgeError, VertexRangeError)
 from dynorient.forest import edge_key
 from dynorient.oracles import (exact_arboricity, is_acyclic, is_forest,
                                reverse_replay_reorientations)
@@ -48,6 +48,22 @@ def test_duplicate_and_missing_raise():
         b.bf_insert(1, 0)
     with pytest.raises(MissingEdgeError):
         b.bf_delete(2, 3)
+
+
+def test_out_of_range_vertex_is_rejected_and_changes_nothing():
+    # -1 would alias the last vertex and n_cap would index past the lists
+    n = 4
+    b = BFOrienter(n, alpha_max=1)
+    for u, v in ((0, 1), (1, 3), (2, 3)):
+        b.bf_insert(u, v)
+    edges, count = b.edges(), b.edge_count
+    for u, v in ((0, -1), (-1, 1), (0, n), (n, 1)):
+        with pytest.raises(VertexRangeError):
+            b.bf_insert(u, v)
+        with pytest.raises(VertexRangeError):
+            b.bf_delete(u, v)
+        assert b.edges() == edges and b.edge_count == count
+    b.verify()
 
 
 def test_delete_searches_both_lists_and_never_reorients():

@@ -197,6 +197,18 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
         == cli.EXIT_USAGE
 
 
+def test_run_and_bench_reject_a_seed(tmp_path, capsys):
+    # only gen draws random numbers; a seed given to a replay is a usage
+    # error, not a setting that is silently ignored
+    trace = write_trace(tmp_path, [("a", 0, 1)])
+    for cmd in ("run", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([cmd, "--n", "4", "--seed", "1", trace])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+    assert run_cli(["run", "--n", "4", trace])[0] == cli.EXIT_OK
+
+
 def test_violations_are_reported_with_stable_names():
     class Broken:
         def checks(self):

@@ -217,6 +217,36 @@ def test_out_degree_matches_the_h_root_path_definition(seed):
     assert h_parents > 0
 
 
+@pytest.mark.parametrize("seed", [2, 92])
+def test_rounded_out_edges_match_a_scan_of_every_bundle(seed):
+    # rounded_out_edges walks v's out-neighbour set; the reference scans
+    # every bundle, rounding non-H ones by their true counts (ties point
+    # away from the smaller id) and taking H edges from the heavy-light
+    # directions
+    rng = random.Random(seed)
+    n = 12
+    d = decomposer(n=n, paranoid=False, epsilon=0.5)
+    in_h = d.refine.in_h
+    h_edges = 0
+    for _ in dense_churn(d, rng, n, 150, n * (n - 1) // 2 * 0.8, 0.1):
+        want = {v: set() for v in range(n)}
+        for key in d.g.bundles:
+            if key in in_h:
+                continue
+            a, b = key
+            ca, cb = d.store.true_counts(a, b)
+            want[a if ca >= cb else b].add(key)
+        for v, keys in d.refine.hl.out_edges.items():
+            want[v] |= keys
+        h_edges += len(in_h)
+        for v in range(n):
+            got = d.refine.rounded_out_edges(v)
+            assert len(got) == len(set(got)), v
+            assert all(t == v for t, _ in got), v
+            assert {edge_key(*e) for e in got} == want[v], v
+    assert h_edges > 0
+
+
 def test_out_of_range_vertex_is_rejected_and_changes_nothing():
     n = 6
     d = decomposer(n=n)

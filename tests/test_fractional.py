@@ -152,19 +152,20 @@ def test_update_nbrs_without_provider_is_noop():
 
 def test_chain_flips_route_through_resident_edges():
     # full bundles only: a resident edge's counts always sum to gamma
-    g, fo = make(gamma=4, n=4)
+    g, _ = make(gamma=4, n=4)
+    forest = LinkCutForest(4)
+    fo = FractionalOrienter(g, EdgeStore(g, forest))
     stage_chain(g, [(0, 3, 4, 0), (1, 2, 3, 1)])
     assert g.loads[:4] == [4, 3, 1, 0]
-    forest = LinkCutForest(4)
     forest.link(1, 2, g.count(1, 2))
-    fo.store.place(1, 2, forest)
+    fo.store.place(1, 2)
     fo.insert_copy(0, 1)   # lands at 1, sheds through the resident edge
     assert g.loads[:4] == [4, 3, 2, 0]
     assert fo.store.true_counts(1, 2) == (2, 2)
     assert forest.edge_weight(1, 2) == 2
     assert g.counts(1, 2) == (2, 2)    # mirror kept in step
     fo.store.release(1, 2)
-    assert fo.store.forest_of(1, 2) is None
+    assert not fo.store.resident
 
 
 def test_load_conservation_and_validity_random_mix():

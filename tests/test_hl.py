@@ -32,16 +32,33 @@ def audit(hl):
         assert key in hl.out_edges[tail]
 
 
+def root_path(hl, v):
+    """v, its parent, and so on up to its root."""
+    path = [v]
+    while hl.parent[path[-1]] is not None:
+        path.append(hl.parent[path[-1]])
+    return path
+
+
+def dashed_on_root_path(hl, v):
+    """Keys of the edges on v's root path whose child end is not the heavy
+    child of its parent, from v upward."""
+    path = root_path(hl, v)
+    return [edge_key(c, p) for c, p in zip(path, path[1:]) if hl.heavy[p] != c]
+
+
 def test_star_is_all_dashed():
     hl = HeavyLightOrienter()
     for leaf in range(1, 7):
         hl.link(leaf, 0)
     audit(hl)
-    assert hl.out_degree(0) == 0
+    assert not hl.out_edges[0]
     for leaf in range(1, 7):
-        assert hl.explicit_out_edges(leaf) == [(leaf, 0)]
-    path = hl.light_edges_between(1, 2)
-    assert [edge_key(a, b) for a, b in path] == [(0, 1), (0, 2)]
+        assert hl.out_edges[leaf] == {(0, leaf)}
+    # the 1..2 path runs through the root
+    assert root_path(hl, 1) == [1, 0] and root_path(hl, 2) == [2, 0]
+    path = dashed_on_root_path(hl, 1) + dashed_on_root_path(hl, 2)
+    assert path == [(0, 1), (0, 2)]
 
 
 def test_leaf_grown_path_has_one_dashed_edge():
@@ -50,9 +67,8 @@ def test_leaf_grown_path_has_one_dashed_edge():
         hl.link(i, i - 1)
     audit(hl)
     assert hl.root(15) == 0
-    dashed = hl.light_edges_between(15, 0)
-    assert [edge_key(a, b) for a, b in dashed] == [(14, 15)]
-    assert all(hl.out_degree(v) <= 2 for v in range(16))
+    assert dashed_on_root_path(hl, 15) == [(14, 15)]
+    assert all(len(hl.out_edges[v]) <= 2 for v in range(16))
 
 
 def test_dashed_edges_on_any_root_path_logarithmic():
@@ -62,8 +78,8 @@ def test_dashed_edges_on_any_root_path_logarithmic():
         hl.link(v, rng.randrange(v))
     audit(hl)
     for v in range(60):
-        dashed = hl.light_edges_between(v, hl.root(v))
-        assert len(dashed) <= math.log2(60)
+        assert root_path(hl, v)[-1] == hl.root(v)
+        assert len(dashed_on_root_path(hl, v)) <= math.log2(60)
 
 
 def test_link_rejects_cycle_cut_rejects_missing():
@@ -133,10 +149,10 @@ def test_solid_edges_stay_clean_dashed_go_stale():
     hl = HeavyLightOrienter()
     for i in range(1, 6):
         hl.link(i, i - 1)   # heavy spine, last edge dashed
-    assert hl.is_solid(2, 3)
-    assert not hl.is_solid(4, 5)
-    dashed = hl.light_edges_between(5, 0)
-    assert [edge_key(a, b) for a, b in dashed] == [(4, 5)]
+    assert hl.parent[3] == 2 and hl.heavy[2] == 3
+    assert hl.parent[5] == 4 and hl.heavy[4] != 5
+    assert root_path(hl, 5)[-1] == 0
+    assert dashed_on_root_path(hl, 5) == [(4, 5)]
 
 
 def test_promotion_refreshes_newly_heavy_edge():
@@ -147,7 +163,7 @@ def test_promotion_refreshes_newly_heavy_edge():
     hl.link(3, 1)
     hl.link(4, 3)          # branch under 1 now dominates 0's subtree
     assert hl.heavy[0] == 1
-    assert hl.is_solid(0, 1)
+    assert hl.parent[1] == 0
     audit(hl)
 
 
