@@ -3,12 +3,12 @@
 Outside H every bundle rounds toward its majority endpoint, and the slot
 table splits those rounded edges into layers with at most one out-edge per
 vertex each, so layer i is a functional graph: a pseudoforest P_i.  Each
-layer is stored as a forest F_i in a link/cut tree plus a set M_i of
-designated cycle edges, one per unicycle component, kept raw.  Pooling the
-M edges of every layer gives a small graph that is kept acyclic and
-colourful (no two edges of the same layer connected inside it), so every
-piece of the output is a genuine forest: the F_i, the pooled cycle edges,
-and H.
+layer is stored as a forest F_i in a parity-only link-cut tree
+(``forest.ParityForest``) plus a set M_i of designated cycle edges, one per
+unicycle component, kept raw.  Pooling the M edges of every layer gives a
+small graph that is kept acyclic and colourful (no two edges of the same
+layer connected inside it), so every piece of the output is a genuine
+forest: the F_i, the pooled cycle edges, and H.
 
 Three mechanisms keep the layers aligned with the rounding as counts move:
 
@@ -36,15 +36,18 @@ Three mechanisms keep the layers aligned with the rounding as counts move:
   at genuinely light vertices.
 
 Layer bundles keep their counts in the raw tables; the layer trees carry
-connectivity, roots and depth parity only.  Every non-root vertex of F_i
-hangs from its root by its slot-i edge, so a loop is read off the slot
-table by walking slot-i edges up to the component root.
+connectivity, roots and depth parity only, and no weights.  Every non-root
+vertex of F_i hangs from its parent by its slot-i edge, so a loop is read
+off the slot table by walking slot-i edges up to the component root.  A
+layer cut never reroots: the parent side keeps the component root and the
+child, the edge's tail, heads its side.  A link hangs a tail that already
+roots its tree, so only a cycle inversion (``set_root``) everts one.
 """
 
 from collections import deque
 
 from .errors import ConfigurationError, ConsistencyError
-from .forest import LinkCutForest, edge_key
+from .forest import ParityForest, edge_key
 from .oracles import is_forest
 from .refine import RefinementEngine
 from .split import SlotTable
@@ -75,7 +78,7 @@ class ArboricityDecomposer:
         self.store = self.refine.store
         self.frac = self.refine.frac
         self.split = SlotTable()
-        self.F = []         # layer -> LinkCutForest of that layer's tree edges
+        self.F = []         # layer -> ParityForest of that layer's tree edges
         self.m = []         # layer -> set of designated cycle edge keys
         self.m_tail = []    # layer -> {tail vertex: cycle edge key}
         self.placed = {}    # key -> ("F", i) or ("M", i)
@@ -133,7 +136,7 @@ class ArboricityDecomposer:
 
     def _ensure_layer(self, i):
         while len(self.F) <= i:
-            self.F.append(LinkCutForest(self.params.gamma))
+            self.F.append(ParityForest())
             self.m.append(set())
             self.m_tail.append({})
 
@@ -183,11 +186,7 @@ class ArboricityDecomposer:
             return
         f = self.F[i]
         old_root = f.find_root(a)
-        if a != old_root and edge_key(*f.first_edge_on_root_path(a)) == key:
-            t = a
-        else:
-            t = b
-        f.cut(t, _other(key, t))
+        f.cut(a, b)
         # the cut may have severed the path that made the component's
         # designated edge close a cycle
         me = self.m_tail[i].get(old_root)
@@ -280,8 +279,7 @@ class ArboricityDecomposer:
             self._pool_add(key)
             self._dirty.append(key)
         else:
-            # layer trees carry no counts, so the edge weight is unused
-            f.link(t, h, 0)
+            f.link(t, h)
             self.placed[key] = ("F", i)
 
     # ------------------------------------------------------------------
@@ -465,7 +463,7 @@ class ArboricityDecomposer:
         del self.m_tail[i][v]
         self.m[i].discard(key)
         self._pool_discard(key)
-        f.link(v, u, 0)
+        f.link(v, u)
         self.placed[key] = ("F", i)
         self.m[i].add(ykey)
         self.m_tail[i][y] = ykey
@@ -593,9 +591,9 @@ class ArboricityDecomposer:
             # a layer root holds no tree out-edge: its slot is either free
             # or the designated cycle edge
             for a, b in f.edges():
-                for r in (f.find_root(a),):
-                    held = self.split.slots.get(r, {}).get(i)
-                    assert held is None or held in self.m[i], (i, r, held)
+                r = f.find_root(a)
+                held = self.split.slots.get(r, {}).get(i)
+                assert held is None or held in self.m[i], (i, r, held)
         pooled = [k for ks in self.m for k in ks]
         assert is_forest(pooled), "pooled cycle edges closed a cycle"
         assert set(pooled) == {k for ks in self.incidence.values() for k in ks}

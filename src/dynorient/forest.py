@@ -1,11 +1,11 @@
-"""Weighted dynamic forest with direction-sensitive path aggregates.
+"""Two dynamic forests: a weighted one for H and a parity-only one for layers.
 
-Maintains a forest of rooted trees under link/cut.  Each edge carries an
-integer weight in [0, gamma], read as the numerator of the fractional load the
-edge assigns to one endpoint; the other endpoint implicitly receives
-``gamma - w``.  Path operations between u and v interpret each edge's weight
-relative to the endpoint nearer u, so reversing the direction of a query
-complements every weight.
+``LinkCutForest`` maintains a forest of rooted trees under link/cut.  Each
+edge carries an integer weight in [0, gamma], read as the numerator of the
+fractional load the edge assigns to one endpoint; the other endpoint
+implicitly receives ``gamma - w``.  Path operations between u and v interpret
+each edge's weight relative to the endpoint nearer u, so reversing the
+direction of a query complements every weight.
 
 Implementation: splay-based link-cut trees with edges represented as their own
 nodes spliced between vertex nodes.  An edge node's value is the numerator at
@@ -31,6 +31,21 @@ Which operations evert:
   return, unless u is the root already;
 * ``edge_weight``, ``set_edge_weight``, ``connected``, ``find_root``,
   ``depth_parity`` and ``first_edge_on_root_path`` never evert.
+
+``ParityForest`` keeps the layer trees F_i, which read roots, connectivity
+and depth parity but never a weight.  It is a vertex-only splay link-cut
+forest (Sleator and Tarjan): edges are implicit in the preferred paths, and a
+node holds its splay links, a lazy reversal bit and the size of its splay
+subtree.  After an access the left subtree of v is v's root path above v, so
+v's depth parity is its size modulo 2.  Which operations evert:
+
+* ``set_root`` moves the root;
+* ``link`` everts u's tree at u, unless u already heads it;
+* ``cut`` never does: the parent side keeps its root and the child side is
+  headed by the child, whichever endpoint comes first;
+* ``connected``, ``find_root`` and ``depth_parity`` never evert.
+
+Both forests are iterative throughout, so deep paths do not recurse.
 """
 
 from __future__ import annotations
@@ -438,3 +453,220 @@ class LinkCutForest:
         out = (cur.a, cur.b)
         self._splay(cur)
         return out
+
+
+class _Vertex:
+    __slots__ = ("parent", "left", "right", "rev", "size", "vid")
+
+    def __init__(self, vid):
+        self.parent = None
+        self.left = None
+        self.right = None
+        self.rev = False
+        self.size = 1
+        self.vid = vid
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return f"<vertex {self.vid}>"
+
+
+def _rotate(x: _Vertex):
+    """Lift x over its splay parent; x takes over the parent's subtree
+    size, and only the parent's is recounted."""
+    p = x.parent
+    g = p.parent
+    if p.left is x:
+        b = x.right
+        p.left = b
+        x.right = p
+    else:
+        b = x.left
+        p.right = b
+        x.left = p
+    if b is not None:
+        b.parent = p
+    p.parent = x
+    x.parent = g
+    if g is not None:
+        if g.left is p:
+            g.left = x
+        elif g.right is p:
+            g.right = x
+    x.size = p.size
+    size = 1
+    if p.left is not None:
+        size += p.left.size
+    if p.right is not None:
+        size += p.right.size
+    p.size = size
+
+
+def _push(x: _Vertex):
+    """Apply x's pending reversal: swap its children and pass the bit on."""
+    if x.rev:
+        x.rev = False
+        l, r = x.left, x.right
+        x.left, x.right = r, l
+        if l is not None:
+            l.rev = not l.rev
+        if r is not None:
+            r.rev = not r.rev
+
+
+def _splay(x: _Vertex):
+    """Make x the root of its splay tree, pushing pending reversals down
+    the splay path first."""
+    p = x.parent
+    if p is None or (p.left is not x and p.right is not x):
+        _push(x)
+        return
+    path = [x]
+    n = x
+    while p is not None and (p.left is n or p.right is n):
+        path.append(p)
+        n = p
+        p = n.parent
+    top = p
+    for n in reversed(path):
+        _push(n)
+    while True:
+        p = x.parent
+        if p is top:
+            return
+        g = p.parent
+        if g is top:
+            _rotate(x)
+            return
+        if (g.left is p) == (p.left is x):
+            _rotate(p)
+        else:
+            _rotate(x)
+        _rotate(x)
+
+
+def _access(x: _Vertex):
+    """Make x's root path the preferred path, with x its splay root and
+    last node: afterwards x.left holds exactly x's proper ancestors."""
+    last = None
+    y = x
+    while y is not None:
+        _splay(y)
+        r = y.right
+        size = y.size
+        if r is not None:
+            size -= r.size
+        if last is not None:
+            size += last.size
+        y.right = last
+        y.size = size
+        last = y
+        y = y.parent
+    _splay(x)
+
+
+def _leftmost(x: _Vertex) -> _Vertex:
+    """First node in x's splay subtree, pushing reversals on the way."""
+    while True:
+        _push(x)
+        if x.left is None:
+            return x
+        x = x.left
+
+
+class ParityForest:
+    """Rooted dynamic forest over integer vertex ids with root, connectivity
+    and depth-parity reads and no weights."""
+
+    def __init__(self):
+        self._v = {}
+        self._e = set()
+
+    def _vnode(self, v: int) -> _Vertex:
+        n = self._v.get(v)
+        if n is None:
+            n = self._v[v] = _Vertex(v)
+        return n
+
+    def has_vertex(self, v: int) -> bool:
+        return v in self._v
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return edge_key(u, v) in self._e
+
+    def edges(self):
+        """Iterate over edge keys currently in the forest."""
+        return iter(list(self._e))
+
+    def __len__(self):
+        return len(self._e)
+
+    def find_root(self, v: int) -> int:
+        x = self._vnode(v)
+        _access(x)
+        r = _leftmost(x)
+        _splay(r)
+        return r.vid
+
+    def set_root(self, r: int):
+        x = self._vnode(r)
+        _access(x)
+        x.rev = not x.rev
+
+    def depth_parity(self, v: int) -> int:
+        """Parity of the number of edges between v and its tree root."""
+        x = self._vnode(v)
+        _access(x)
+        left = x.left
+        return left.size & 1 if left is not None else 0
+
+    def connected(self, u: int, v: int) -> bool:
+        if u == v:
+            return u in self._v
+        nu, nv = self._v.get(u), self._v.get(v)
+        if nu is None or nv is None:
+            return False
+        _access(nu)
+        _access(nv)
+        # after the second access nv alone tops its tree's splay structure,
+        # so nu kept no parent exactly when the access missed its tree
+        return nu.parent is not None
+
+    def link(self, u: int, v: int):
+        """Join u's tree to v's with edge (u, v).
+
+        The combined tree keeps v's root.  Raises CycleError if u and v are
+        already connected.
+        """
+        if u == v:
+            raise CycleError(f"self loop at {u}")
+        key = edge_key(u, v)
+        if key in self._e:
+            raise CycleError(f"edge {key} already present")
+        nu, nv = self._vnode(u), self._vnode(v)
+        if self.connected(u, v):
+            raise CycleError(f"{u} and {v} already connected")
+        # connected left nu accessed, and its access of v stayed in v's tree
+        if nu.left is not None:
+            nu.rev = not nu.rev
+        nu.parent = nv
+        self._e.add(key)
+
+    def cut(self, u: int, v: int):
+        """Remove edge (u, v) without rerooting either side."""
+        key = edge_key(u, v)
+        if key not in self._e:
+            raise MissingEdgeError(f"no edge {key}")
+        self._e.remove(key)
+        nu, nv = self._v[u], self._v[v]
+        _access(nu)
+        _splay(nv)
+        if nv.parent is nu:
+            # v is u's child and heads its own preferred path, hanging
+            # from u by the path-parent pointer alone
+            nv.parent = None
+            return
+        # v is u's parent: it now tops u's splay tree with u, the last node
+        # of the root path, as its only right descendant
+        nv.right = None
+        nv.size -= 1
+        nu.parent = None

@@ -122,10 +122,6 @@ class FractionalOrienter:
         calls this; it stays only because the benchmark's traced runs
         look the method up by name."""
 
-    def tight_out_nbr(self, v):
-        """First out-neighbour (id order) at least one unit lighter."""
-        return self.g.tight_out_nbr(v)
-
     def tight_in_nbr(self, v):
         """A heaviest in-neighbour, provided it is one unit heavier."""
         w = self.g.max_load_in_nbr(v)
@@ -153,7 +149,7 @@ class FractionalOrienter:
         log = [edge_key(u, v)]
         top = g.loads[w]
         while True:
-            nxt = self.tight_out_nbr(w)
+            nxt = g.tight_out_nbr(w)
             if nxt is None:
                 break
             self.store.flip_copy(w, nxt)

@@ -6,7 +6,7 @@ one solid child edge, so orienting dashed edges child -> parent and leaving
 solid directions fixed-but-arbitrary caps every out-degree at 2.
 
 The refinement engine keeps one of these beside its forest H, a
-LinkCutForest: link, cut and set_root must be called with identical arguments
+LinkCutForest: link and cut must be called with identical arguments
 on both so the rootings agree.  The orienter has no query API; its readers
 use two maps directly.  ``RefinementEngine.rounded_out_edges`` reads
 ``out_edges``, and ``ArboricityDecomposer.out_degree`` reads a vertex's H
@@ -122,9 +122,6 @@ class HeavyLightOrienter:
         for j in range(1, len(path)):
             if self.heavy[path[j - 1]] != path[j]:
                 self._set_direction(path[j], path[j - 1])
-
-    def set_root(self, r):
-        self._reroot(r)
 
     def link(self, u, v):
         """Join u's tree below v.  v's side keeps its root; the new edge is

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -152,6 +153,43 @@ def test_run_end_state_is_pinned(trace, n, counters, state_hash, optimised,
     assert report["status"] == "ok"
     assert report["counters"] == counters
     assert report["state_hash"] == state_hash
+
+
+def _with_colour_queries(trace, n):
+    """The trace with a colour query for every vertex after every update."""
+    lines = []
+    for line in trace.splitlines():
+        lines.append(line)
+        lines.extend(f"c {v}" for v in range(n))
+    return "\n".join(lines) + "\n"
+
+
+# Properness alone would not notice a wrong layer root or depth parity
+# that still colours properly, so the answers themselves are pinned.
+_PINNED_COLOURS = [
+    ("colour-forest",
+     "d3c4cfa2abfb0ca0506efd22dd86ced9bb266f5337e93b9cebbe1661b0d7ae8a"),
+    ("colour-pseudo",
+     "388086adf6a64ee871f59e372aa30ac38477b6fcfd3b1adce5c6846d3c8d4082"),
+]
+
+
+@pytest.mark.parametrize("mode, answers_hash, optimised", [
+    pytest.param(*case, opt, id=case[0] + ("-python-O" if opt else ""))
+    for opt in (False, True) for case in _PINNED_COLOURS])
+def test_colour_answers_are_pinned(mode, answers_hash, optimised, tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text(_with_colour_queries(_dense_churn_trace(14), 12),
+                    encoding="utf-8")
+    argv = ["run", "--mode", mode, "--n", "12", str(path)]
+    code, text = _run_cli_optimised(argv) if optimised else run_cli(argv)
+    report = json.loads(text)
+    assert code == cli.EXIT_OK, report["violations"]
+    assert report["status"] == "ok"
+    answers = [r["value"] for r in report["results"]]
+    assert len(answers) == 12 * len(_dense_churn_trace(14).splitlines())
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == answers_hash
 
 
 def test_bench_header_is_frozen_and_counters_monotone(tmp_path):

@@ -1,4 +1,4 @@
-"""Link-cut forest vs the naive mirror, plus pinned small examples."""
+"""Both link-cut forests vs the naive mirror, plus pinned small examples."""
 
 import random
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynorient.errors import (CycleError, MissingEdgeError, NotConnectedError,
                               WeightRangeError)
-from dynorient.forest import LinkCutForest, edge_key
+from dynorient.forest import LinkCutForest, ParityForest, edge_key
 from dynorient.oracles import NaiveWeightedForest
 
 
@@ -275,3 +275,137 @@ def test_deep_path_no_recursion_trouble():
 @given(st.integers(0, 2 ** 31), st.integers(4, 10))
 def test_mirror_equivalence_fuzz(seed, n):
     _drive(seed, n=n, steps=120, gamma=8)
+
+
+# ----------------------------------------------------------------------
+# the parity-only layer forest
+
+
+def _child_first(mirror, a, b):
+    """Edge (a, b) with its endpoint farther from the root first."""
+    first = mirror.first_edge_on_root_path(a)
+    if first is not None and edge_key(*first) == edge_key(a, b):
+        return a, b
+    return b, a
+
+
+def _compare_parity(lean, mirror, verts):
+    for x in verts:
+        assert lean.find_root(x) == mirror.find_root(x), x
+        assert lean.depth_parity(x) == mirror.depth_parity(x), x
+        for y in verts:
+            assert lean.connected(x, y) == mirror.connected(x, y), (x, y)
+            assert lean.has_edge(x, y) == mirror.has_edge(x, y), (x, y)
+    assert len(lean) == len(mirror.ew)
+    assert set(lean.edges()) == set(mirror.ew)
+
+
+def _drive_parity(seed, n, steps):
+    """Random link/cut/set_root on the lean forest beside the naive mirror
+    and the weighted forest.  Cuts come with either endpoint first; the
+    other two reroot a cut's first side at it, so they get the child
+    first, which leaves every root where the lean forest's cut does."""
+    rng = random.Random(seed)
+    lean = ParityForest()
+    mirror = NaiveWeightedForest(1)
+    real = LinkCutForest(1)
+    edges = []
+    for _ in range(steps):
+        op = rng.randrange(5)
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if op <= 1:
+            if u == v or mirror.connected(u, v):
+                with pytest.raises(CycleError):
+                    lean.link(u, v)
+                continue
+            lean.link(u, v)
+            mirror.link(u, v, 0)
+            real.link(u, v, 0)
+            edges.append((u, v))
+            touched = (u, v)
+        elif op == 2 and edges:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            if rng.random() < 0.5:
+                a, b = b, a
+            c, p = _child_first(mirror, a, b)
+            lean.cut(a, b)
+            mirror.cut(c, p)
+            real.cut(c, p)
+            touched = (a, b)
+        else:
+            lean.set_root(u)
+            mirror.set_root(u)
+            real.set_root(u)
+            touched = (u, v)
+        _compare_parity(lean, mirror, touched)
+        for x in touched:
+            assert lean.find_root(x) == real.find_root(x), x
+            assert lean.depth_parity(x) == real.depth_parity(x), x
+    _compare_parity(lean, mirror, range(n))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_parity_forest_matches_mirror_small(seed):
+    _drive_parity(seed, n=9, steps=700)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_parity_forest_matches_mirror_medium(seed):
+    _drive_parity(seed, n=40, steps=900)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(4, 10))
+def test_parity_forest_matches_mirror_fuzz(seed, n):
+    _drive_parity(seed, n=n, steps=120)
+
+
+@pytest.mark.parametrize("child_first", [True, False])
+def test_parity_forest_cut_keeps_both_roots(child_first):
+    # a-b-c-d rooted at d
+    f = ParityForest()
+    f.link(0, 1)
+    f.link(1, 2)
+    f.link(2, 3)
+    assert f.find_root(0) == 3 and f.depth_parity(0) == 1
+    # cut b-c: the parent side {c, d} keeps d, the child side is headed by b
+    f.cut(*((1, 2) if child_first else (2, 1)))
+    assert [f.find_root(x) for x in range(4)] == [1, 1, 3, 3]
+    assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
+    assert not f.connected(1, 2) and f.connected(0, 1)
+    assert not f.has_edge(1, 2) and len(f) == 2
+    with pytest.raises(MissingEdgeError):
+        f.cut(1, 2)
+    # link everts a non-root u and keeps v's root
+    f.link(0, 2)
+    assert [f.find_root(x) for x in range(4)] == [3, 3, 3, 3]
+    assert [f.depth_parity(x) for x in range(4)] == [0, 1, 1, 0]
+    # after set_root the cut rule follows the new rooting
+    f.set_root(1)
+    f.cut(*((2, 0) if child_first else (0, 2)))
+    assert [f.find_root(x) for x in range(4)] == [1, 1, 2, 2]
+    with pytest.raises(CycleError):
+        f.link(0, 1)
+    with pytest.raises(CycleError):
+        f.link(1, 1)
+
+
+def test_parity_forest_deep_path_no_recursion_trouble():
+    n = 3000
+    f = ParityForest()
+    for i in range(n - 1):
+        f.link(i + 1, i)      # keeps root at 0, path grows downward
+    assert f.find_root(n - 1) == 0
+    assert f.depth_parity(n - 1) == (n - 1) & 1
+    assert f.connected(0, n - 1)
+    f.set_root(n - 1)
+    assert f.find_root(0) == n - 1
+    assert f.depth_parity(0) == (n - 1) & 1
+    mid = n // 2
+    f.cut(mid, mid + 1)
+    assert f.find_root(0) == mid
+    assert f.depth_parity(0) == mid & 1
+    assert f.find_root(mid + 1) == n - 1
+    assert not f.connected(0, n - 1)
+    assert len(f) == n - 2

@@ -136,10 +136,10 @@ def test_tight_in_nbr_threshold():
     # equal load: absent
     g.bump_load(0, 1)
     assert fo.tight_in_nbr(0) is None
-    assert fo.tight_out_nbr(0) is None
+    assert g.tight_out_nbr(0) is None
     g.bump_load(0, 1)
-    assert fo.tight_out_nbr(1) is None   # 1's out-nbr 0 is now heavier
-    assert fo.tight_out_nbr(0) is None   # no out-copy from 0 at all
+    assert g.tight_out_nbr(1) is None   # 1's out-nbr 0 is now heavier
+    assert g.tight_out_nbr(0) is None   # no out-copy from 0 at all
 
 
 def test_update_nbrs_without_provider_is_noop():

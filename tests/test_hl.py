@@ -132,11 +132,18 @@ def test_roots_track_link_cut_forest(offset):
             lct.cut(vid(u), vid(v))
             edges.discard(edge_key(u, v))
         else:
+            # reroot v's tree at v: the cut roots v's side at v, and the
+            # relink hangs the far side below it
             v = rng.randrange(n)
-            if not lct.has_vertex(vid(v)):
+            nbrs = [w for w in range(n) if edge_key(v, w) in edges]
+            if not nbrs:
                 continue
-            hl.set_root(vid(v))
-            lct.set_root(vid(v))
+            w = rng.choice(nbrs)
+            hl.cut(vid(v), vid(w))
+            lct.cut(vid(v), vid(w))
+            hl.link(vid(w), vid(v))
+            lct.link(vid(w), vid(v), 4)
+            assert hl.root(vid(w)) == vid(v) == lct.find_root(vid(w))
         if step % 40 == 0:
             audit(hl)
             for v in range(n):
@@ -173,5 +180,16 @@ def test_random_loads_keep_solid_edges_clean():
     for v in range(1, 30):
         hl.link(v, rng.randrange(v))
     for _ in range(60):
-        hl.set_root(rng.randrange(30))
+        # reroot at r by cutting r's parent edge from either side, which
+        # roots r's side at r, and hanging the parent's side below r
+        r = rng.randrange(30)
+        p = hl.parent[r]
+        if p is not None:
+            if rng.random() < 0.5:
+                hl.cut(r, p)
+            else:
+                hl.cut(p, r)
+            audit(hl)
+            hl.link(p, r)
+        assert all(hl.root(v) == r for v in range(30))
         audit(hl)
