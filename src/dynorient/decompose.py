@@ -188,9 +188,11 @@ class ArboricityDecomposer:
         old_root = f.find_root(a)
         f.cut(a, b)
         # the cut may have severed the path that made the component's
-        # designated edge close a cycle
+        # designated edge close a cycle; the parent side keeps old_root,
+        # which is the edge's tail, so its head stayed exactly when its
+        # root is still old_root
         me = self.m_tail[i].get(old_root)
-        if me is not None and not f.connected(*me):
+        if me is not None and f.find_root(_other(me, old_root)) != old_root:
             self._demote(me, i)
 
     def _demote(self, key, i):
@@ -535,10 +537,10 @@ class ArboricityDecomposer:
                 limit = self.g.count(s, d)
                 while (removed < limit and self.g.count(s, d) > 0
                        and self.g.loads[s] - self.g.loads[d] >= 2):
-                    logs.extend(self.frac.delete_copy(s, d))
+                    self.frac.delete_copy(s, d, logs)
                     removed += 1
                 for _ in range(removed):
-                    logs.extend(self.frac.insert_copy(s, d))
+                    self.frac.insert_copy(s, d, logs)
                 self.repair_pairs += removed
         if logs:
             # the drain may rotate, expel, or enroll well beyond the walk

@@ -7,15 +7,28 @@ implicitly receives ``gamma - w``.  Path operations between u and v interpret
 each edge's weight relative to the endpoint nearer u, so reversing the
 direction of a query complements every weight.
 
-Implementation: splay-based link-cut trees with edges represented as their own
-nodes spliced between vertex nodes.  An edge node's value is the numerator at
-its parent endpoint, the one nearer the root.  Preferred-path reversal
-therefore has to complement edge values, which is folded into the usual lazy
-reversal tag (pending transform: val <- (gamma - val if rev else val) + add).
-The same reversal toggles each edge node's orientation bit ``flip``: the parent
-endpoint is ``b`` (the link's v) while the bit is clear and ``a`` while it is
-set.  Once an edge node is splayed, its value and bit are current, so a single
-edge is read, written or cut without rerooting.
+Implementation: splay-based link-cut trees (Sleator and Tarjan) with edges
+represented as their own nodes spliced between vertex nodes.  An edge node's
+value is the numerator at its parent endpoint, the one nearer the root,
+stored centred as c = 2w - gamma, so complementing a weight is a negation
+and the splay core needs no gamma.  Preferred-path reversal negates every
+value in the reversed subtree; it and path shifts travel as lazy tags
+(pending transform: c <- (-c if rev else c) + add).  The same reversal
+toggles each edge node's orientation bit ``flip``: the parent endpoint is
+``b`` (the link's v) while the bit is clear and ``a`` while it is set.  Once
+an edge node is splayed, its value and bit are current, so a single edge is
+read, written or cut without rerooting.  Both forests run lean module-level
+splay cores (``_wsplay``/``_waccess`` here, ``_splay``/``_access`` for the
+layers): a rotation hands the parent's subtree aggregate to the node that
+rises and recounts only the parent.
+
+``path_update(u, v, decide)`` is H's one path primitive.  It everts at u
+once, accesses v and reports a missing path; otherwise it hands the path's
+min and max numerators, read from the u side, to the caller's ``decide``,
+finds the min or max witness nearest u when asked, applies the shift with
+its range check, and restores the old root once.  ``min_weight``,
+``max_weight``, ``find_extreme_edge`` and ``add_weight`` are thin wrappers
+over it.
 
 Each tree also carries a root tag (the semantic root, i.e. the orientation
 sink when the forest mirrors an out-orientation).  The invariant is that the
@@ -26,9 +39,8 @@ Which operations evert:
 * ``link`` everts u's tree at u, unless u already heads it;
 * ``cut`` everts only when u is the parent endpoint, so that u's side ends
   up rooted at u;
-* the path operations (``min_weight``, ``max_weight``, ``add_weight``,
-  ``find_extreme_edge``) evert at u and restore the old root before they
-  return, unless u is the root already;
+* ``path_update`` and its wrappers evert at u and restore the old root
+  before they return, unless u is the root already;
 * ``edge_weight``, ``set_edge_weight``, ``connected``, ``find_root``,
   ``depth_parity`` and ``first_edge_on_root_path`` never evert.
 
@@ -86,6 +98,166 @@ def edge_key(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
+# ----------------------------------------------------------------------
+# the weighted splay core of LinkCutForest: values are centred, c = 2w - gamma
+
+
+def _wapply(x: _Node, rev: bool, add: int):
+    """Reverse x's splay subtree when ``rev`` (negating every centred value
+    and toggling every orientation bit), then shift it by ``add``: x's own
+    fields now, its children through the pending tags."""
+    if rev:
+        if x.is_edge:
+            x.val = add - x.val
+            x.flip = not x.flip
+        if x.n_edges:
+            x.mn, x.mx = add - x.mx, add - x.mn
+        x.rev = not x.rev
+        x.add = add - x.add
+    else:
+        if x.is_edge:
+            x.val += add
+        if x.n_edges:
+            x.mn += add
+            x.mx += add
+        x.add += add
+
+
+def _wpush(x: _Node):
+    """Hand x's pending reversal and shift to its children."""
+    rev = x.rev
+    add = x.add
+    if rev or add:
+        l, r = x.left, x.right
+        if l is not None:
+            _wapply(l, rev, add)
+        if r is not None:
+            _wapply(r, rev, add)
+        if rev:
+            x.left, x.right = r, l
+            x.rev = False
+        x.add = 0
+
+
+def _wpull(x: _Node):
+    """Recount x's edge count and min/max from its children and itself."""
+    if x.is_edge:
+        ne = 1
+        mn = mx = x.val
+    else:
+        ne = 0
+        mn = _INF
+        mx = -_INF
+    l = x.left
+    if l is not None and l.n_edges:
+        ne += l.n_edges
+        if l.mn < mn:
+            mn = l.mn
+        if l.mx > mx:
+            mx = l.mx
+    r = x.right
+    if r is not None and r.n_edges:
+        ne += r.n_edges
+        if r.mn < mn:
+            mn = r.mn
+        if r.mx > mx:
+            mx = r.mx
+    x.n_edges = ne
+    x.mn = mn
+    x.mx = mx
+
+
+def _wrotate(x: _Node):
+    """Lift x over its splay parent; x takes over the parent's aggregates,
+    and only the parent's are recounted."""
+    p = x.parent
+    g = p.parent
+    if p.left is x:
+        b = x.right
+        p.left = b
+        x.right = p
+    else:
+        b = x.left
+        p.right = b
+        x.left = p
+    if b is not None:
+        b.parent = p
+    p.parent = x
+    x.parent = g
+    if g is not None:
+        if g.left is p:
+            g.left = x
+        elif g.right is p:
+            g.right = x
+    x.n_edges = p.n_edges
+    x.mn = p.mn
+    x.mx = p.mx
+    _wpull(p)
+
+
+def _wsplay(x: _Node):
+    """Make x the root of its splay tree, pushing pending tags down the
+    splay path first."""
+    p = x.parent
+    if p is None or (p.left is not x and p.right is not x):
+        _wpush(x)
+        return
+    path = [x]
+    n = x
+    while p is not None and (p.left is n or p.right is n):
+        path.append(p)
+        n = p
+        p = n.parent
+    top = p
+    for n in reversed(path):
+        _wpush(n)
+    while True:
+        p = x.parent
+        if p is top:
+            return
+        g = p.parent
+        if g is top:
+            _wrotate(x)
+            return
+        if (g.left is p) == (p.left is x):
+            _wrotate(p)
+        else:
+            _wrotate(x)
+        _wrotate(x)
+
+
+def _waccess(x: _Node):
+    """Make x's root path the preferred path, with x its splay root and
+    last node."""
+    last = None
+    y = x
+    while y is not None:
+        _wsplay(y)
+        y.right = last  # the old preferred child keeps its parent pointer
+        _wpull(y)
+        last = y
+        y = y.parent
+    _wsplay(x)
+
+
+def _whead(x: _Node) -> _Node:
+    """Root of x's tree, splayed to the top of its preferred path."""
+    _waccess(x)
+    while True:
+        _wpush(x)
+        if x.left is None:
+            break
+        x = x.left
+    _wsplay(x)
+    return x
+
+
+def _wevert(x: _Node):
+    """Make x the root of its tree."""
+    _waccess(x)
+    _wapply(x, True, 0)
+
+
 class LinkCutForest:
     """Dynamic forest over integer vertex ids.
 
@@ -102,9 +274,6 @@ class LinkCutForest:
         self._v = {}
         self._e = {}
 
-    # ------------------------------------------------------------------
-    # node plumbing
-
     def _vnode(self, v: int) -> _Node:
         n = self._v.get(v)
         if n is None:
@@ -112,138 +281,6 @@ class LinkCutForest:
             n.vid = v
             self._v[v] = n
         return n
-
-    def _apply(self, x: _Node, rev: bool, add: int):
-        if x is None or (not rev and add == 0):
-            return
-        if x.is_edge:
-            if rev:
-                x.val = self.gamma - x.val
-                x.flip = not x.flip
-            x.val += add
-        if x.n_edges:
-            if rev:
-                x.mn, x.mx = self.gamma - x.mx, self.gamma - x.mn
-            x.mn += add
-            x.mx += add
-        # compose into pending tags: children still need (old) then (new)
-        if rev:
-            x.rev = not x.rev
-            x.add = add - x.add
-        else:
-            x.add += add
-
-    def _push(self, x: _Node):
-        if x.rev or x.add:
-            self._apply(x.left, x.rev, x.add)
-            self._apply(x.right, x.rev, x.add)
-            if x.rev:
-                x.left, x.right = x.right, x.left
-            x.rev = False
-            x.add = 0
-
-    def _pull(self, x: _Node):
-        mn = _INF
-        mx = -_INF
-        ne = 0
-        l, r = x.left, x.right
-        if l is not None and l.n_edges:
-            ne += l.n_edges
-            if l.mn < mn:
-                mn = l.mn
-            if l.mx > mx:
-                mx = l.mx
-        if r is not None and r.n_edges:
-            ne += r.n_edges
-            if r.mn < mn:
-                mn = r.mn
-            if r.mx > mx:
-                mx = r.mx
-        if x.is_edge:
-            ne += 1
-            if x.val < mn:
-                mn = x.val
-            if x.val > mx:
-                mx = x.val
-        x.n_edges = ne
-        x.mn = mn
-        x.mx = mx
-
-    @staticmethod
-    def _is_aux_root(x: _Node) -> bool:
-        p = x.parent
-        return p is None or (p.left is not x and p.right is not x)
-
-    def _rotate(self, x: _Node):
-        p = x.parent
-        g = p.parent
-        p_was_root = self._is_aux_root(p)
-        if p.left is x:
-            p.left = x.right
-            if x.right is not None:
-                x.right.parent = p
-            x.right = p
-        else:
-            p.right = x.left
-            if x.left is not None:
-                x.left.parent = p
-            x.left = p
-        p.parent = x
-        x.parent = g
-        if not p_was_root:
-            if g.left is p:
-                g.left = x
-            elif g.right is p:
-                g.right = x
-        self._pull(p)
-        self._pull(x)
-
-    def _splay(self, x: _Node):
-        stack = [x]
-        n = x
-        while not self._is_aux_root(n):
-            n = n.parent
-            stack.append(n)
-        for n in reversed(stack):
-            self._push(n)
-        while not self._is_aux_root(x):
-            p = x.parent
-            if self._is_aux_root(p):
-                self._rotate(x)
-            else:
-                g = p.parent
-                if (g.left is p) == (p.left is x):
-                    self._rotate(p)
-                    self._rotate(x)
-                else:
-                    self._rotate(x)
-                    self._rotate(x)
-
-    def _access(self, x: _Node):
-        self._splay(x)
-        if x.right is not None:
-            x.right = None  # old preferred child keeps its parent pointer
-            self._pull(x)
-        while x.parent is not None:
-            y = x.parent
-            self._splay(y)
-            y.right = x
-            self._pull(y)
-            self._splay(x)
-
-    def _make_head(self, x: _Node):
-        self._access(x)
-        self._apply(x, True, 0)
-
-    def _find_head(self, x: _Node) -> _Node:
-        self._access(x)
-        cur = x
-        self._push(cur)
-        while cur.left is not None:
-            cur = cur.left
-            self._push(cur)
-        self._splay(cur)
-        return cur
 
     # ------------------------------------------------------------------
     # structure
@@ -264,15 +301,20 @@ class LinkCutForest:
     def connected(self, u: int, v: int) -> bool:
         if u == v:
             return u in self._v
-        if u not in self._v or v not in self._v:
+        nu, nv = self._v.get(u), self._v.get(v)
+        if nu is None or nv is None:
             return False
-        return self._find_head(self._v[u]) is self._find_head(self._v[v])
+        _waccess(nu)
+        _waccess(nv)
+        # after the second access nv alone tops its tree's splay structure,
+        # so nu kept no parent exactly when the access missed its tree
+        return nu.parent is not None
 
     def find_root(self, v: int) -> int:
-        return self._find_head(self._vnode(v)).vid
+        return _whead(self._vnode(v)).vid
 
     def set_root(self, r: int):
-        self._make_head(self._vnode(r))
+        _wevert(self._vnode(r))
 
     def link(self, u: int, v: int, weight_u: int):
         """Join u's tree to v's with an edge weighing ``weight_u`` toward u.
@@ -288,17 +330,18 @@ class LinkCutForest:
         if key in self._e:
             raise CycleError(f"edge {key} already present")
         nu, nv = self._vnode(u), self._vnode(v)
-        hu = self._find_head(nu)
-        if self._find_head(nv) is hu:
+        if self.connected(u, v):
             raise CycleError(f"{u} and {v} already connected")
-        if hu is not nu:
-            self._make_head(nu)
+        # connected left nu on top of its own root path; evert it there
+        if nu.left is not None:
+            _wapply(nu, True, 0)
         e = _Node()
         e.is_edge = True
         e.a, e.b = u, v
-        # v is the parent endpoint, so the value is the numerator at v
-        e.val = self.gamma - weight_u
-        self._pull(e)
+        # v is the parent endpoint, so the value is the numerator at v,
+        # gamma - weight_u, centred
+        e.val = e.mn = e.mx = self.gamma - 2 * weight_u
+        e.n_edges = 1
         nu.parent = e
         e.parent = nv
         self._e[key] = e
@@ -314,11 +357,11 @@ class LinkCutForest:
         e = self._e.get(key)
         if e is None:
             raise MissingEdgeError(f"no edge {key}")
-        self._splay(e)
+        _wsplay(e)
         child = e.b if e.flip else e.a
-        self._access(self._v[child])
+        _waccess(self._v[child])
         # the root path now ends [..., parent, e, child]; detach both sides
-        self._splay(e)
+        _wsplay(e)
         e.left.parent = None
         e.right.parent = None
         e.left = e.right = None
@@ -326,107 +369,126 @@ class LinkCutForest:
         # the parent side keeps the old root, the child side is headed by
         # the child
         if child != u:
-            self._make_head(self._v[u])
+            _wevert(self._v[u])
 
     # ------------------------------------------------------------------
     # path operations
 
-    def _expose(self, u: int, v: int):
-        """Make u the root and access v, so v's aux tree holds the u..v
-        path.  Returns v's node and the old root to restore, or None when
-        u was the root already."""
-        if u == v:
-            raise NotConnectedError(f"trivial path at {u}")
-        nu, nv = self._v.get(u), self._v.get(v)
-        if nu is None or nv is None:
-            raise NotConnectedError(f"{u} and {v} not connected")
-        saved = self._find_head(nu)
-        if saved is nu:
-            saved = None
-        else:
-            self._make_head(nu)
-        self._access(nv)
-        # nu headed its own tree's top aux tree; it gained a parent exactly
-        # when the access pulled it into v's
-        if nu.parent is None:
-            self._restore(saved)
-            raise NotConnectedError(f"{u} and {v} not connected")
-        return nv, saved
+    def path_update(self, u: int, v: int, decide=None):
+        """Read the u..v path and act on it in one exposure.
 
-    def _restore(self, saved):
-        if saved is not None:
-            self._make_head(saved)
+        Returns None when u and v are not connected (or equal); then
+        ``decide`` is not called and nothing changes.  Otherwise it calls
+        ``decide(mn, mx)`` with the least and greatest path numerator read
+        from the u side, which returns ``(which, shift)``.  ``which`` names
+        the witness to find: ``"min"`` or ``"max"`` asks for the path edge
+        nearest u attaining mn or mx, None for none.  ``shift`` is then
+        added to every path numerator read from the u side; a shift that
+        would leave [0, gamma] raises WeightRangeError with nothing
+        changed.  Without ``decide`` the path is only read.  Returns
+        ``(mn, mx, witness)``, the witness an endpoint pair or None.  The
+        tree keeps its root: u's tree is everted at u for the exposure and
+        the old root restored after it.
+        """
+        nu, nv = self._v.get(u), self._v.get(v)
+        if nu is None or nv is None or nu is nv:
+            return None
+        head = _whead(nu)
+        if head is not nu:
+            # nu is the last node of head's splay tree, the root path
+            _wsplay(nu)
+            _wapply(nu, True, 0)
+        _waccess(nv)
+        # nu headed its own tree's top splay tree; it gained a parent
+        # exactly when the access pulled it into v's
+        if nu.parent is None:
+            if head is not nu:
+                # v's access left u's tree alone: reversing again undoes
+                # the evert
+                _wapply(nu, True, 0)
+            return None
+        try:
+            gamma = self.gamma
+            mn = (nv.mn + gamma) >> 1
+            mx = (nv.mx + gamma) >> 1
+            if decide is None:
+                return mn, mx, None
+            which, shift = decide(mn, mx)
+            if mn + shift < 0 or mx + shift > gamma:
+                raise WeightRangeError(
+                    f"shift {shift} leaves [{mn + shift}, {mx + shift}] "
+                    f"outside [0, {gamma}]")
+            top = nv
+            witness = None
+            if which is not None:
+                # the witness nearest u comes first in the path's order
+                want_min = which == "min"
+                target = nv.mn if want_min else nv.mx
+                cur = nv
+                while True:
+                    _wpush(cur)
+                    l = cur.left
+                    if (l is not None and l.n_edges
+                            and (l.mn if want_min else l.mx) == target):
+                        cur = l
+                        continue
+                    if cur.is_edge and cur.val == target:
+                        break
+                    cur = cur.right
+                    assert cur is not None, "aggregate witness missing"
+                witness = (cur.a, cur.b)
+                _wsplay(cur)
+                top = cur
+            if shift:
+                _wapply(top, False, 2 * shift)
+            return mn, mx, witness
+        finally:
+            if head is not nu:
+                _wevert(head)
+
+    def _read_path(self, u: int, v: int, decide=None):
+        out = self.path_update(u, v, decide)
+        if out is None:
+            raise NotConnectedError(f"{u} and {v} not connected")
+        return out
 
     def min_weight(self, u: int, v: int) -> int:
-        top, saved = self._expose(u, v)
-        out = top.mn
-        self._restore(saved)
-        return out
+        return self._read_path(u, v)[0]
 
     def max_weight(self, u: int, v: int) -> int:
-        top, saved = self._expose(u, v)
-        out = top.mx
-        self._restore(saved)
-        return out
+        return self._read_path(u, v)[1]
 
     def add_weight(self, u: int, v: int, x: int):
         """Add x to every path edge's weight as seen from the u side."""
-        top, saved = self._expose(u, v)
-        if top.mn + x < 0 or top.mx + x > self.gamma:
-            self._restore(saved)
-            raise WeightRangeError(
-                f"shift {x} leaves [{top.mn + x}, {top.mx + x}] outside [0, {self.gamma}]")
-        self._apply(top, False, x)
-        self._restore(saved)
-
-    def _descend_extreme(self, top: _Node, want_min: bool) -> _Node:
-        target = top.mn if want_min else top.mx
-        cur = top
-        while True:
-            self._push(cur)
-            l = cur.left
-            if l is not None and l.n_edges and (l.mn if want_min else l.mx) == target:
-                cur = l
-                continue
-            if cur.is_edge and cur.val == target:
-                return cur
-            cur = cur.right
-            assert cur is not None, "aggregate witness missing"
+        self._read_path(u, v, lambda mn, mx: (None, x))
 
     def find_extreme_edge(self, u: int, v: int, which: str = "min"):
         """Edge attaining the path min/max weight; ties pick the one nearest u."""
         assert which in ("min", "max")
-        top, saved = self._expose(u, v)
-        node = self._descend_extreme(top, which == "min")
-        out = (node.a, node.b)
-        self._splay(node)
-        self._restore(saved)
-        return out
+        return self._read_path(u, v, lambda mn, mx: (which, 0))[2]
 
     def _splayed_edge(self, u: int, v: int) -> _Node:
         """Edge node of (u, v), splayed so its value and bit are current."""
         e = self._e.get(edge_key(u, v))
         if e is None:
             raise MissingEdgeError(f"no edge {edge_key(u, v)}")
-        self._splay(e)
+        _wsplay(e)
         return e
 
     def edge_weight(self, u: int, v: int) -> int:
         """Weight of edge (u, v) as the numerator at u."""
         e = self._splayed_edge(u, v)
         if u == (e.a if e.flip else e.b):
-            return e.val
-        return self.gamma - e.val
+            return (self.gamma + e.val) >> 1
+        return (self.gamma - e.val) >> 1
 
     def set_edge_weight(self, u: int, v: int, weight_u: int):
         if not 0 <= weight_u <= self.gamma:
             raise WeightRangeError(f"weight {weight_u} outside [0, {self.gamma}]")
         e = self._splayed_edge(u, v)
-        if u == (e.a if e.flip else e.b):
-            e.val = weight_u
-        else:
-            e.val = self.gamma - weight_u
-        self._pull(e)
+        c = 2 * weight_u - self.gamma
+        e.val = c if u == (e.a if e.flip else e.b) else -c
+        _wpull(e)
 
     # ------------------------------------------------------------------
     # root-relative queries (no rerooting)
@@ -434,24 +496,24 @@ class LinkCutForest:
     def depth_parity(self, v: int) -> int:
         """Parity of the number of edges between v and its tree root."""
         nv = self._vnode(v)
-        self._access(nv)
+        _waccess(nv)
         left = nv.left
         return (left.n_edges & 1) if left is not None else 0
 
     def first_edge_on_root_path(self, v: int):
         """The edge incident to v on the v-to-root path, or None at the root."""
         nv = self._vnode(v)
-        self._access(nv)
+        _waccess(nv)
         cur = nv.left
         if cur is None:
             return None
-        self._push(cur)
+        _wpush(cur)
         while cur.right is not None:
             cur = cur.right
-            self._push(cur)
+            _wpush(cur)
         assert cur.is_edge
         out = (cur.a, cur.b)
-        self._splay(cur)
+        _wsplay(cur)
         return out
 
 

@@ -4,7 +4,10 @@ Every edge is a bundle of gamma copies; loads count out-copies per vertex.
 Inserting a copy places it at the lower-load endpoint and then sheds the
 surplus down a chain of tight out-copies (each flip moves one unit of load
 to a strictly lighter vertex); deleting pulls a chain of tight in-copies the
-other way.  Exactly one load changes per copy update.
+other way.  Exactly one load changes per copy update.  A bundle update
+runs gamma such walks, one public ``insert_copy``/``delete_copy`` call per
+copy; they append to one shared log, deduplicated once at the end, which
+equals deduplicating each walk's keys and then their concatenation.
 
 A bundle's counters live in the raw tables of GraphState, or, while the
 bundle sits in the refinement forest H, as the weight of its edge in that
@@ -58,7 +61,7 @@ class EdgeStore:
 
     def true_counts(self, u, v):
         """Authoritative (count toward v, count toward u) pair."""
-        if edge_key(u, v) not in self.resident:
+        if ((u, v) if u < v else (v, u)) not in self.resident:
             return self.g.counts(u, v)
         cu = self.tree.edge_weight(u, v)
         return cu, self.g.params.gamma - cu
@@ -72,7 +75,7 @@ class EdgeStore:
 
     def flip_copy(self, u, v):
         """Reorient one copy from u->v to v->u (no load change)."""
-        if edge_key(u, v) not in self.resident:
+        if ((u, v) if u < v else (v, u)) not in self.resident:
             self.g.move_copies(u, v, 1)
             return
         cu = self.tree.edge_weight(u, v)
@@ -131,40 +134,48 @@ class FractionalOrienter:
 
     # ------------------------------------------------------------------
 
-    def insert_copy(self, u, v):
+    def insert_copy(self, u, v, log=None):
         """Add one copy to the bundle (creating it if needed), then shed the
         load surplus down a maximal tight chain.  Returns the keys of every
-        bundle whose counters changed."""
+        bundle whose counters changed; given a ``log``, appends the walk's
+        keys to it undeduplicated and returns it instead."""
         if u == v:
             raise SelfLoopError(f"copy {u}->{u}")
         g = self.g
         if not g.has_edge(u, v):
             g.add_bundle(u, v)
-        if g.loads[u] <= g.loads[v]:
+        loads = g.loads
+        if loads[u] <= loads[v]:
             w = u
             self.store.add_copy(u, v)
         else:
             w = v
             self.store.add_copy(v, u)
-        log = [edge_key(u, v)]
-        top = g.loads[w]
+        own = log is None
+        if own:
+            log = []
+        start = len(log)
+        log.append((u, v) if u < v else (v, u))
+        top = loads[w]
+        tight = g.tight_out_nbr
+        flip = self.store.flip_copy
         while True:
-            nxt = g.tight_out_nbr(w)
+            nxt = tight(w)
             if nxt is None:
                 break
-            self.store.flip_copy(w, nxt)
-            log.append(edge_key(w, nxt))
+            flip(w, nxt)
+            log.append((w, nxt) if w < nxt else (nxt, w))
             w = nxt
         g.bump_load(w, 1)
         self.copy_insertions += 1
-        log = dedup_keep_last(log)
-        assert len(log) <= 2 * top + 2, (len(log), top)
-        return log
+        # the raw walk bounds its deduplicated keys
+        assert len(log) - start <= 2 * top + 2, (len(log) - start, top)
+        return dedup_keep_last(log) if own else log
 
-    def delete_copy(self, u, v):
+    def delete_copy(self, u, v, log=None):
         """Remove one copy from the bundle, direction u->v when it has any
         copies, v->u otherwise; then pull a maximal tight chain toward the
-        vacated tail."""
+        vacated tail.  Returns or appends to ``log`` as ``insert_copy``."""
         g = self.g
         cu, cv = self.store.true_counts(u, v)
         if cu > 0:
@@ -175,34 +186,41 @@ class FractionalOrienter:
             self.store.remove_copy(v, u)
         else:
             raise MissingEdgeError(f"bundle {edge_key(u, v)} has no copies")
-        log = [edge_key(u, v)]
+        own = log is None
+        if own:
+            log = []
+        start = len(log)
+        log.append((u, v) if u < v else (v, u))
+        tight = self.tight_in_nbr
+        flip = self.store.flip_copy
         while True:
-            nxt = self.tight_in_nbr(w)
+            nxt = tight(w)
             if nxt is None:
                 break
-            self.store.flip_copy(nxt, w)
-            log.append(edge_key(nxt, w))
+            flip(nxt, w)
+            log.append((w, nxt) if w < nxt else (nxt, w))
             w = nxt
         top = g.loads[w]
         g.bump_load(w, -1)
         self.copy_deletions += 1
-        log = dedup_keep_last(log)
-        assert len(log) <= 2 * top + 2, (len(log), top)
-        return log
+        assert len(log) - start <= 2 * top + 2, (len(log) - start, top)
+        return dedup_keep_last(log) if own else log
 
     def gamma_insert(self, u, v):
-        """Insert a fresh bundle one copy at a time."""
+        """Insert a fresh bundle one copy at a time; the copies' walks share
+        one log, deduplicated once."""
         if self.g.has_edge(u, v):
             raise DuplicateEdgeError(f"bundle {edge_key(u, v)} exists")
         log = []
         for _ in range(self.g.params.gamma):
-            log.extend(self.insert_copy(u, v))
+            self.insert_copy(u, v, log)
         cu, cv = self.store.true_counts(u, v)
         assert cu + cv == self.g.params.gamma
         return dedup_keep_last(log)
 
     def gamma_delete(self, u, v):
-        """Drain and drop a full raw bundle one copy at a time."""
+        """Drain and drop a full raw bundle one copy at a time; the copies'
+        walks share one log, deduplicated once."""
         key = edge_key(u, v)
         if not self.g.has_edge(u, v):
             raise MissingEdgeError(f"no bundle {key}")
@@ -210,6 +228,6 @@ class FractionalOrienter:
             "resident bundles must be released before deletion"
         log = []
         for _ in range(self.g.params.gamma):
-            log.extend(self.delete_copy(u, v))
+            self.delete_copy(u, v, log)
         self.g.drop_bundle(u, v)
         return dedup_keep_last(log)

@@ -15,7 +15,10 @@ never miss the true maximum: an entry's recorded load is always an upper
 bound on the current one.  A heap that grows past 2·|in-neighbours| + 4
 entries, by a push or by losing an in-neighbour, is rebuilt from the live
 in-neighbours; each rebuild is paid for by the pushes and losses since the
-previous one, so the upkeep stays amortised O(1).
+previous one, so the upkeep stays amortised O(1).  The walk steps
+(``count``, ``counts``, ``move_copies``, ``bump_load``) build bundle keys
+and keep the neighbour sets and heaps inline; a neighbour set changes only
+when a count crosses zero.
 """
 
 import heapq
@@ -66,40 +69,72 @@ class GraphState:
 
     def count(self, u: int, v: int) -> int:
         """Raw number of copies of edge (u, v) oriented u -> v."""
-        key = edge_key(u, v)
-        c = self.bundles.get(key)
+        c = self.bundles.get((u, v) if u < v else (v, u))
         if c is None:
-            raise MissingEdgeError(f"no edge {key}")
-        return c[0] if u == key[0] else c[1]
+            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
+        return c[0] if u < v else c[1]
 
     def counts(self, u: int, v: int):
         """Raw (copies out of u, copies out of v) for bundle (u, v)."""
-        cu = self.count(u, v)
-        key = edge_key(u, v)
-        c = self.bundles[key]
-        return (cu, c[0] + c[1] - cu)
+        if u < v:
+            c = self.bundles.get((u, v))
+            if c is not None:
+                return c[0], c[1]
+        else:
+            c = self.bundles.get((v, u))
+            if c is not None:
+                return c[1], c[0]
+        raise MissingEdgeError(f"no edge {edge_key(u, v)}")
 
     def _write_count(self, u: int, v: int, new: int):
-        key = edge_key(u, v)
-        c = self.bundles[key]
-        i = 0 if u == key[0] else 1
+        c = self.bundles[(u, v) if u < v else (v, u)]
+        i = 0 if u < v else 1
         old = c[i]
         c[i] = new
         if old == 0 and new > 0:
-            self.out_nbrs[u].add(v)
-            self.in_set[v].add(u)
-            self._push_in(v, (-self.loads[u], u))
+            self._gain_out(u, v)
         elif old > 0 and new == 0:
-            self.out_nbrs[u].discard(v)
-            self.in_set[v].discard(u)
-            self._bound_heap(v)
+            self._lose_out(u, v)
+
+    def _gain_out(self, u: int, v: int):
+        """u now has copies toward v."""
+        self.out_nbrs[u].add(v)
+        ins = self.in_set[v]
+        ins.add(u)
+        h = self.in_heap[v]
+        heapq.heappush(h, (-self.loads[u], u))
+        if len(h) > 2 * len(ins) + 4:
+            self._rebuild_heap(v)
+
+    def _lose_out(self, u: int, v: int):
+        """u no longer has copies toward v."""
+        self.out_nbrs[u].discard(v)
+        ins = self.in_set[v]
+        ins.discard(u)
+        if len(self.in_heap[v]) > 2 * len(ins) + 4:
+            self._rebuild_heap(v)
 
     def move_copies(self, u: int, v: int, k: int = 1):
         """Reorient k copies of (u, v) from u -> v to v -> u.  No load change."""
-        cu, cv = self.counts(u, v)
+        if u < v:
+            c = self.bundles.get((u, v))
+            i = 0
+        else:
+            c = self.bundles.get((v, u))
+            i = 1
+        if c is None:
+            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
+        cu = c[i]
+        cv = c[1 - i]
         assert cu >= k >= 0, f"only {cu} copies oriented {u}->{v}"
-        self._write_count(u, v, cu - k)
-        self._write_count(v, u, cv + k)
+        if not k:
+            return
+        c[i] = cu - k
+        c[1 - i] = cv + k
+        if cu == k:
+            self._lose_out(u, v)
+        if not cv:
+            self._gain_out(v, u)
 
     def set_counts_raw(self, u: int, v: int, cu: int, cv: int):
         """Overwrite both counters without touching loads.
@@ -116,23 +151,25 @@ class GraphState:
     # loads
 
     def bump_load(self, v: int, delta: int):
-        self.loads[v] += delta
-        assert self.loads[v] >= 0
+        loads = self.loads
+        load = loads[v] + delta
+        loads[v] = load
+        assert load >= 0
         if delta > 0:
-            entry = (-self.loads[v], v)
+            entry = (-load, v)
+            heaps = self.in_heap
+            in_set = self.in_set
             for w in self.out_nbrs[v]:
-                self._push_in(w, entry)
+                h = heaps[w]
+                heapq.heappush(h, entry)
+                if len(h) > 2 * len(in_set[w]) + 4:
+                    self._rebuild_heap(w)
 
-    def _push_in(self, w: int, entry):
-        heapq.heappush(self.in_heap[w], entry)
-        self._bound_heap(w)
-
-    def _bound_heap(self, w: int):
+    def _rebuild_heap(self, w: int):
+        loads = self.loads
         h = self.in_heap[w]
-        ins = self.in_set[w]
-        if len(h) > 2 * len(ins) + 4:
-            h[:] = [(-self.loads[x], x) for x in ins]
-            heapq.heapify(h)
+        h[:] = [(-loads[x], x) for x in self.in_set[w]]
+        heapq.heapify(h)
 
     def max_load_in_nbr(self, w: int):
         """In-neighbour of w with maximum load, or None.  Ties pick lowest id."""
@@ -152,13 +189,15 @@ class GraphState:
         return None
 
     def tight_out_nbr(self, u: int):
-        """First out-neighbour of u (in id order) with load ≤ load(u) − 1.
+        """Least out-neighbour id of u with load ≤ load(u) − 1, or None.
 
-        Out-neighbour sets stay small (bounded by the load cap), so a sorted
-        scan beats maintaining a second heap family.
+        Out-neighbour sets stay small (bounded by the load cap), so a scan
+        beats maintaining a second heap family.
         """
-        cap = self.loads[u] - 1
-        for w in sorted(self.out_nbrs[u]):
-            if self.loads[w] <= cap:
-                return w
-        return None
+        loads = self.loads
+        cap = loads[u] - 1
+        best = None
+        for w in self.out_nbrs[u]:
+            if loads[w] <= cap and (best is None or w < best):
+                best = w
+        return best

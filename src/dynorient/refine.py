@@ -15,7 +15,10 @@ Each S edge either links into H (endpoints disconnected) or closes a cycle;
 then the cheapest count rotation around the whole cycle pushes some cycle
 edge to a closed-interval boundary, that edge is expelled, and the rotation
 leaves every vertex load untouched (each cycle vertex gains on one incident
-cycle edge what it loses on the other).
+cycle edge what it loses on the other).  Each S edge costs one exposure of
+H's u..v path (``LinkCutForest.path_update``): the one pass reports a
+missing path, hands the path's min and max to the rotation plan, finds the
+witness to expel and applies the rotation's shift.
 
 The rotation budget l(C) is computed in integer numerators: with dg =
 delta*gamma and path numerators read from the u side,
@@ -145,25 +148,44 @@ class RefinementEngine:
             self.handle_s_edge(a, b)
 
     def handle_s_edge(self, u, v):
-        """Restore the open-interval rule for the non-H edge (u, v)."""
+        """Restore the open-interval rule for the non-H edge (u, v): one
+        exposure of H's u..v path either finds no path, and the edge
+        enrolls, or plans and applies the cycle's rotation."""
         key = edge_key(u, v)
         assert key not in self.in_h
         cu, cv = self.store.true_counts(u, v)
         assert self.params.in_open_interval(cu), (key, cu, cv)
-        if not self.H.connected(u, v):
-            self._enroll(u, v)
-            return
         if self.paranoid:
             loads_before = list(self.g.loads)
-        self._rotate_cycle(u, v, cu, cv)
+        shift = 0
+
+        def decide(mn, mx):
+            nonlocal shift
+            which, shift = self._plan_rotation(mn, mx, cu, cv)
+            return which, shift
+
+        found = self.H.path_update(u, v, decide)
+        if found is None:
+            self._enroll(u, v)
+            return
+        wit = found[2]
+        if shift:
+            self.inversions += 1
+            self.store.set_counts_true(u, v, cu - shift, cv + shift)
+        if wit is not None:
+            # unhook the witness and take its place
+            self._unhook(*wit)
+            self._enroll(u, v)
+            self.expulsions += 1
         if self.paranoid:
             assert self.g.loads == loads_before, "rotation moved a load"
 
-    def _rotate_cycle(self, u, v, cu, cv):
+    def _plan_rotation(self, mn, mx, cu, cv):
+        """The rotation of the cycle closed by (u, v), from the path's
+        u-side numerators: ``(which, shift)``, the path edge to expel
+        ("min", "max" or None) and the shift of every path numerator."""
         p = self.params
-        gamma, dg, mu = p.gamma, p.low_cut, p.mu_num
-        mn = self.H.min_weight(u, v)
-        mx = self.H.max_weight(u, v)
+        gamma, dg = p.gamma, p.low_cut
         a_term = min(mn, cv) - dg
         b_term = (gamma - dg) - max(mx, cv)
         m_star = min(a_term, b_term, cu - dg, (gamma - dg) - cv)
@@ -173,46 +195,21 @@ class RefinementEngine:
             # edge; unhook it and take its place, no rotation needed
             if a_term == m_star:
                 assert mn <= dg < cv
-                wit = self.H.find_extreme_edge(u, v, "min")
-            else:
-                assert b_term == m_star and mx >= gamma - dg > cv
-                wit = self.H.find_extreme_edge(u, v, "max")
-            self._unhook(*wit)
-            self._enroll(u, v)
-            self.expulsions += 1
-            return
+                return "min", 0
+            assert b_term == m_star and mx >= gamma - dg > cv
+            return "max", 0
 
-        x = m_star + mu
-        self.inversions += 1
+        x = m_star + p.mu_num
         if a_term == m_star:
-            # rotate against the u-side numerators
-            if mn <= cv:
-                wit = self.H.find_extreme_edge(u, v, "min")
-                self.H.add_weight(u, v, -x)
-                self.store.set_counts_true(u, v, cu + x, cv - x)
-                self._unhook(*wit)
-                self._enroll(u, v)
-                self.expulsions += 1
-            else:
-                # the new edge itself lands on the low boundary: it stays
-                # outside H and nothing is expelled
-                self.H.add_weight(u, v, -x)
-                self.store.set_counts_true(u, v, cu + x, cv - x)
-        elif b_term == m_star:
-            if mx >= cv:
-                wit = self.H.find_extreme_edge(u, v, "max")
-                self.H.add_weight(u, v, x)
-                self.store.set_counts_true(u, v, cu - x, cv + x)
-                self._unhook(*wit)
-                self._enroll(u, v)
-                self.expulsions += 1
-            else:
-                self.H.add_weight(u, v, x)
-                self.store.set_counts_true(u, v, cu - x, cv + x)
-        else:
-            # cu-dg and (gamma-dg)-cv are each >= b_term, so neither can
-            # be the strict minimum
-            raise ConsistencyError("unreachable rotation case")
+            # rotate against the u-side numerators; when the new edge
+            # itself lands on the low boundary it stays outside H and
+            # nothing is expelled
+            return ("min" if mn <= cv else None), -x
+        if b_term == m_star:
+            return ("max" if mx >= cv else None), x
+        # cu-dg and (gamma-dg)-cv are each >= b_term, so neither can be the
+        # strict minimum
+        raise ConsistencyError("unreachable rotation case")
 
     # ------------------------------------------------------------------
     # rounding

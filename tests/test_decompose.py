@@ -247,6 +247,41 @@ def test_rounded_out_edges_match_a_scan_of_every_bundle(seed):
     assert h_edges > 0
 
 
+def test_link_cut_accesses_per_update_stay_in_budget(monkeypatch):
+    """Link-cut accesses per dense-churn update, counted by wrapping the
+    forest module's two access functions: ``_waccess`` (H) and ``_access``
+    (the layer trees).  Seed 1, n=12, gamma=8, 500 generator steps; the
+    first 100 updates warm up and the remaining 388 are counted (the
+    generator yields nothing on a step that finds the graph complete).
+    With four H path exposures per cycle rotation and a ``connected``
+    test per S-edge, H made 15.13 accesses per update and the layers 12.35
+    (with ``connected`` on the designated edge in ``_unplace``); one
+    exposure per S-edge and one root read there give 5.71 and 11.48."""
+    from dynorient import forest
+    counts = {"H": 0, "layers": 0}
+
+    def counted(fn, name):
+        def wrapped(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapped
+
+    monkeypatch.setattr(forest, "_waccess", counted(forest._waccess, "H"))
+    monkeypatch.setattr(forest, "_access", counted(forest._access, "layers"))
+    rng = random.Random(1)
+    n = 12
+    d = decomposer(n=n, paranoid=False)
+    for step, _ in enumerate(dense_churn(d, rng, n, 500,
+                                         n * (n - 1) // 2 * 0.8, 0.1)):
+        if step == 99:
+            counts.update(H=0, layers=0)
+    updates = step + 1 - 100
+    assert updates == 388
+    assert counts["H"] / updates <= 5.71, counts
+    assert counts["layers"] / updates <= 11.48, counts
+    assert d.refine.inversions > 50, "too few rotations to weigh"
+
+
 def test_out_of_range_vertex_is_rejected_and_changes_nothing():
     n = 6
     d = decomposer(n=n)

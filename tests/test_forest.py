@@ -278,6 +278,147 @@ def test_mirror_equivalence_fuzz(seed, n):
 
 
 # ----------------------------------------------------------------------
+# the one-exposure path primitive
+
+
+def _roots(real, n):
+    return [real.find_root(x) if real.has_vertex(x) else None
+            for x in range(n)]
+
+
+def _weights(forest, edges):
+    return [forest.edge_weight(a, b) for a, b in edges]
+
+
+def _path_update_step(real, mirror, rng, u, v, edges, n, gamma):
+    """One path_update on the real forest, checked against the mirror's
+    four separate path operations."""
+    roots = _roots(real, n)
+    seen = []
+    if u == v or not mirror.connected(u, v):
+        def refuse(mn, mx):
+            seen.append((mn, mx))
+            return None, 0
+        assert real.path_update(u, v, refuse) is None
+        assert seen == []
+        assert _roots(real, n) == roots
+        return "none"
+    lo = -mirror.min_weight(u, v)
+    hi = gamma - mirror.max_weight(u, v)
+    which = rng.choice([None, "min", "max"])
+    if rng.random() < 0.2:
+        shift = rng.choice([lo - 1 - rng.randrange(3), hi + 1 + rng.randrange(3)])
+    else:
+        shift = rng.randint(lo, hi)
+
+    def decide(mn, mx):
+        seen.append((mn, mx))
+        return which, shift
+
+    if not lo <= shift <= hi:
+        before = _weights(real, edges)
+        with pytest.raises(WeightRangeError):
+            real.path_update(u, v, decide)
+        assert seen == [(mirror.min_weight(u, v), mirror.max_weight(u, v))]
+        assert _weights(real, edges) == before == _weights(mirror, edges)
+        assert _roots(real, n) == roots
+        return "range"
+    mn, mx, wit = real.path_update(u, v, decide)
+    assert seen == [(mn, mx)]
+    assert (mn, mx) == (mirror.min_weight(u, v), mirror.max_weight(u, v))
+    if which is None:
+        assert wit is None
+    else:
+        assert edge_key(*wit) == edge_key(*mirror.find_extreme_edge(u, v, which))
+    mirror.add_weight(u, v, shift)
+    assert _weights(real, edges) == _weights(mirror, edges)
+    assert _roots(real, n) == roots
+    return "path"
+
+
+def _drive_path_update(seed, n, steps, gamma=8):
+    """Random link/cut/set_root/path_update beside the naive mirror."""
+    rng = random.Random(seed)
+    real = LinkCutForest(gamma)
+    mirror = NaiveWeightedForest(gamma)
+    edges = []
+    kinds = set()
+    for _ in range(steps):
+        op = rng.randrange(8)
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if op <= 1:
+            if u != v and not mirror.connected(u, v):
+                w = rng.randint(0, gamma)
+                real.link(u, v, w)
+                mirror.link(u, v, w)
+                edges.append((u, v))
+        elif op == 2 and edges:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            real.cut(a, b)
+            mirror.cut(a, b)
+        elif op == 3:
+            real.set_root(u)
+            mirror.set_root(u)
+        else:
+            kinds.add(_path_update_step(real, mirror, rng, u, v, edges, n,
+                                        gamma))
+    assert _roots(real, n) == [mirror.find_root(x) if mirror.has_vertex(x)
+                               else None for x in range(n)]
+    return kinds
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_path_update_matches_mirror_small(seed):
+    assert _drive_path_update(seed, n=9, steps=600) == {"none", "range", "path"}
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_path_update_matches_mirror_medium(seed):
+    assert _drive_path_update(seed, n=40, steps=700, gamma=16) == {
+        "none", "range", "path"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(4, 10))
+def test_path_update_matches_mirror_fuzz(seed, n):
+    _drive_path_update(seed, n=n, steps=120)
+
+
+def test_path_update_pinned_witnesses_and_shift():
+    # a-b-c-d rooted at d, numerators 4, 2, 2 from the a side
+    f = LinkCutForest(gamma=8)
+    f.link(0, 1, 4)
+    f.link(1, 2, 2)
+    f.link(2, 3, 2)
+    assert f.path_update(0, 3, lambda mn, mx: ("min", 0)) == (2, 4, (1, 2))
+    assert f.path_update(3, 0, lambda mn, mx: ("min", 0)) == (4, 6, (0, 1))
+    assert f.path_update(3, 0, lambda mn, mx: ("max", -4)) == (4, 6, (2, 3))
+    assert [f.edge_weight(a, a + 1) for a in range(3)] == [8, 6, 6]
+    assert [f.find_root(x) for x in range(4)] == [3, 3, 3, 3]
+    assert f.path_update(0, 4, lambda mn, mx: ("min", 0)) is None
+    assert f.path_update(2, 2) is None
+
+
+def test_path_update_deep_path():
+    n = 3000
+    f = LinkCutForest(gamma=4)
+    for i in range(n - 1):
+        f.link(i + 1, i, 2)   # keeps root at 0, path grows downward
+    f.set_edge_weight(n // 2, n // 2 + 1, 1)
+    assert f.path_update(n - 1, 0) == (2, 3, None)
+    mn, mx, wit = f.path_update(0, n - 1, lambda mn, mx: ("min", 1))
+    assert (mn, mx, edge_key(*wit)) == (1, 2, (n // 2, n // 2 + 1))
+    assert f.edge_weight(n // 2, n // 2 + 1) == 2
+    assert f.edge_weight(0, 1) == 3
+    with pytest.raises(WeightRangeError):
+        f.path_update(n - 1, 0, lambda mn, mx: (None, 3))
+    assert f.find_root(n - 1) == 0
+    assert f.edge_weight(n - 1, n - 2) == 1
+    assert f.depth_parity(n - 1) == (n - 1) & 1
+
+
+# ----------------------------------------------------------------------
 # the parity-only layer forest
 
 

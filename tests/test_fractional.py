@@ -268,3 +268,52 @@ def test_in_neighbour_heaps_stay_bounded_under_dense_churn():
                        default=None)
             assert g.max_load_in_nbr(w) == want, w
     assert check_eta_valid(g.loads, g.bundles) == []
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_gamma_walks_share_one_log(seed):
+    # gamma_insert/gamma_delete append every copy's walk to one log and
+    # deduplicate it once; the reference composes gamma public per-copy
+    # calls, each deduplicating its own walk, and deduplicates the
+    # concatenation
+    rng = random.Random(seed)
+    n = 12
+    gamma = 8
+    ga, fa = make(gamma=gamma, n=n)
+    gb, fb = make(gamma=gamma, n=n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    live = set()
+    longest = merged = 0
+    for _ in range(400):
+        if live and (len(live) > 0.8 * len(pairs) or rng.random() < 0.1):
+            key = rng.choice(sorted(live))
+            u, v = key if rng.random() < 0.5 else key[::-1]
+            got = fa.gamma_delete(u, v)
+            logs = []
+            for _ in range(gamma):
+                logs.extend(fb.delete_copy(u, v))
+            gb.drop_bundle(u, v)
+            live.discard(key)
+        else:
+            key = rng.choice([k for k in pairs if k not in live])
+            u, v = key if rng.random() < 0.5 else key[::-1]
+            got = fa.gamma_insert(u, v)
+            logs = []
+            for _ in range(gamma):
+                logs.extend(fb.insert_copy(u, v))
+            live.add(key)
+        assert got == dedup_keep_last(logs)
+        assert all(a < b and ((a, b) in ga.bundles or (a, b) == key)
+                   for a, b in got), got
+        longest = max(longest, len(got))
+        merged += len(got) < len(logs)
+        assert ga.loads == gb.loads
+        assert ga.bundles == gb.bundles
+        assert ga.out_nbrs == gb.out_nbrs
+        assert ga.in_set == gb.in_set
+        for w in range(n):
+            assert ga.max_load_in_nbr(w) == gb.max_load_in_nbr(w), w
+    assert longest > 1, "no walk ever left the inserted bundle"
+    assert merged, "no two copies' walks ever shared a key"
+    assert fa.copy_insertions == fb.copy_insertions
+    assert fa.copy_deletions == fb.copy_deletions
