@@ -374,7 +374,7 @@ class LinkCutForest:
     # ------------------------------------------------------------------
     # path operations
 
-    def path_update(self, u: int, v: int, decide=None):
+    def path_update(self, u: int, v: int, decide):
         """Read the u..v path and act on it in one exposure.
 
         Returns None when u and v are not connected (or equal); then
@@ -385,10 +385,9 @@ class LinkCutForest:
         nearest u attaining mn or mx, None for none.  ``shift`` is then
         added to every path numerator read from the u side; a shift that
         would leave [0, gamma] raises WeightRangeError with nothing
-        changed.  Without ``decide`` the path is only read.  Returns
-        ``(mn, mx, witness)``, the witness an endpoint pair or None.  The
-        tree keeps its root: u's tree is everted at u for the exposure and
-        the old root restored after it.
+        changed.  Returns ``(witness, shift)``, the witness an endpoint
+        pair or None.  The tree keeps its root: u's tree is everted at u
+        for the exposure and the old root restored after it.
         """
         nu, nv = self._v.get(u), self._v.get(v)
         if nu is None or nv is None or nu is nv:
@@ -411,8 +410,6 @@ class LinkCutForest:
             gamma = self.gamma
             mn = (nv.mn + gamma) >> 1
             mx = (nv.mx + gamma) >> 1
-            if decide is None:
-                return mn, mx, None
             which, shift = decide(mn, mx)
             if mn + shift < 0 or mx + shift > gamma:
                 raise WeightRangeError(
@@ -441,22 +438,33 @@ class LinkCutForest:
                 top = cur
             if shift:
                 _wapply(top, False, 2 * shift)
-            return mn, mx, witness
+            return witness, shift
         finally:
             if head is not nu:
                 _wevert(head)
 
-    def _read_path(self, u: int, v: int, decide=None):
+    def _read_path(self, u: int, v: int, decide):
         out = self.path_update(u, v, decide)
         if out is None:
             raise NotConnectedError(f"{u} and {v} not connected")
         return out
 
+    def _path_range(self, u: int, v: int):
+        """Least and greatest path weight as seen from the u side."""
+        seen = []
+
+        def read(mn, mx):
+            seen.extend((mn, mx))
+            return None, 0
+
+        self._read_path(u, v, read)
+        return seen
+
     def min_weight(self, u: int, v: int) -> int:
-        return self._read_path(u, v)[0]
+        return self._path_range(u, v)[0]
 
     def max_weight(self, u: int, v: int) -> int:
-        return self._read_path(u, v)[1]
+        return self._path_range(u, v)[1]
 
     def add_weight(self, u: int, v: int, x: int):
         """Add x to every path edge's weight as seen from the u side."""
@@ -465,7 +473,7 @@ class LinkCutForest:
     def find_extreme_edge(self, u: int, v: int, which: str = "min"):
         """Edge attaining the path min/max weight; ties pick the one nearest u."""
         assert which in ("min", "max")
-        return self._read_path(u, v, lambda mn, mx: (which, 0))[2]
+        return self._read_path(u, v, lambda mn, mx: (which, 0))[0]
 
     def _splayed_edge(self, u: int, v: int) -> _Node:
         """Edge node of (u, v), splayed so its value and bit are current."""

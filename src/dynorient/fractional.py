@@ -134,11 +134,10 @@ class FractionalOrienter:
 
     # ------------------------------------------------------------------
 
-    def insert_copy(self, u, v, log=None):
+    def insert_copy(self, u, v, log):
         """Add one copy to the bundle (creating it if needed), then shed the
-        load surplus down a maximal tight chain.  Returns the keys of every
-        bundle whose counters changed; given a ``log``, appends the walk's
-        keys to it undeduplicated and returns it instead."""
+        load surplus down a maximal tight chain.  Appends the key of every
+        bundle whose counters changed to ``log``, undeduplicated."""
         if u == v:
             raise SelfLoopError(f"copy {u}->{u}")
         g = self.g
@@ -151,9 +150,6 @@ class FractionalOrienter:
         else:
             w = v
             self.store.add_copy(v, u)
-        own = log is None
-        if own:
-            log = []
         start = len(log)
         log.append((u, v) if u < v else (v, u))
         top = loads[w]
@@ -170,12 +166,11 @@ class FractionalOrienter:
         self.copy_insertions += 1
         # the raw walk bounds its deduplicated keys
         assert len(log) - start <= 2 * top + 2, (len(log) - start, top)
-        return dedup_keep_last(log) if own else log
 
-    def delete_copy(self, u, v, log=None):
+    def delete_copy(self, u, v, log):
         """Remove one copy from the bundle, direction u->v when it has any
         copies, v->u otherwise; then pull a maximal tight chain toward the
-        vacated tail.  Returns or appends to ``log`` as ``insert_copy``."""
+        vacated tail.  Appends to ``log`` as ``insert_copy``."""
         g = self.g
         cu, cv = self.store.true_counts(u, v)
         if cu > 0:
@@ -186,9 +181,6 @@ class FractionalOrienter:
             self.store.remove_copy(v, u)
         else:
             raise MissingEdgeError(f"bundle {edge_key(u, v)} has no copies")
-        own = log is None
-        if own:
-            log = []
         start = len(log)
         log.append((u, v) if u < v else (v, u))
         tight = self.tight_in_nbr
@@ -204,7 +196,6 @@ class FractionalOrienter:
         g.bump_load(w, -1)
         self.copy_deletions += 1
         assert len(log) - start <= 2 * top + 2, (len(log) - start, top)
-        return dedup_keep_last(log) if own else log
 
     def gamma_insert(self, u, v):
         """Insert a fresh bundle one copy at a time; the copies' walks share

@@ -15,10 +15,10 @@ never miss the true maximum: an entry's recorded load is always an upper
 bound on the current one.  A heap that grows past 2·|in-neighbours| + 4
 entries, by a push or by losing an in-neighbour, is rebuilt from the live
 in-neighbours; each rebuild is paid for by the pushes and losses since the
-previous one, so the upkeep stays amortised O(1).  The walk steps
-(``count``, ``counts``, ``move_copies``, ``bump_load``) build bundle keys
-and keep the neighbour sets and heaps inline; a neighbour set changes only
-when a count crosses zero.
+previous one, so the upkeep stays amortised O(1); ``_bound_heap`` is the
+one place that rule lives.  The walk steps (``count``, ``counts``,
+``move_copies``, ``bump_load``) build bundle keys inline and touch the
+neighbour sets only when a count crosses zero.
 """
 
 import heapq
@@ -99,20 +99,15 @@ class GraphState:
     def _gain_out(self, u: int, v: int):
         """u now has copies toward v."""
         self.out_nbrs[u].add(v)
-        ins = self.in_set[v]
-        ins.add(u)
-        h = self.in_heap[v]
-        heapq.heappush(h, (-self.loads[u], u))
-        if len(h) > 2 * len(ins) + 4:
-            self._rebuild_heap(v)
+        self.in_set[v].add(u)
+        heapq.heappush(self.in_heap[v], (-self.loads[u], u))
+        self._bound_heap(v)
 
     def _lose_out(self, u: int, v: int):
         """u no longer has copies toward v."""
         self.out_nbrs[u].discard(v)
-        ins = self.in_set[v]
-        ins.discard(u)
-        if len(self.in_heap[v]) > 2 * len(ins) + 4:
-            self._rebuild_heap(v)
+        self.in_set[v].discard(u)
+        self._bound_heap(v)
 
     def move_copies(self, u: int, v: int, k: int = 1):
         """Reorient k copies of (u, v) from u -> v to v -> u.  No load change."""
@@ -158,18 +153,20 @@ class GraphState:
         if delta > 0:
             entry = (-load, v)
             heaps = self.in_heap
-            in_set = self.in_set
+            bound = self._bound_heap
             for w in self.out_nbrs[v]:
-                h = heaps[w]
-                heapq.heappush(h, entry)
-                if len(h) > 2 * len(in_set[w]) + 4:
-                    self._rebuild_heap(w)
+                heapq.heappush(heaps[w], entry)
+                bound(w)
 
-    def _rebuild_heap(self, w: int):
-        loads = self.loads
+    def _bound_heap(self, w: int):
+        """Rebuild w's heap from its live in-neighbours once it outgrows
+        them: the one owner of the amortisation rule."""
         h = self.in_heap[w]
-        h[:] = [(-loads[x], x) for x in self.in_set[w]]
-        heapq.heapify(h)
+        ins = self.in_set[w]
+        if len(h) > 2 * len(ins) + 4:
+            loads = self.loads
+            h[:] = [(-loads[x], x) for x in ins]
+            heapq.heapify(h)
 
     def max_load_in_nbr(self, w: int):
         """In-neighbour of w with maximum load, or None.  Ties pick lowest id."""

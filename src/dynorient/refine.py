@@ -157,18 +157,12 @@ class RefinementEngine:
         assert self.params.in_open_interval(cu), (key, cu, cv)
         if self.paranoid:
             loads_before = list(self.g.loads)
-        shift = 0
-
-        def decide(mn, mx):
-            nonlocal shift
-            which, shift = self._plan_rotation(mn, mx, cu, cv)
-            return which, shift
-
-        found = self.H.path_update(u, v, decide)
+        found = self.H.path_update(
+            u, v, lambda mn, mx: self._plan_rotation(mn, mx, cu, cv))
         if found is None:
             self._enroll(u, v)
             return
-        wit = found[2]
+        wit, shift = found
         if shift:
             self.inversions += 1
             self.store.set_counts_true(u, v, cu - shift, cv + shift)

@@ -323,9 +323,9 @@ def _path_update_step(real, mirror, rng, u, v, edges, n, gamma):
         assert _weights(real, edges) == before == _weights(mirror, edges)
         assert _roots(real, n) == roots
         return "range"
-    mn, mx, wit = real.path_update(u, v, decide)
-    assert seen == [(mn, mx)]
-    assert (mn, mx) == (mirror.min_weight(u, v), mirror.max_weight(u, v))
+    wit, applied = real.path_update(u, v, decide)
+    assert applied == shift
+    assert seen == [(mirror.min_weight(u, v), mirror.max_weight(u, v))]
     if which is None:
         assert wit is None
     else:
@@ -385,19 +385,30 @@ def test_path_update_matches_mirror_fuzz(seed, n):
     _drive_path_update(seed, n=n, steps=120)
 
 
+def _recording(seen, which, shift):
+    """A decision that records the (min, max) it is handed."""
+    def decide(mn, mx):
+        seen.append((mn, mx))
+        return which, shift
+    return decide
+
+
 def test_path_update_pinned_witnesses_and_shift():
     # a-b-c-d rooted at d, numerators 4, 2, 2 from the a side
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 4)
     f.link(1, 2, 2)
     f.link(2, 3, 2)
-    assert f.path_update(0, 3, lambda mn, mx: ("min", 0)) == (2, 4, (1, 2))
-    assert f.path_update(3, 0, lambda mn, mx: ("min", 0)) == (4, 6, (0, 1))
-    assert f.path_update(3, 0, lambda mn, mx: ("max", -4)) == (4, 6, (2, 3))
+    seen = []
+    assert f.path_update(0, 3, _recording(seen, "min", 0)) == ((1, 2), 0)
+    assert f.path_update(3, 0, _recording(seen, "min", 0)) == ((0, 1), 0)
+    assert f.path_update(3, 0, _recording(seen, "max", -4)) == ((2, 3), -4)
+    assert seen == [(2, 4), (4, 6), (4, 6)]
     assert [f.edge_weight(a, a + 1) for a in range(3)] == [8, 6, 6]
     assert [f.find_root(x) for x in range(4)] == [3, 3, 3, 3]
-    assert f.path_update(0, 4, lambda mn, mx: ("min", 0)) is None
-    assert f.path_update(2, 2) is None
+    assert f.path_update(0, 4, _recording(seen, "min", 0)) is None
+    assert f.path_update(2, 2, _recording(seen, None, 0)) is None
+    assert len(seen) == 3
 
 
 def test_path_update_deep_path():
@@ -406,9 +417,11 @@ def test_path_update_deep_path():
     for i in range(n - 1):
         f.link(i + 1, i, 2)   # keeps root at 0, path grows downward
     f.set_edge_weight(n // 2, n // 2 + 1, 1)
-    assert f.path_update(n - 1, 0) == (2, 3, None)
-    mn, mx, wit = f.path_update(0, n - 1, lambda mn, mx: ("min", 1))
-    assert (mn, mx, edge_key(*wit)) == (1, 2, (n // 2, n // 2 + 1))
+    seen = []
+    assert f.path_update(n - 1, 0, _recording(seen, None, 0)) == (None, 0)
+    wit, _ = f.path_update(0, n - 1, _recording(seen, "min", 1))
+    assert seen == [(2, 3), (1, 2)]
+    assert edge_key(*wit) == (n // 2, n // 2 + 1)
     assert f.edge_weight(n // 2, n // 2 + 1) == 2
     assert f.edge_weight(0, 1) == 3
     with pytest.raises(WeightRangeError):

@@ -36,18 +36,19 @@ def test_dedup_keeps_last_occurrence():
 
 def test_single_copy_gamma_one():
     g, fo = make(gamma=1, n=2)
-    log = fo.insert_copy(0, 1)
+    log = []
+    fo.insert_copy(0, 1, log)
     assert g.counts(0, 1) == (1, 0)
     assert g.loads[:2] == [1, 0]
     assert log == [(0, 1)]
-    fo.delete_copy(0, 1)
+    fo.delete_copy(0, 1, log)
     assert g.counts(0, 1) == (0, 0)
     assert g.loads[:2] == [0, 0]
 
 
 def test_tie_orients_away_from_first_argument():
     g, fo = make(gamma=4, n=4)
-    fo.insert_copy(2, 1)
+    fo.insert_copy(2, 1, [])
     # equal loads: the copy leaves the first-listed endpoint
     assert g.count(2, 1) == 1
     assert g.loads[2] == 1
@@ -56,7 +57,7 @@ def test_tie_orients_away_from_first_argument():
 def test_self_loop_rejected():
     _, fo = make(gamma=4)
     with pytest.raises(SelfLoopError):
-        fo.insert_copy(3, 3)
+        fo.insert_copy(3, 3, [])
 
 
 def test_gamma_insert_splits_evenly_on_pair():
@@ -84,7 +85,8 @@ def test_insert_flips_whole_tight_chain():
     g, fo = make(gamma=8, n=4)
     stage_chain(g, [(0, 1, 3, 0), (1, 2, 2, 0), (2, 3, 1, 0)])
     assert g.loads[:4] == [3, 2, 1, 0]
-    log = fo.insert_copy(0, 1)
+    log = []
+    fo.insert_copy(0, 1, log)
     assert g.loads[:4] == [3, 2, 1, 1]
     assert g.counts(0, 1) == (3, 1)
     assert g.counts(1, 2) == (1, 1)
@@ -98,7 +100,7 @@ def test_delete_pulls_chain_and_decrements_far_end():
     g, fo = make(gamma=8, n=4)
     stage_chain(g, [(0, 1, 0, 1), (1, 2, 0, 2), (2, 3, 0, 3)])
     assert g.loads[:4] == [0, 1, 2, 3]
-    fo.delete_copy(0, 1)
+    fo.delete_copy(0, 1, [])
     assert g.loads[:4] == [0, 1, 2, 2]
     assert g.counts(0, 1) == (0, 0)
     assert g.counts(1, 2) == (1, 1)
@@ -112,7 +114,7 @@ def test_delete_direction_prefers_first_argument():
     g.set_counts_raw(0, 1, 1, 1)
     g.bump_load(0, 1)
     g.bump_load(1, 1)
-    fo.delete_copy(0, 1)
+    fo.delete_copy(0, 1, [])
     assert g.counts(0, 1) == (0, 1)
     assert g.loads[:2] == [0, 1]
 
@@ -159,7 +161,7 @@ def test_chain_flips_route_through_resident_edges():
     assert g.loads[:4] == [4, 3, 1, 0]
     forest.link(1, 2, g.count(1, 2))
     fo.store.place(1, 2)
-    fo.insert_copy(0, 1)   # lands at 1, sheds through the resident edge
+    fo.insert_copy(0, 1, [])   # lands at 1, sheds through the resident edge
     assert g.loads[:4] == [4, 3, 2, 0]
     assert fo.store.true_counts(1, 2) == (2, 2)
     assert forest.edge_weight(1, 2) == 2
@@ -176,7 +178,7 @@ def test_load_conservation_and_validity_random_mix():
     for step in range(1000):
         if live and rng.random() < 0.4:
             key = rng.choice(sorted(live))
-            fo.delete_copy(*key)
+            fo.delete_copy(*key, [])
             copies -= 1
             live[key] -= 1
             if live[key] == 0:
@@ -187,7 +189,7 @@ def test_load_conservation_and_validity_random_mix():
             key = edge_key(u, v)
             if live.get(key, 0) == 4:
                 continue
-            fo.insert_copy(u, v)
+            fo.insert_copy(u, v, [])
             copies += 1
             live[key] = live.get(key, 0) + 1
         if step % 50 == 0:
@@ -204,7 +206,7 @@ def test_heap_agrees_with_scan_oracle():
     for _ in range(400):
         if live and rng.random() < 0.35:
             key = rng.choice(sorted(live))
-            fo.delete_copy(*key)
+            fo.delete_copy(*key, [])
             live[key] -= 1
             if live[key] == 0:
                 del live[key]
@@ -214,7 +216,7 @@ def test_heap_agrees_with_scan_oracle():
             key = edge_key(u, v)
             if live.get(key, 0) == 3:
                 continue
-            fo.insert_copy(u, v)
+            fo.insert_copy(u, v, [])
             live[key] = live.get(key, 0) + 1
         v = rng.randrange(12)
         got = fo.tight_in_nbr(v)
@@ -291,7 +293,9 @@ def test_gamma_walks_share_one_log(seed):
             got = fa.gamma_delete(u, v)
             logs = []
             for _ in range(gamma):
-                logs.extend(fb.delete_copy(u, v))
+                walk = []
+                fb.delete_copy(u, v, walk)
+                logs.extend(dedup_keep_last(walk))
             gb.drop_bundle(u, v)
             live.discard(key)
         else:
@@ -300,7 +304,9 @@ def test_gamma_walks_share_one_log(seed):
             got = fa.gamma_insert(u, v)
             logs = []
             for _ in range(gamma):
-                logs.extend(fb.insert_copy(u, v))
+                walk = []
+                fb.insert_copy(u, v, walk)
+                logs.extend(dedup_keep_last(walk))
             live.add(key)
         assert got == dedup_keep_last(logs)
         assert all(a < b and ((a, b) in ga.bundles or (a, b) == key)
