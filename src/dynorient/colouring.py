@@ -99,11 +99,11 @@ class ProductColouring:
             for i, f in enumerate(d.F):
                 if len(f):
                     out.append(("F", i))
-            if any(d.m):
+            if any(d.m_tail):
                 out.append(("M", -1))
         else:
             for i, f in enumerate(d.F):
-                if len(f) or d.m[i]:
+                if len(f) or d.m_tail[i]:
                     out.append(("P", i))
         if d.refine.in_h:
             out.append(("H", -1))

@@ -46,7 +46,7 @@ roots its tree, so only a cycle inversion (``set_root``) everts one.
 
 from collections import deque
 
-from .errors import ConfigurationError, ConsistencyError
+from .errors import ConfigurationError, ConsistencyError, CycleError
 from .forest import ParityForest, edge_key
 from .oracles import is_forest
 from .refine import RefinementEngine
@@ -79,8 +79,7 @@ class ArboricityDecomposer:
         self.frac = self.refine.frac
         self.split = SlotTable()
         self.F = []         # layer -> ParityForest of that layer's tree edges
-        self.m = []         # layer -> set of designated cycle edge keys
-        self.m_tail = []    # layer -> {tail vertex: cycle edge key}
+        self.m_tail = []    # layer -> {tail vertex: designated cycle edge key}
         self.placed = {}    # key -> ("F", i) or ("M", i)
         self.incidence = {} # vertex -> pooled cycle edge keys at it
         self.queue = deque()    # evicted or fresh edges awaiting placement
@@ -89,6 +88,11 @@ class ArboricityDecomposer:
         self.inversions = 0
         self.repair_pairs = 0
         self.surplus_ops = 0
+
+    @property
+    def m(self):
+        """Layer -> set of designated cycle edge keys, read off ``m_tail``."""
+        return [set(tails.values()) for tails in self.m_tail]
 
     # ------------------------------------------------------------------
     # public updates
@@ -124,8 +128,8 @@ class ArboricityDecomposer:
         Every unambiguous bundle points away from the endpoint holding
         the larger share, which is exactly the slot table's tail, and
         the ambiguous forest contributes v's parent edge if there is
-        one, read from the heavy-light mirror of H, which shares H's
-        rooting."""
+        one, read from the parent-pointer mirror of H.  This is
+        ``len(self.refine.rounded_out_edges(v))`` without the scan."""
         deg = self.split.out_degree(v)
         if self.refine.hl.parent.get(v) is not None:
             deg += 1
@@ -137,7 +141,6 @@ class ArboricityDecomposer:
     def _ensure_layer(self, i):
         while len(self.F) <= i:
             self.F.append(ParityForest())
-            self.m.append(set())
             self.m_tail.append({})
 
     def _loop_path(self, i, h, t):
@@ -181,7 +184,6 @@ class ArboricityDecomposer:
             t = a if self.m_tail[i].get(a) == key else b
             assert self.m_tail[i].get(t) == key, (key, i)
             del self.m_tail[i][t]
-            self.m[i].discard(key)
             self._pool_discard(key)
             return
         f = self.F[i]
@@ -199,7 +201,6 @@ class ArboricityDecomposer:
         a, b = key
         t = a if self.m_tail[i].get(a) == key else b
         del self.m_tail[i][t]
-        self.m[i].discard(key)
         self._pool_discard(key)
         del self.placed[key]
         self.queue.append(key)
@@ -268,21 +269,19 @@ class ArboricityDecomposer:
         t, i = self.split.where[key]
         h = _other(key, t)
         self._ensure_layer(i)
-        f = self.F[i]
-        # t's only layer-i out-edge is this one, so t roots its tree and h
-        # lies in it exactly when h's root is t; link's CycleError still
-        # guards the other branch
-        if f.find_root(h) == t:
+        try:
+            # t's only layer-i out-edge is this one, so t roots its tree;
+            # link raises before any write when h lies in that tree too
+            self.F[i].link(t, h)
+        except CycleError:
             # closes its component's cycle; becomes the designated edge
             assert t not in self.m_tail[i]
-            self.m[i].add(key)
             self.m_tail[i][t] = key
             self.placed[key] = ("M", i)
             self._pool_add(key)
             self._dirty.append(key)
-        else:
-            f.link(t, h)
-            self.placed[key] = ("F", i)
+            return
+        self.placed[key] = ("F", i)
 
     # ------------------------------------------------------------------
     # pooled-graph restoration
@@ -446,7 +445,6 @@ class ArboricityDecomposer:
         self.moves += 2
         for key, i in ((p, ip), (q, iq)):
             del self.m_tail[i][v]
-            self.m[i].discard(key)
             self._pool_discard(key)
             del self.placed[key]
         self._place(p)
@@ -463,11 +461,9 @@ class ArboricityDecomposer:
         ykey = edge_key(y, v)
         f.cut(y, v)
         del self.m_tail[i][v]
-        self.m[i].discard(key)
         self._pool_discard(key)
         f.link(v, u)
         self.placed[key] = ("F", i)
-        self.m[i].add(ykey)
         self.m_tail[i][y] = ykey
         self.placed[ykey] = ("M", i)
         self._pool_add(ykey)
@@ -557,6 +553,7 @@ class ArboricityDecomposer:
         self.split.check()
         assert not self.queue and not self._dirty
         g = self.g
+        m = self.m
         for key in g.bundles:
             a, b = key
             ca, cb = self.store.true_counts(a, b)
@@ -571,7 +568,6 @@ class ArboricityDecomposer:
             if kind == "F":
                 assert self.F[i].has_edge(a, b)
             else:
-                assert key in self.m[i]
                 assert self.m_tail[i].get(t) == key
                 assert self.F[i].connected(a, b), (key,)
         for key in self.placed:
@@ -580,10 +576,9 @@ class ArboricityDecomposer:
             in_f = {k for k, spot in self.placed.items() if spot == ("F", i)}
             assert in_f == {edge_key(a, b) for a, b in f.edges()}
             assert {k for k, spot in self.placed.items()
-                    if spot == ("M", i)} == self.m[i]
-            assert set(self.m_tail[i].values()) == self.m[i]
+                    if spot == ("M", i)} == m[i]
             ends = set()
-            for k in self.m[i]:
+            for k in m[i]:
                 for v in k:
                     assert v not in ends, (i, k)
                     ends.add(v)
@@ -595,8 +590,8 @@ class ArboricityDecomposer:
             for a, b in f.edges():
                 r = f.find_root(a)
                 held = self.split.slots.get(r, {}).get(i)
-                assert held is None or held in self.m[i], (i, r, held)
-        pooled = [k for ks in self.m for k in ks]
+                assert held is None or held in m[i], (i, r, held)
+        pooled = [k for ks in m for k in ks]
         assert is_forest(pooled), "pooled cycle edges closed a cycle"
         assert set(pooled) == {k for ks in self.incidence.values() for k in ks}
         for v, ks in self.incidence.items():

@@ -117,8 +117,6 @@ class FractionalOrienter:
     def __init__(self, graph, store=None):
         self.g = graph
         self.store = store or EdgeStore(graph)
-        self.copy_insertions = 0
-        self.copy_deletions = 0
 
     def update_nbrs(self, v):
         """Does nothing.  Neighbour sets are always current, so nothing
@@ -163,7 +161,6 @@ class FractionalOrienter:
             log.append((w, nxt) if w < nxt else (nxt, w))
             w = nxt
         g.bump_load(w, 1)
-        self.copy_insertions += 1
         # the raw walk bounds its deduplicated keys
         assert len(log) - start <= 2 * top + 2, (len(log) - start, top)
 
@@ -194,7 +191,6 @@ class FractionalOrienter:
             w = nxt
         top = g.loads[w]
         g.bump_load(w, -1)
-        self.copy_deletions += 1
         assert len(log) - start <= 2 * top + 2, (len(log) - start, top)
 
     def gamma_insert(self, u, v):

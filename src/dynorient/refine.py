@@ -4,8 +4,9 @@ H collects exactly the edges whose bundle split is ambiguous: any edge with
 both counts strictly inside (delta*gamma, (1-delta)*gamma) must be in H, and
 every H edge keeps its counts inside the closed interval widened by mu.  H is
 kept acyclic, so rounding is cheap: a non-H edge points away from its
-larger-count endpoint, and H contributes at most 2 per vertex through the
-heavy-path orienter.
+larger-count endpoint, and an H edge points from child to parent, so H
+contributes at most 1 per vertex.  The parents are read from
+``hl.HeavyLightOrienter``, a parent-pointer mirror of H.
 
 Updates run in two phases.  Phase one lets the fractional engine insert or
 delete the gamma copies; every bundle it touches lands on stack Q.  Phase two
@@ -210,9 +211,10 @@ class RefinementEngine:
 
     def rounded_out_edges(self, v):
         """Explicit out-edges of v: non-H edges point away from the endpoint
-        carrying the larger count, H edges follow the heavy-path directions.
-        A non-H edge rounded away from v has a positive count out of v, so
-        v's out-neighbour set holds every candidate.  Pure: mutates nothing."""
+        carrying the larger count, and v's H parent edge, if any, points
+        out of v, as in ``ArboricityDecomposer.out_degree``.  A non-H edge
+        rounded away from v has a positive count out of v, so v's
+        out-neighbour set holds every candidate.  Pure: mutates nothing."""
         out = []
         for w in sorted(self.g.out_nbrs[v]):
             key = edge_key(v, w)
@@ -225,8 +227,9 @@ class RefinementEngine:
             elif toward_w == toward_v and v < w:
                 log.debug("rounding tie on %s: pointing away from %d", key, v)
                 out.append((v, w))
-        for key in self.hl.out_edges.get(v, ()):
-            out.append((v, key[0] if v == key[1] else key[1]))
+        par = self.hl.parent.get(v)
+        if par is not None:
+            out.append((v, par))
         return out
 
     def rounded_out_degree(self, v):
@@ -258,8 +261,8 @@ class RefinementEngine:
             assert self.hl.has_edge(*key)
             assert self.H.has_edge(*key)
         assert len(self.H) == len(self.in_h)
-        # out-degree reads H's parent map off the heavy-light mirror; it
-        # must agree with H edge for edge (so the roots agree too)
+        # out-degrees read H's parents off the mirror; it must agree with
+        # H edge for edge (so the roots agree too)
         for v, par in self.hl.parent.items():
             fe = self.H.first_edge_on_root_path(v) if self.H.has_vertex(v) else None
             got = None if fe is None else edge_key(*fe)

@@ -126,7 +126,6 @@ def test_triangle_two_copies_each_balances():
     assert max(g.loads) == 2
     assert sorted(g.loads[:3]) == [2, 2, 2]
     assert check_eta_valid(g.loads, g.bundles) == []
-    assert fo.copy_insertions == 6
 
 
 def test_tight_in_nbr_threshold():
@@ -196,7 +195,6 @@ def test_load_conservation_and_validity_random_mix():
             assert check_eta_valid(g.loads, g.bundles) == []
         assert sum(g.loads) == copies
     assert check_eta_valid(g.loads, g.bundles) == []
-    assert fo.copy_insertions == copies + fo.copy_deletions
 
 
 def test_heap_agrees_with_scan_oracle():
@@ -321,5 +319,3 @@ def test_gamma_walks_share_one_log(seed):
             assert ga.max_load_in_nbr(w) == gb.max_load_in_nbr(w), w
     assert longest > 1, "no walk ever left the inserted bundle"
     assert merged, "no two copies' walks ever shared a key"
-    assert fa.copy_insertions == fb.copy_insertions
-    assert fa.copy_deletions == fb.copy_deletions
