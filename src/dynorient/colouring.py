@@ -6,10 +6,12 @@ parity plus one reserved colour for the vertex the cycle hangs off), and
 a vertex's colour is the vector of those per-part colours packed into a
 single integer in mixed radix.  When the structures underneath change,
 every query after that reflects the new decomposition; nothing here is
-ever written, only read.
+ever written, only read.  The forests underneath memoise the depth
+parities they were asked for until their next link, cut or evert, so
+repeated queries between two updates mostly skip the splay work.
 """
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, VertexRangeError
 
 FOREST_MODE = "forest-decomposition"
 PSEUDOFOREST_MODE = "pseudoforest"
@@ -67,8 +69,10 @@ class ProductColouring:
 
     Factors are ordered by layer index with the ambiguous forest last,
     so codes are stable between updates.  Queries never mutate the
-    engine; ``forest_queries`` counts the link/cut reads issued so the
-    per-query cost stays inspectable.
+    engine; ``forest_queries`` counts the link/cut reads requested, one
+    membership test per tree factor plus one depth-parity read per tree
+    that holds the vertex, memo hits included, so the per-query cost
+    stays inspectable and does not depend on what was asked before.
     """
 
     def __init__(self, decomp, mode=FOREST_MODE):
@@ -109,13 +113,6 @@ class ProductColouring:
             out.append(("H", -1))
         return out
 
-    def _parity(self, f, v):
-        self.forest_queries += 1
-        if not f.has_vertex(v):
-            return 0
-        self.forest_queries += 1
-        return f.depth_parity(v)
-
     def _pool_parity(self, v):
         # The pooled cycle edges form a forest but live in plain sets,
         # not in a link/cut structure, so walk v's component and take
@@ -135,25 +132,52 @@ class ProductColouring:
     # queries
 
     def colour(self, v):
+        """Colour of vertex v.  One pass over the layers, the pooled
+        cycle edges and H, in ``_factors()`` order; raises
+        VertexRangeError for a v outside [0, n_cap) before any read."""
         d = self.d
+        n = d.params.n_cap
+        if not 0 <= v < n:
+            raise VertexRangeError(f"vertex {v} outside [0, {n})")
         digits = []
         radices = []
-        for kind, i in self._factors():
-            if kind == "F":
-                digits.append(self._parity(d.F[i], v))
-                radices.append(2)
-            elif kind == "M":
+        reads = 0
+        if self._mode == FOREST_MODE:
+            for f in d.F:
+                if len(f):
+                    reads += 1
+                    if f.has_vertex(v):
+                        reads += 1
+                        digits.append(f.depth_parity(v))
+                    else:
+                        digits.append(0)
+                    radices.append(2)
+            if any(d.m_tail):
                 digits.append(self._pool_parity(v))
                 radices.append(2)
-            elif kind == "P":
-                if v in d.m_tail[i]:
-                    digits.append(2)
-                else:
-                    digits.append(self._parity(d.F[i], v))
-                radices.append(3)
+        else:
+            for f, tails in zip(d.F, d.m_tail):
+                if len(f) or tails:
+                    if v in tails:
+                        digits.append(2)
+                    else:
+                        reads += 1
+                        if f.has_vertex(v):
+                            reads += 1
+                            digits.append(f.depth_parity(v))
+                        else:
+                            digits.append(0)
+                    radices.append(3)
+        if d.refine.in_h:
+            h = d.refine.H
+            reads += 1
+            if h.has_vertex(v):
+                reads += 1
+                digits.append(h.depth_parity(v))
             else:
-                digits.append(self._parity(d.refine.H, v))
-                radices.append(2)
+                digits.append(0)
+            radices.append(2)
+        self.forest_queries += reads
         return ColourCode(digits, radices)
 
     def colour_count(self):

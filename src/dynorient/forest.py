@@ -57,6 +57,18 @@ v's depth parity is its size modulo 2.  Which operations evert:
   headed by the child, whichever endpoint comes first;
 * ``connected``, ``find_root`` and ``depth_parity`` never evert.
 
+Both forests keep a read-through memo of depth parities, one int per
+vertex read since the last drop.  ``depth_parity`` answers from it and
+fills it on a miss, at the cost of the access it would make anyway.  A
+successful ``link``, ``cut`` or ``set_root`` drops the whole memo, since
+each can move the depth of every vertex in a tree; a typed error raised
+before the write keeps it.  ``path_update`` and its wrappers restore the
+old root before they return, and ``set_edge_weight``, ``connected``,
+``find_root`` and ``first_edge_on_root_path`` move no root, so no depth
+changes and all of these keep it.
+Reading the parity of a vertex the forest has never seen answers 0 and
+creates no node.
+
 Both forests are iterative throughout, so deep paths do not recurse.
 """
 
@@ -273,6 +285,7 @@ class LinkCutForest:
         self.gamma = gamma
         self._v = {}
         self._e = {}
+        self._parity = {}   # depth-parity memo; link, cut, set_root drop it
 
     def _vnode(self, v: int) -> _Node:
         n = self._v.get(v)
@@ -315,6 +328,8 @@ class LinkCutForest:
 
     def set_root(self, r: int):
         _wevert(self._vnode(r))
+        if self._parity:
+            self._parity.clear()
 
     def link(self, u: int, v: int, weight_u: int):
         """Join u's tree to v's with an edge weighing ``weight_u`` toward u.
@@ -345,6 +360,8 @@ class LinkCutForest:
         nu.parent = e
         e.parent = nv
         self._e[key] = e
+        if self._parity:
+            self._parity.clear()
 
     def cut(self, u: int, v: int):
         """Remove edge (u, v).
@@ -366,6 +383,8 @@ class LinkCutForest:
         e.right.parent = None
         e.left = e.right = None
         del self._e[key]
+        if self._parity:
+            self._parity.clear()
         # the parent side keeps the old root, the child side is headed by
         # the child
         if child != u:
@@ -387,7 +406,8 @@ class LinkCutForest:
         would leave [0, gamma] raises WeightRangeError with nothing
         changed.  Returns ``(witness, shift)``, the witness an endpoint
         pair or None.  The tree keeps its root: u's tree is everted at u
-        for the exposure and the old root restored after it.
+        for the exposure and the old root restored after it, so every
+        depth is unchanged and the parity memo is kept.
         """
         nu, nv = self._v.get(u), self._v.get(v)
         if nu is None or nv is None or nu is nv:
@@ -502,11 +522,17 @@ class LinkCutForest:
     # root-relative queries (no rerooting)
 
     def depth_parity(self, v: int) -> int:
-        """Parity of the number of edges between v and its tree root."""
-        nv = self._vnode(v)
-        _waccess(nv)
-        left = nv.left
-        return (left.n_edges & 1) if left is not None else 0
+        """Parity of the number of edges between v and its tree root; 0
+        for a vertex the forest has never seen."""
+        p = self._parity.get(v)
+        if p is None:
+            nv = self._v.get(v)
+            if nv is None:
+                return 0
+            _waccess(nv)
+            left = nv.left
+            p = self._parity[v] = left.n_edges & 1 if left is not None else 0
+        return p
 
     def first_edge_on_root_path(self, v: int):
         """The edge incident to v on the v-to-root path, or None at the root."""
@@ -650,6 +676,7 @@ class ParityForest:
     def __init__(self):
         self._v = {}
         self._e = set()
+        self._parity = {}   # depth-parity memo; link, cut, set_root drop it
 
     def _vnode(self, v: int) -> _Vertex:
         n = self._v.get(v)
@@ -681,13 +708,21 @@ class ParityForest:
         x = self._vnode(r)
         _access(x)
         x.rev = not x.rev
+        if self._parity:
+            self._parity.clear()
 
     def depth_parity(self, v: int) -> int:
-        """Parity of the number of edges between v and its tree root."""
-        x = self._vnode(v)
-        _access(x)
-        left = x.left
-        return left.size & 1 if left is not None else 0
+        """Parity of the number of edges between v and its tree root; 0
+        for a vertex the forest has never seen."""
+        p = self._parity.get(v)
+        if p is None:
+            x = self._v.get(v)
+            if x is None:
+                return 0
+            _access(x)
+            left = x.left
+            p = self._parity[v] = left.size & 1 if left is not None else 0
+        return p
 
     def connected(self, u: int, v: int) -> bool:
         if u == v:
@@ -720,6 +755,8 @@ class ParityForest:
             nu.rev = not nu.rev
         nu.parent = nv
         self._e.add(key)
+        if self._parity:
+            self._parity.clear()
 
     def cut(self, u: int, v: int):
         """Remove edge (u, v) without rerooting either side."""
@@ -727,6 +764,8 @@ class ParityForest:
         if key not in self._e:
             raise MissingEdgeError(f"no edge {key}")
         self._e.remove(key)
+        if self._parity:
+            self._parity.clear()
         nu, nv = self._v[u], self._v[v]
         _access(nu)
         _splay(nv)

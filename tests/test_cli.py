@@ -155,13 +155,19 @@ def test_run_end_state_is_pinned(trace, n, counters, state_hash, optimised,
     assert report["state_hash"] == state_hash
 
 
-def _with_colour_queries(trace, n):
-    """The trace with a colour query for every vertex after every update."""
+def _with_colour_queries(trace, n, passes=1):
+    """The trace with ``passes`` colour queries for every vertex, one
+    vertex after another, after every update."""
     lines = []
     for line in trace.splitlines():
         lines.append(line)
-        lines.extend(f"c {v}" for v in range(n))
+        for _ in range(passes):
+            lines.extend(f"c {v}" for v in range(n))
     return "\n".join(lines) + "\n"
+
+
+def _digest(answers):
+    return hashlib.sha256(json.dumps(answers).encode()).hexdigest()
 
 
 # Properness alone would not notice a wrong layer root or depth parity
@@ -188,8 +194,31 @@ def test_colour_answers_are_pinned(mode, answers_hash, optimised, tmp_path):
     assert report["status"] == "ok"
     answers = [r["value"] for r in report["results"]]
     assert len(answers) == 12 * len(_dense_churn_trace(14).splitlines())
-    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
-    assert digest == answers_hash
+    assert _digest(answers) == answers_hash
+
+
+@pytest.mark.parametrize("mode, answers_hash", _PINNED_COLOURS)
+def test_repeated_colour_passes_agree_with_the_pinned_answers(
+        mode, answers_hash, tmp_path):
+    """Two colour passes over every vertex after every update.  The first
+    pass after an update reads the forests afresh and fills their parity
+    memos; the second answers from the memos.  Both give the pinned
+    answers."""
+    n = 12
+    path = tmp_path / "t.trace"
+    path.write_text(_with_colour_queries(_dense_churn_trace(14), n, passes=2),
+                    encoding="utf-8")
+    code, text = run_cli(["run", "--mode", mode, "--n", str(n), str(path)])
+    report = json.loads(text)
+    assert code == cli.EXIT_OK, report["violations"]
+    answers = [r["value"] for r in report["results"]]
+    assert len(answers) == 2 * n * len(_dense_churn_trace(14).splitlines())
+    first, second = [], []
+    for k in range(0, len(answers), 2 * n):
+        first += answers[k:k + n]
+        second += answers[k + n:k + 2 * n]
+    assert first == second
+    assert _digest(first) == answers_hash
 
 
 def test_bench_header_is_frozen_and_counters_monotone(tmp_path):

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from dynorient import forest
 from dynorient.colouring import ColourCode, ProductColouring
 from dynorient.decompose import ArboricityDecomposer
-from dynorient.errors import ConfigurationError
+from dynorient.errors import ConfigurationError, VertexRangeError
 from dynorient.forest import edge_key
 from dynorient.oracles import is_proper
 from dynorient.params import Params
@@ -123,6 +128,52 @@ def test_queries_are_cheap_and_repeatable():
         spent = col.forest_queries - before
         assert spent <= 2 * len(first.digits)
         assert col.colour(v) == first
+
+
+@pytest.mark.parametrize("mode", ["forest-decomposition", "pseudoforest"])
+def test_out_of_range_vertex_is_rejected_before_any_read(mode, monkeypatch):
+    d = decomposer()
+    stage(d, TRIANGLE)
+    d.insert_edge(3, 4)
+    col = ProductColouring(d, mode=mode)
+    accesses = []
+    for name in ("_access", "_waccess"):
+        def counted(x, fn=getattr(forest, name)):
+            accesses.append(x)
+            return fn(x)
+        monkeypatch.setattr(forest, name, counted)
+    for bad in (-1, d.params.n_cap):
+        with pytest.raises(VertexRangeError):
+            col.colour(bad)
+    assert col.forest_queries == 0
+    assert accesses == []
+    assert col.colour(d.params.n_cap - 1).radices
+
+
+_REJECT_UNDER_O = textwrap.dedent("""
+    from dynorient import ArboricityDecomposer, Params, ProductColouring
+    from dynorient.errors import VertexRangeError
+    d = ArboricityDecomposer(Params(n_cap=6, gamma=8, epsilon=1.0))
+    d.insert_edge(0, 1)
+    for mode in ("forest-decomposition", "pseudoforest"):
+        col = ProductColouring(d, mode=mode)
+        for bad in (-1, 6):
+            try:
+                col.colour(bad)
+            except VertexRangeError:
+                continue
+            raise SystemExit(f"{mode} answered vertex {bad}")
+    print("rejected")
+""")
+
+
+def test_out_of_range_vertex_is_rejected_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forest.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_UNDER_O],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 @pytest.mark.parametrize("mode", ["forest-decomposition", "pseudoforest"])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -287,6 +288,41 @@ def test_link_cut_accesses_per_update_stay_in_budget(monkeypatch):
     assert counts["H"] / updates <= 5.71, counts
     assert counts["layers"] / updates <= 9.85, counts
     assert d.refine.inversions > 50, "too few rotations to weigh"
+
+
+@pytest.mark.parametrize("mode, budget", [("forest-decomposition", 2.53),
+                                          ("pseudoforest", 2.45)])
+def test_colour_query_accesses_stay_in_budget(monkeypatch, mode, budget):
+    """Link-cut accesses per colour query, counted like the update budget
+    above, on the same seed-1 dense-churn replay (488 updates) with a
+    query for every vertex after every update.  With a fresh splay access
+    for every depth-parity read, a query made 5.55 accesses in forest
+    mode and 5.28 in pseudoforest mode; the forests' parity memo, dropped
+    on every link, cut and evert, gives 2.52 and 2.44.  Every answer's
+    radix product must equal ``colour_count()``, so the one-pass query
+    and ``_factors()`` agree on the active factors."""
+    from dynorient import forest
+    from dynorient.colouring import ProductColouring
+    accesses = [0]
+    for name in ("_access", "_waccess"):
+        def counted(x, fn=getattr(forest, name)):
+            accesses[0] += 1
+            return fn(x)
+        monkeypatch.setattr(forest, name, counted)
+    rng = random.Random(1)
+    n = 12
+    d = decomposer(n=n, paranoid=False)
+    col = ProductColouring(d, mode=mode)
+    spent = queries = 0
+    for _ in dense_churn(d, rng, n, 500, n * (n - 1) // 2 * 0.8, 0.1):
+        total = col.colour_count()
+        before = accesses[0]
+        for v in range(n):
+            assert math.prod(col.colour(v).radices) == total
+        spent += accesses[0] - before
+        queries += n
+    assert queries == 488 * n
+    assert spent / queries <= budget, spent / queries
 
 
 def test_out_of_range_vertex_is_rejected_and_changes_nothing():

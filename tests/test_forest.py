@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynorient import forest
 from dynorient.errors import (CycleError, MissingEdgeError, NotConnectedError,
                               WeightRangeError)
 from dynorient.forest import LinkCutForest, ParityForest, edge_key
@@ -188,7 +189,20 @@ def test_path_ops_require_connectivity():
 # differential driving against the naive mirror
 
 
+def _check_parities(f, mirror, n):
+    """Every vertex's depth parity against the mirror, read twice so the
+    second read comes from the memo.  A vertex the mirror has never seen
+    reads 0 and stays unseen by it."""
+    for x in range(n):
+        want = mirror.depth_parity(x) if mirror.has_vertex(x) else 0
+        assert f.depth_parity(x) == want, x
+        assert f.depth_parity(x) == want, x
+
+
 def _drive(seed, n, steps, gamma=16):
+    """Random link/cut/set_root/add_weight/set_edge_weight and reads
+    beside the naive mirror, with every depth parity read after every op,
+    rejected links included."""
     rng = random.Random(seed)
     real = LinkCutForest(gamma)
     mirror = NaiveWeightedForest(gamma)
@@ -203,6 +217,9 @@ def _drive(seed, n, steps, gamma=16):
                 real.link(u, v, w)
                 mirror.link(u, v, w)
                 edges.append((u, v))
+            else:
+                with pytest.raises(CycleError):
+                    real.link(u, v, 0)
         elif op == 3 and edges:
             a, b = edges.pop(rng.randrange(len(edges)))
             real.cut(a, b)
@@ -243,6 +260,7 @@ def _drive(seed, n, steps, gamma=16):
             assert (re_ is None) == (me is None)
             if re_ is not None:
                 assert edge_key(*re_) == edge_key(*me)
+        _check_parities(real, mirror, n)
     # final full audit
     for a, b in edges:
         assert real.edge_weight(a, b) == mirror.edge_weight(a, b)
@@ -363,6 +381,7 @@ def _drive_path_update(seed, n, steps, gamma=8):
         else:
             kinds.add(_path_update_step(real, mirror, rng, u, v, edges, n,
                                         gamma))
+        _check_parities(real, mirror, n)
     assert _roots(real, n) == [mirror.find_root(x) if mirror.has_vertex(x)
                                else None for x in range(n)]
     return kinds
@@ -472,11 +491,11 @@ def _drive_parity(seed, n, steps):
             if u == v or mirror.connected(u, v):
                 with pytest.raises(CycleError):
                     lean.link(u, v)
-                continue
-            lean.link(u, v)
-            mirror.link(u, v, 0)
-            real.link(u, v, 0)
-            edges.append((u, v))
+            else:
+                lean.link(u, v)
+                mirror.link(u, v, 0)
+                real.link(u, v, 0)
+                edges.append((u, v))
             touched = (u, v)
         elif op == 2 and edges:
             a, b = edges.pop(rng.randrange(len(edges)))
@@ -492,6 +511,7 @@ def _drive_parity(seed, n, steps):
             mirror.set_root(u)
             real.set_root(u)
             touched = (u, v)
+        _check_parities(lean, mirror, n)
         _compare_parity(lean, mirror, touched)
         for x in touched:
             assert lean.find_root(x) == real.find_root(x), x
@@ -563,3 +583,88 @@ def test_parity_forest_deep_path_no_recursion_trouble():
     assert f.find_root(mid + 1) == n - 1
     assert not f.connected(0, n - 1)
     assert len(f) == n - 2
+
+
+# ----------------------------------------------------------------------
+# the depth-parity memo
+
+
+def _counted_accesses(monkeypatch):
+    """Count calls of both access functions from here on."""
+    counts = [0]
+    for name in ("_access", "_waccess"):
+        def counted(x, fn=getattr(forest, name)):
+            counts[0] += 1
+            return fn(x)
+        monkeypatch.setattr(forest, name, counted)
+    return counts
+
+
+def _weighted_path():
+    f = LinkCutForest(gamma=8)
+    for a in range(3):
+        f.link(a, a + 1, 4)         # 0-1-2-3 rooted at 3
+    return f
+
+
+def _lean_path():
+    f = ParityForest()
+    for a in range(3):
+        f.link(a, a + 1)
+    return f
+
+
+@pytest.mark.parametrize("make", [_weighted_path, _lean_path])
+def test_parity_read_creates_no_vertex(make):
+    f = make()
+    nodes = len(f._v)
+    assert f.depth_parity(9) == 0
+    assert not f.has_vertex(9)
+    assert len(f._v) == nodes
+    assert not f.connected(9, 9)
+
+
+def test_weighted_memo_survives_reads_and_rejected_writes(monkeypatch):
+    f = _weighted_path()
+    accesses = _counted_accesses(monkeypatch)
+    assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
+    assert accesses[0] == 4
+    with pytest.raises(CycleError):
+        f.link(0, 3, 4)
+    with pytest.raises(WeightRangeError):
+        f.link(0, 5, 9)
+    with pytest.raises(MissingEdgeError):
+        f.cut(0, 2)
+    with pytest.raises(WeightRangeError):
+        f.add_weight(0, 3, 5)
+    f.add_weight(0, 3, 2)
+    f.set_edge_weight(1, 2, 0)
+    assert edge_key(*f.find_extreme_edge(3, 0, "min")) == (2, 3)
+    assert f.find_root(0) == 3 and f.connected(0, 3)
+    spent = accesses[0]
+    assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
+    assert accesses[0] == spent, "a read-only or rejected op dropped the memo"
+    f.set_root(0)
+    assert [f.depth_parity(x) for x in range(4)] == [0, 1, 0, 1]
+    assert accesses[0] == spent + 1 + 4
+
+
+def test_lean_memo_survives_reads_and_rejected_writes(monkeypatch):
+    f = _lean_path()
+    accesses = _counted_accesses(monkeypatch)
+    assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
+    assert accesses[0] == 4
+    with pytest.raises(CycleError):
+        f.link(0, 3)
+    with pytest.raises(CycleError):
+        f.link(2, 2)
+    with pytest.raises(MissingEdgeError):
+        f.cut(0, 2)
+    assert f.find_root(0) == 3 and f.connected(0, 3)
+    spent = accesses[0]
+    assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
+    assert accesses[0] == spent, "a read-only or rejected op dropped the memo"
+    f.cut(1, 2)
+    assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
+    f.link(1, 3)
+    assert [f.depth_parity(x) for x in range(4)] == [0, 1, 1, 0]
