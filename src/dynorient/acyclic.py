@@ -19,26 +19,21 @@ directed cycle.
 """
 
 from .errors import (ConfigurationError, DuplicateEdgeError,
-                     MissingEdgeError, SelfLoopError, VertexRangeError)
+                     MissingEdgeError, SelfLoopError, VertexRangeError,
+                     require)
 from .forest import edge_key
 
 
 class BFOrienter:
     """Sink-flip orienter with out-degrees capped at d = 2*(alpha_max+1)."""
 
-    def __init__(self, n_cap: int, alpha_max: int | None = None, d: int | None = None):
+    def __init__(self, n_cap: int, alpha_max: int | None = None):
         if n_cap < 1:
             raise ConfigurationError(f"n_cap must be >= 1, got {n_cap}")
-        if d is None:
-            if alpha_max is None:
-                raise ConfigurationError("need alpha_max or an explicit degree cap")
-            if alpha_max < 1:
-                raise ConfigurationError(f"alpha_max must be >= 1, got {alpha_max}")
-            d = 2 * (alpha_max + 1)
-        if d < 1:
-            raise ConfigurationError(f"degree cap must be >= 1, got {d}")
+        if alpha_max is None or alpha_max < 1:
+            raise ConfigurationError(f"alpha_max must be >= 1, got {alpha_max}")
         self.n_cap = n_cap
-        self.d = d
+        self.d = 2 * (alpha_max + 1)
         self.out = [[] for _ in range(n_cap)]
         self.edge_count = 0
         self.flip_count = 0
@@ -127,10 +122,10 @@ class BFOrienter:
 
     def verify(self):
         for v, lst in enumerate(self.out):
-            assert len(lst) <= self.d, (v, len(lst), self.d)
-            assert len(set(lst)) == len(lst), (v, lst)
-            assert v not in lst, (v,)
-        assert sum(len(lst) for lst in self.out) == self.edge_count
+            require(len(lst) <= self.d, v, len(lst), self.d)
+            require(len(set(lst)) == len(lst), v, lst)
+            require(v not in lst, v)
+        require(sum(map(len, self.out)) == self.edge_count, "edge count")
         indeg = [0] * self.n_cap
         for lst in self.out:
             for w in lst:
@@ -143,4 +138,4 @@ class BFOrienter:
                 if not indeg[w]:
                     order.append(w)
                     seen += 1
-        assert seen == self.n_cap, "orientation has a directed cycle"
+        require(seen == self.n_cap, "orientation has a directed cycle")

@@ -28,7 +28,7 @@ import time
 from .acyclic import BFOrienter
 from .colouring import ProductColouring
 from .decompose import ArboricityDecomposer
-from .errors import ConfigurationError, DynOrientError, TraceError
+from .errors import ConfigurationError, DynOrientError, TraceError, require
 from .forest import edge_key
 from .oracles import exact_arboricity, is_forest, is_proper
 from .params import Params
@@ -131,14 +131,15 @@ class _Session:
         bound = int((1 + self.epsilon) * self._alpha()) + 2
         for v in range(self.n):
             deg = self.d.out_degree(v)
-            assert deg <= bound, f"out-degree {deg} > {bound} at vertex {v}"
+            require(deg <= bound, f"out-degree {deg} > {bound} at vertex {v}")
 
     def _check_partitions(self):
         for part in self.bf.partitions():
-            assert is_forest(part), part
+            require(is_forest(part), part)
 
     def _check_proper(self):
-        assert is_proper(self.live, lambda v: self.col.colour(v).code)
+        require(is_proper(self.live, lambda v: self.col.colour(v).code),
+                "colouring is not proper")
 
     # ------------------------------------------------------------------
 

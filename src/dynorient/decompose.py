@@ -46,7 +46,7 @@ roots its tree, so only a cycle inversion (``set_root``) everts one.
 
 from collections import deque
 
-from .errors import ConfigurationError, ConsistencyError, CycleError
+from .errors import ConfigurationError, ConsistencyError, CycleError, require
 from .forest import ParityForest, edge_key
 from .oracles import is_forest
 from .refine import RefinementEngine
@@ -64,11 +64,9 @@ class ArboricityDecomposer:
     fractional engine's load bound holds."""
 
     def __init__(self, params, paranoid: bool = False):
-        if params.delta_num is None:
-            raise ConfigurationError("decomposition needs the refinement thresholds")
-        if params.gamma // 2 <= params.delta_num:
+        if params.gamma // 2 <= params.low_cut:
             raise ConfigurationError(
-                f"low cutoff {params.delta_num} must stay strictly below gamma/2"
+                f"low cutoff {params.low_cut} must stay strictly below gamma/2"
             )
         self.params = params
         self.paranoid = paranoid
@@ -493,7 +491,7 @@ class ArboricityDecomposer:
                     if abs(loads[a] - loads[b]) >= 2]
         if self.paranoid:
             loads_before = list(loads)
-        x = p.gamma - p.delta_num
+        x = p.gamma - p.low_cut
         for a, b in loop:
             ca, cb = g.counts(a, b)
             g.set_counts_raw(a, b, ca - x, cb + x)
@@ -551,52 +549,52 @@ class ArboricityDecomposer:
     def verify(self, alpha=None):
         self.refine.verify()
         self.split.check()
-        assert not self.queue and not self._dirty
+        require(not self.queue and not self._dirty, "placement left pending")
         g = self.g
         m = self.m
         for key in g.bundles:
             a, b = key
             ca, cb = self.store.true_counts(a, b)
             if key in self.refine.in_h:
-                assert key not in self.split.where and key not in self.placed
+                require(key not in self.split.where and key not in self.placed, key)
                 continue
-            assert ca != cb, (key, ca)
+            require(ca != cb, key, ca)
             t = a if ca > cb else b
-            assert self.split.where.get(key, (None, None))[0] == t, (key, t)
+            require(self.split.where.get(key, (None, None))[0] == t, key, t)
             kind, i = self.placed[key]
-            assert self.split.where[key][1] == i
+            require(self.split.where[key][1] == i, key, i)
             if kind == "F":
-                assert self.F[i].has_edge(a, b)
+                require(self.F[i].has_edge(a, b), key, i)
             else:
-                assert self.m_tail[i].get(t) == key
-                assert self.F[i].connected(a, b), (key,)
+                require(self.m_tail[i].get(t) == key, key, i)
+                require(self.F[i].connected(a, b), key, i)
         for key in self.placed:
-            assert key in g.bundles and key not in self.refine.in_h
+            require(key in g.bundles and key not in self.refine.in_h, key)
         for i, f in enumerate(self.F):
             in_f = {k for k, spot in self.placed.items() if spot == ("F", i)}
-            assert in_f == {edge_key(a, b) for a, b in f.edges()}
-            assert {k for k, spot in self.placed.items()
-                    if spot == ("M", i)} == m[i]
+            require(in_f == {edge_key(a, b) for a, b in f.edges()}, i)
+            require({k for k, spot in self.placed.items()
+                     if spot == ("M", i)} == m[i], i)
             ends = set()
             for k in m[i]:
                 for v in k:
-                    assert v not in ends, (i, k)
+                    require(v not in ends, i, k)
                     ends.add(v)
             for t, k in self.m_tail[i].items():
-                assert t in k
-                assert f.find_root(t) == t, (i, k)
+                require(t in k, i, t, k)
+                require(f.find_root(t) == t, i, k)
             # a layer root holds no tree out-edge: its slot is either free
             # or the designated cycle edge
             for a, b in f.edges():
                 r = f.find_root(a)
                 held = self.split.slots.get(r, {}).get(i)
-                assert held is None or held in m[i], (i, r, held)
+                require(held is None or held in m[i], i, r, held)
         pooled = [k for ks in m for k in ks]
-        assert is_forest(pooled), "pooled cycle edges closed a cycle"
-        assert set(pooled) == {k for ks in self.incidence.values() for k in ks}
+        require(is_forest(pooled), "pooled cycle edges closed a cycle")
+        require(set(pooled) == {k for ks in self.incidence.values() for k in ks})
         for v, ks in self.incidence.items():
             for k in ks:
-                assert v in k
+                require(v in k, v, k)
         seen = set()
         width = max(1, self.split.partition_count())
         for k in pooled:
@@ -605,8 +603,8 @@ class ArboricityDecomposer:
             comp_keys, _ = self._component(k)
             seen |= comp_keys
             labels = [self.placed[ck][1] for ck in comp_keys]
-            assert len(labels) == len(set(labels)), "component not colourful"
-            assert len(comp_keys) <= width, (len(comp_keys), width)
+            require(len(labels) == len(set(labels)), "component not colourful")
+            require(len(comp_keys) <= width, len(comp_keys), width)
         if alpha is not None:
             cap = int((1 + self.params.epsilon) * alpha) + 2
-            assert len(self.forests()) <= cap, (len(self.forests()), cap)
+            require(len(self.forests()) <= cap, len(self.forests()), cap)

@@ -48,3 +48,10 @@ class SizeError(DynOrientError):
 class TraceError(DynOrientError):
     """Malformed trace line or op not applicable to the current state."""
 
+
+
+def require(ok, *context):
+    """Raise ``ConsistencyError(*context)`` unless ``ok``; unlike ``assert``,
+    it still checks under ``python -O``."""
+    if not ok:
+        raise ConsistencyError(*context)

@@ -66,8 +66,8 @@ before the write keeps it.  ``path_update`` and its wrappers restore the
 old root before they return, and ``set_edge_weight``, ``connected``,
 ``find_root`` and ``first_edge_on_root_path`` move no root, so no depth
 changes and all of these keep it.
-Reading the parity of a vertex the forest has never seen answers 0 and
-creates no node.
+Reads create no node: a vertex the forest has never seen has depth parity
+0, is its own root and has no edge on its root path.
 
 Both forests are iterative throughout, so deep paths do not recurse.
 """
@@ -301,15 +301,13 @@ class LinkCutForest:
     def has_vertex(self, v: int) -> bool:
         return v in self._v
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._e
-
     def edges(self):
         """Iterate over edge keys currently in the forest."""
         return iter(list(self._e.keys()))
 
-    def __len__(self):
-        return len(self._e)
+    def edge_keys(self):
+        """Live view of the edge keys: it follows every link and cut."""
+        return self._e.keys()
 
     def connected(self, u: int, v: int) -> bool:
         if u == v:
@@ -324,7 +322,8 @@ class LinkCutForest:
         return nu.parent is not None
 
     def find_root(self, v: int) -> int:
-        return _whead(self._vnode(v)).vid
+        nv = self._v.get(v)
+        return v if nv is None else _whead(nv).vid
 
     def set_root(self, r: int):
         _wevert(self._vnode(r))
@@ -536,7 +535,9 @@ class LinkCutForest:
 
     def first_edge_on_root_path(self, v: int):
         """The edge incident to v on the v-to-root path, or None at the root."""
-        nv = self._vnode(v)
+        nv = self._v.get(v)
+        if nv is None:
+            return None
         _waccess(nv)
         cur = nv.left
         if cur is None:
@@ -698,7 +699,9 @@ class ParityForest:
         return len(self._e)
 
     def find_root(self, v: int) -> int:
-        x = self._vnode(v)
+        x = self._v.get(v)
+        if x is None:
+            return v
         _access(x)
         r = _leftmost(x)
         _splay(r)

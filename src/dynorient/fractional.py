@@ -12,12 +12,13 @@ equals deduplicating each walk's keys and then their concatenation.
 A bundle's counters live in the raw tables of GraphState, or, while the
 bundle sits in the refinement forest H, as the weight of its edge in that
 LinkCutForest (so path-wide count shifts around H cycles stay logarithmic).
-EdgeStore hides the split with one set of resident keys, the edges of H:
-a key in the set reads and flips through the tree, any other key through
-the raw tables, and tree-resident flips are mirrored into the raw tables.
-Path-wide shifts in H skip the raw tables; they keep every H count inside
-the widened ambiguity window, away from zero, so neighbour sets never
-depend on the stale raw values.
+EdgeStore routes by a live view of the tree's edge keys: a key with an
+edge in the tree reads and flips through the tree, any other key through
+the raw tables (every key, for a store with no tree), and tree-resident
+flips are mirrored into the raw tables.  Path-wide shifts in H skip the
+raw tables; they keep every H count inside the widened ambiguity window,
+away from zero, so neighbour sets never depend on the stale raw values,
+and ``sync_bundle`` writes the count back before an edge leaves the tree.
 """
 
 from .errors import MissingEdgeError, SelfLoopError, DuplicateEdgeError
@@ -43,25 +44,12 @@ class EdgeStore:
     def __init__(self, graph, tree=None):
         self.g = graph
         self.tree = tree
-        self.resident = set()   # keys whose counter is the tree edge weight
-
-    def place(self, u, v):
-        """Declare the tree edge (u, v) authoritative for the bundle.  Raw
-        counters must already agree (they do right after a link, which
-        copies the current count into the edge weight)."""
-        key = edge_key(u, v)
-        assert key not in self.resident
-        self.resident.add(key)
-
-    def release(self, u, v):
-        """Hand the bundle back to the raw tables, writing the tree count
-        through first."""
-        self.sync_bundle(u, v)
-        self.resident.remove(edge_key(u, v))
+        # keys whose counter is the tree edge weight: a view, not a copy
+        self.in_tree = tree.edge_keys() if tree is not None else frozenset()
 
     def true_counts(self, u, v):
         """Authoritative (count toward v, count toward u) pair."""
-        if ((u, v) if u < v else (v, u)) not in self.resident:
+        if ((u, v) if u < v else (v, u)) not in self.in_tree:
             return self.g.counts(u, v)
         cu = self.tree.edge_weight(u, v)
         return cu, self.g.params.gamma - cu
@@ -75,7 +63,7 @@ class EdgeStore:
 
     def flip_copy(self, u, v):
         """Reorient one copy from u->v to v->u (no load change)."""
-        if ((u, v) if u < v else (v, u)) not in self.resident:
+        if ((u, v) if u < v else (v, u)) not in self.in_tree:
             self.g.move_copies(u, v, 1)
             return
         cu = self.tree.edge_weight(u, v)
@@ -84,30 +72,17 @@ class EdgeStore:
         self.g.set_counts_raw(u, v, cu - 1, self.g.params.gamma - cu + 1)
 
     def add_copy(self, u, v):
-        assert edge_key(u, v) not in self.resident, \
+        assert edge_key(u, v) not in self.in_tree, \
             "bundles only grow while raw"
         cu, cv = self.g.counts(u, v)
         self.g.set_counts_raw(u, v, cu + 1, cv)
 
     def remove_copy(self, u, v):
-        assert edge_key(u, v) not in self.resident, \
+        assert edge_key(u, v) not in self.in_tree, \
             "bundles only shrink while raw"
         cu, cv = self.g.counts(u, v)
         assert cu >= 1, f"no copy {u}->{v} to remove"
         self.g.set_counts_raw(u, v, cu - 1, cv)
-
-    def set_counts_true(self, u, v, cu, cv):
-        """Overwrite both counters without touching loads.
-
-        Only sound when the caller moves the same amount back elsewhere
-        (cycle rotations shift every vertex's out-copies by +x on one
-        incident edge and -x on the other).  Writes through to the tree
-        for a resident edge so the tree copy stays the authority.
-        """
-        assert cu + cv == self.g.params.gamma
-        if edge_key(u, v) in self.resident:
-            self.tree.set_edge_weight(u, v, cu)
-        self.g.set_counts_raw(u, v, cu, cv)
 
 
 class FractionalOrienter:
@@ -211,8 +186,8 @@ class FractionalOrienter:
         key = edge_key(u, v)
         if not self.g.has_edge(u, v):
             raise MissingEdgeError(f"no bundle {key}")
-        assert key not in self.store.resident, \
-            "resident bundles must be released before deletion"
+        assert key not in self.store.in_tree, \
+            "resident bundles must leave the tree before deletion"
         log = []
         for _ in range(self.g.params.gamma):
             self.delete_copy(u, v, log)

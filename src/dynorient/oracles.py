@@ -180,7 +180,8 @@ def check_eta_valid(loads, bundles, eta: int = 1):
 
 class NaiveWeightedForest:
     """Adjacency-dict twin of the link-cut forest, recomputing everything
-    by BFS.  Same API, same root rules, same tie-breaking."""
+    by BFS.  Same API, same root rules, same tie-breaking; reads of an
+    unseen vertex create nothing."""
 
     def __init__(self, gamma: int):
         self.gamma = gamma
@@ -246,7 +247,8 @@ class NaiveWeightedForest:
         return u == v or v in self._component(u)
 
     def find_root(self, v):
-        self._touch(v)
+        if v not in self.nbrs:
+            return v
         comp = self._component(v)
         hit = comp & self.roots
         assert len(hit) == 1, f"component of {v} has roots {hit}"
@@ -323,14 +325,12 @@ class NaiveWeightedForest:
         self._set_num_from(u, v, weight_u)
 
     def depth_parity(self, v):
-        self._touch(v)
         return (len(self._path_or_self(self.find_root(v), v)) - 1) & 1
 
     def _path_or_self(self, u, v):
         return [v] if u == v else self._path(u, v)
 
     def first_edge_on_root_path(self, v):
-        self._touch(v)
         r = self.find_root(v)
         if r == v:
             return None

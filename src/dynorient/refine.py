@@ -24,25 +24,25 @@ witness to expel and applies the rotation's shift.
 The rotation budget l(C) is computed in integer numerators: with dg =
 delta*gamma and path numerators read from the u side,
 
-    l = mu*gamma + min(cycmin - dg, (gamma - dg) - cycmax,
-                       cu - dg, (gamma - dg) - cv)
+    l = mu*gamma + min(cycmin - dg, (gamma - dg) - cycmax)
 
 where cycmin/cycmax run over the path numerators and cv, the new edge's
 count in cycle direction.  A nonpositive minimum means some cycle edge
 already sits at or past the open-interval edge, and it can simply be
-unhooked without any rotation.  The last two terms can never be the strict
-minimum (the cycmax term is never larger), so only the first two choose a
-rotation direction; they stay in the formula as written guards.
+unhooked without any rotation.  H's edge set has one owner, H's own edge
+map: ``in_h`` and the EdgeStore's routing read a live view of its keys.
 """
 
 import logging
 
-from .errors import (ConsistencyError, DuplicateEdgeError, MissingEdgeError)
+from .errors import (ConfigurationError, DuplicateEdgeError, MissingEdgeError,
+                     require)
 from .forest import LinkCutForest, edge_key
 from .fractional import EdgeStore, FractionalOrienter
 from .graph import GraphState
 from .hl import HeavyLightOrienter
 from .oracles import check_eta_valid, is_forest
+from .params import DELTA_NUM, MU_NUM
 
 log = logging.getLogger(__name__)
 
@@ -50,16 +50,16 @@ log = logging.getLogger(__name__)
 class RefinementEngine:
 
     def __init__(self, params, paranoid: bool = False):
-        assert params.delta_num is not None, "refinement needs delta and mu"
+        if params.gamma <= DELTA_NUM:
+            raise ConfigurationError(
+                f"gamma must exceed {DELTA_NUM}, got {params.gamma}")
         self.params = params
         self.g = GraphState(params)
         self.H = LinkCutForest(params.gamma)
         self.store = EdgeStore(self.g, self.H)
         self.frac = FractionalOrienter(self.g, self.store)
         self.hl = HeavyLightOrienter()
-        # H's edge set: the store's resident keys, written only by
-        # place/release
-        self.in_h = self.store.resident
+        self.in_h = self.H.edge_keys()   # H's edge set, a live view
         self.paranoid = paranoid
         self.inversions = 0
         self.expulsions = 0
@@ -113,12 +113,11 @@ class RefinementEngine:
             self.on_pre_enroll(a, b)
         self.H.link(a, b, self.g.count(a, b))
         self.hl.link(a, b)
-        self.store.place(a, b)
         self._touched.add(edge_key(a, b))
 
     def _unhook(self, a, b):
         """Write the tree counts back and drop edge (a, b) from H."""
-        self.store.release(a, b)
+        self.store.sync_bundle(a, b)
         self.H.cut(a, b)
         self.hl.cut(a, b)
         self._touched.add(edge_key(a, b))
@@ -143,7 +142,6 @@ class RefinementEngine:
                     self._unhook(*key)
             elif p.in_open_interval(cu):
                 pending.append(key)
-        assert len(pending) <= len(seen)
         while pending:
             a, b = pending.pop()
             self.handle_s_edge(a, b)
@@ -166,7 +164,7 @@ class RefinementEngine:
         wit, shift = found
         if shift:
             self.inversions += 1
-            self.store.set_counts_true(u, v, cu - shift, cv + shift)
+            self.g.set_counts_raw(u, v, cu - shift, cv + shift)
         if wit is not None:
             # unhook the witness and take its place
             self._unhook(*wit)
@@ -183,7 +181,7 @@ class RefinementEngine:
         gamma, dg = p.gamma, p.low_cut
         a_term = min(mn, cv) - dg
         b_term = (gamma - dg) - max(mx, cv)
-        m_star = min(a_term, b_term, cu - dg, (gamma - dg) - cv)
+        m_star = min(a_term, b_term)
 
         if m_star <= 0:
             # some path edge already rests at or past the open-interval
@@ -191,20 +189,16 @@ class RefinementEngine:
             if a_term == m_star:
                 assert mn <= dg < cv
                 return "min", 0
-            assert b_term == m_star and mx >= gamma - dg > cv
+            assert mx >= gamma - dg > cv
             return "max", 0
 
-        x = m_star + p.mu_num
+        x = m_star + MU_NUM
         if a_term == m_star:
             # rotate against the u-side numerators; when the new edge
             # itself lands on the low boundary it stays outside H and
             # nothing is expelled
             return ("min" if mn <= cv else None), -x
-        if b_term == m_star:
-            return ("max" if mx >= cv else None), x
-        # cu-dg and (gamma-dg)-cv are each >= b_term, so neither can be the
-        # strict minimum
-        raise ConsistencyError("unreachable rotation case")
+        return ("max" if mx >= cv else None), x
 
     # ------------------------------------------------------------------
     # rounding
@@ -238,37 +232,36 @@ class RefinementEngine:
     # ------------------------------------------------------------------
     # audits
 
-    def true_counts_map(self):
-        return {key: self.store.true_counts(*key) for key in self.g.bundles}
-
     def verify(self, alpha=None):
-        """Full-scan invariant audit; raises on any breach."""
+        """Full-scan invariant audit; raises ConsistencyError on any breach."""
         p = self.params
-        true = self.true_counts_map()
+        g = self.g
+        true = {key: self.store.true_counts(*key) for key in g.bundles}
+        out_copies = [0] * p.n_cap
         for key, (cu, cv) in true.items():
-            assert cu + cv == p.gamma, (key, cu, cv)
+            require(cu + cv == p.gamma, key, cu, cv)
             if p.in_open_interval(cu):
-                assert key in self.in_h, f"interior edge {key} outside H"
+                require(key in self.in_h, "interior edge outside H", key)
             if key in self.in_h:
-                assert p.in_closed_interval(cu), f"H edge {key} past boundary"
+                require(p.in_closed_interval(cu), "H edge past boundary", key)
             u, w = key
-            assert (cu > 0) == (w in self.g.out_nbrs[u]), key
-            assert (cv > 0) == (u in self.g.out_nbrs[w]), key
-        assert check_eta_valid(self.g.loads, true) == []
-        assert is_forest(self.in_h)
-        assert sum(self.g.loads) == p.gamma * len(self.g.bundles)
+            require((cu > 0) == (w in g.out_nbrs[u]), key)
+            require((cv > 0) == (u in g.out_nbrs[w]), key)
+            out_copies[u] += cu
+            out_copies[w] += cv
+        require(g.loads == out_copies, "a load is not its out-copy count")
+        require(check_eta_valid(g.loads, true) == [], "copy breaks 1-validity")
+        require(is_forest(self.in_h), "H closed a cycle")
         for key in self.in_h:
-            assert self.hl.has_edge(*key)
-            assert self.H.has_edge(*key)
-        assert len(self.H) == len(self.in_h)
+            require(self.hl.has_edge(*key), "H edge missing from the mirror", key)
         # out-degrees read H's parents off the mirror; it must agree with
         # H edge for edge (so the roots agree too)
         for v, par in self.hl.parent.items():
-            fe = self.H.first_edge_on_root_path(v) if self.H.has_vertex(v) else None
+            fe = self.H.first_edge_on_root_path(v)
             got = None if fe is None else edge_key(*fe)
-            assert got == (None if par is None else edge_key(v, par)), (v, par, fe)
+            require(got == (None if par is None else edge_key(v, par)), v, par)
         if alpha is not None:
             cap = int((1 + p.epsilon) * alpha) + 2
             for v in range(p.n_cap):
                 d = self.rounded_out_degree(v)
-                assert d <= cap, (v, d, cap)
+                require(d <= cap, v, d, cap)

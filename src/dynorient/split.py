@@ -12,7 +12,7 @@ at most two edges between layers.  Every move is reported as a
 structure mirrors the moves, applying all removals before any insertion.
 """
 
-from .errors import MissingEdgeError
+from .errors import MissingEdgeError, require
 from .forest import edge_key
 
 
@@ -121,9 +121,9 @@ class SlotTable:
 
     def check(self):
         for v, t in self.slots.items():
-            assert sorted(t) == list(range(len(t))), (v, sorted(t))
+            require(sorted(t) == list(range(len(t))), v, sorted(t))
             for i, key in t.items():
-                assert v in key, (v, key)
-                assert self.where[key] == (v, i), (key, self.where[key])
+                require(v in key, v, key)
+                require(self.where[key] == (v, i), key, self.where[key])
         for key, (tail, i) in self.where.items():
-            assert self.slots[tail][i] == key
+            require(self.slots[tail][i] == key, key, tail, i)

@@ -16,7 +16,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         BFOrienter(4, alpha_max=0)
     assert BFOrienter(4, alpha_max=3).d == 8
-    assert BFOrienter(4, d=5).d == 5
 
 
 def test_first_insert_turns_the_named_endpoint_into_a_sink():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -289,3 +290,33 @@ def test_violations_are_reported_with_stable_names():
     v = violations[0]
     assert v["op_index"] == 7 and v["invariant"] == "engine-state"
     assert v["detail"].startswith("synthetic failure")
+
+
+_CORRUPT_UNDER_O = textwrap.dedent("""
+    import argparse
+    from dynorient import cli
+    from dynorient.errors import ConsistencyError
+    sess = cli._Session(argparse.Namespace(
+        mode="arb", n=6, gamma=8, epsilon=1.0, alpha_max=None, paranoid=False))
+    for u, v in ((0, 1), (1, 2), (0, 2)):
+        sess.apply(("a", u, v))
+    sess.d.g.loads[0] += 5
+    try:
+        sess.d.verify()
+    except ConsistencyError:
+        pass
+    else:
+        raise SystemExit("verify passed a corrupted engine")
+    violations = []
+    cli._run_checks(sess, 3, violations)
+    print(" ".join(v["invariant"] for v in violations))
+""")
+
+
+def test_checks_still_report_a_corrupted_load_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_UNDER_O],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert "engine-state" in proc.stdout.split()

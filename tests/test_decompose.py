@@ -12,8 +12,7 @@ from dynorient.params import Params
 
 
 def decomposer(n=10, gamma=8, paranoid=True, **kw):
-    p = Params(n_cap=n, gamma=gamma, delta_num=kw.pop("delta_num", 2),
-               mu_num=kw.pop("mu_num", 1), epsilon=kw.pop("epsilon", 1.0))
+    p = Params(n_cap=n, gamma=gamma, epsilon=kw.pop("epsilon", 1.0))
     return ArboricityDecomposer(p, paranoid=paranoid)
 
 
@@ -44,11 +43,12 @@ def stage(d, *batches):
 TRIANGLE = [(0, 1, 7), (1, 2, 7), (0, 2, 1)]
 
 
-def test_rejects_missing_or_too_wide_thresholds():
-    with pytest.raises(ConfigurationError):
-        ArboricityDecomposer(Params(n_cap=4, gamma=8, delta_num=None, mu_num=None))
-    with pytest.raises(ConfigurationError):
-        ArboricityDecomposer(Params(n_cap=4, gamma=8, delta_num=4, mu_num=1))
+def test_rejects_a_gamma_too_small_for_the_low_cutoff():
+    # the low cutoff 2 must stay strictly below gamma // 2
+    for gamma in (4, 5):
+        with pytest.raises(ConfigurationError):
+            ArboricityDecomposer(Params(n_cap=4, gamma=gamma))
+    ArboricityDecomposer(Params(n_cap=4, gamma=6))
 
 
 def test_single_edge_stays_out_of_the_layers():
@@ -194,7 +194,7 @@ def test_dense_churn_exercises_inversion_repairs(seed):
     rng = random.Random(seed)
     n = rng.choice([8, 10, 12, 14])
     gamma = rng.choice([8, 16])
-    p = Params(n_cap=n, gamma=gamma, delta_num=2, mu_num=1, epsilon=0.5)
+    p = Params(n_cap=n, gamma=gamma, epsilon=0.5)
     d = ArboricityDecomposer(p, paranoid=True)
     for _ in dense_churn(d, rng, n, 150, n * (n - 1) // 2 * 0.8, 0.1):
         pass
@@ -354,7 +354,7 @@ def test_pooled_cycle_break_hands_designation_to_a_tree_edge():
 
     rng = random.Random(3004)
     n = 12
-    p = Params(n_cap=n, gamma=8, delta_num=2, mu_num=1, epsilon=0.5)
+    p = Params(n_cap=n, gamma=8, epsilon=0.5)
     d = Probe(p, paranoid=True)
     for _ in dense_churn(d, rng, n, 170, 38, 0.12):
         pass

@@ -176,6 +176,17 @@ def test_isolated_vertex_defaults():
     assert f.first_edge_on_root_path(7) is None
 
 
+def test_reads_of_an_unseen_vertex_create_no_node():
+    f = LinkCutForest(gamma=8)
+    f.link(0, 1, 4)
+    assert f.find_root(7) == 7 and f.first_edge_on_root_path(7) is None
+    assert not f.has_vertex(7)
+    p = ParityForest()
+    p.link(0, 1)
+    assert p.find_root(5) == 5 and not p.has_vertex(5)
+    assert not p.connected(5, 5)
+
+
 def test_path_ops_require_connectivity():
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 4)

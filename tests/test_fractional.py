@@ -11,8 +11,6 @@ from dynorient.params import Params
 
 
 def make(gamma, n=8, **kw):
-    kw.setdefault("delta_num", None)
-    kw.setdefault("mu_num", None)
     p = Params(gamma=gamma, n_cap=n, **kw)
     g = GraphState(p)
     return g, FractionalOrienter(g)
@@ -158,15 +156,17 @@ def test_chain_flips_route_through_resident_edges():
     fo = FractionalOrienter(g, EdgeStore(g, forest))
     stage_chain(g, [(0, 3, 4, 0), (1, 2, 3, 1)])
     assert g.loads[:4] == [4, 3, 1, 0]
-    forest.link(1, 2, g.count(1, 2))
-    fo.store.place(1, 2)
+    forest.link(1, 2, g.count(1, 2))   # the link alone makes it resident
+    assert (1, 2) in fo.store.in_tree
     fo.insert_copy(0, 1, [])   # lands at 1, sheds through the resident edge
     assert g.loads[:4] == [4, 3, 2, 0]
     assert fo.store.true_counts(1, 2) == (2, 2)
     assert forest.edge_weight(1, 2) == 2
     assert g.counts(1, 2) == (2, 2)    # mirror kept in step
-    fo.store.release(1, 2)
-    assert not fo.store.resident
+    fo.store.sync_bundle(1, 2)
+    forest.cut(1, 2)
+    assert not fo.store.in_tree
+    assert fo.store.true_counts(1, 2) == (2, 2)
 
 
 def test_load_conservation_and_validity_random_mix():

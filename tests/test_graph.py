@@ -7,7 +7,7 @@ from dynorient.params import Params
 
 
 def small_params(**kw):
-    base = dict(n_cap=8, gamma=8, delta_num=2, mu_num=1, epsilon=0.5)
+    base = dict(n_cap=8, gamma=8, epsilon=0.5)
     base.update(kw)
     return Params(**base)
 
@@ -15,13 +15,9 @@ def small_params(**kw):
 def test_params_validation():
     small_params()  # fine
     with pytest.raises(ConfigurationError):
-        Params(n_cap=8, gamma=1, delta_num=2, mu_num=1)
+        small_params(n_cap=0)
     with pytest.raises(ConfigurationError):
-        small_params(mu_num=0)
-    with pytest.raises(ConfigurationError):
-        small_params(mu_num=2)  # needs mu < delta
-    with pytest.raises(ConfigurationError):
-        small_params(delta_num=8)  # needs gamma > delta_num
+        small_params(gamma=0)
     with pytest.raises(ConfigurationError):
         small_params(epsilon=0)
 
@@ -42,7 +38,7 @@ def test_params_recommended_recipe():
     p = Params.recommended(n_cap=1024, epsilon=1.0)
     # eps' = 1/20, gamma = ceil(log2(1024) / eps'^2) = 4000, above the cap
     assert p.gamma == 64
-    assert p.delta_num == 2 and p.mu_num == 1
+    assert (p.low_cut, p.low_boundary) == (2, 1)   # delta = 2/gamma, mu = 1/gamma
     q = Params.recommended(n_cap=1024, epsilon=1.0, gamma_cap=8000)
     assert q.gamma == 4000
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from dynorient.errors import DuplicateEdgeError, MissingEdgeError
+from dynorient.errors import (ConfigurationError, ConsistencyError,
+                              DuplicateEdgeError, MissingEdgeError)
 from dynorient.forest import edge_key
 from dynorient.oracles import exact_arboricity, is_forest
 from dynorient.params import Params
@@ -10,8 +11,7 @@ from dynorient.refine import RefinementEngine
 
 
 def engine(n=8, gamma=8, paranoid=True, **kw):
-    p = Params(n_cap=n, gamma=gamma, delta_num=kw.pop("delta_num", 2),
-               mu_num=kw.pop("mu_num", 1), epsilon=kw.pop("epsilon", 1.0))
+    p = Params(n_cap=n, gamma=gamma, epsilon=kw.pop("epsilon", 1.0))
     return RefinementEngine(p, paranoid=paranoid)
 
 
@@ -45,6 +45,23 @@ def test_single_edge_lands_in_h_with_half_split():
     assert eng.H.edge_weight(0, 1) == 4
     assert eng.rounded_out_degree(0) <= 2
     eng.verify(alpha=1)
+
+
+def test_needs_gamma_above_the_low_cutoff():
+    for gamma in (1, 2):
+        with pytest.raises(ConfigurationError):
+            RefinementEngine(Params(n_cap=4, gamma=gamma))
+
+
+def test_verify_catches_a_load_moved_between_vertices():
+    eng = engine(n=3)
+    eng.insert_edge(0, 1)
+    eng.verify()
+    # the load sum and 1-validity both survive this move
+    eng.g.loads[0] -= 1
+    eng.g.loads[2] += 1
+    with pytest.raises(ConsistencyError):
+        eng.verify()
 
 
 def test_duplicate_and_missing_raise():
