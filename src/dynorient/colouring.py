@@ -85,34 +85,6 @@ class ProductColouring:
     def mode(self):
         return self._mode
 
-    # ------------------------------------------------------------------
-    # factors
-
-    def _factors(self):
-        """Active factors as (kind, layer) pairs, in digit order.
-
-        Kinds: "F" one tree layer, "M" the pooled cycle edges, "P" one
-        layer together with its cycle edge, "H" the ambiguous forest.
-        A factor is active while it holds at least one edge, so the
-        radix product tracks the current decomposition, not a high
-        water mark.
-        """
-        d = self.d
-        out = []
-        if self._mode == FOREST_MODE:
-            for i, f in enumerate(d.F):
-                if len(f):
-                    out.append(("F", i))
-            if any(d.m_tail):
-                out.append(("M", -1))
-        else:
-            for i, f in enumerate(d.F):
-                if len(f) or d.m_tail[i]:
-                    out.append(("P", i))
-        if d.refine.in_h:
-            out.append(("H", -1))
-        return out
-
     def _pool_parity(self, v):
         # The pooled cycle edges form a forest but live in plain sets,
         # not in a link/cut structure, so walk v's component and take
@@ -132,9 +104,10 @@ class ProductColouring:
     # queries
 
     def colour(self, v):
-        """Colour of vertex v.  One pass over the layers, the pooled
-        cycle edges and H, in ``_factors()`` order; raises
-        VertexRangeError for a v outside [0, n_cap) before any read."""
+        """Colour of vertex v.  One pass over the active factors in digit
+        order (layers by index, then the pooled cycle edges, then H);
+        raises VertexRangeError for a v outside [0, n_cap) before any
+        read."""
         d = self.d
         n = d.params.n_cap
         if not 0 <= v < n:
@@ -181,7 +154,13 @@ class ProductColouring:
         return ColourCode(digits, radices)
 
     def colour_count(self):
-        total = 1
-        for kind, _ in self._factors():
-            total *= 3 if kind == "P" else 2
-        return total
+        """Product of the radices ``colour()`` uses: a factor counts
+        while it holds at least one edge, so the product tracks the
+        current decomposition, not a high water mark."""
+        d = self.d
+        if self._mode == FOREST_MODE:
+            total = 2 ** (sum(1 for f in d.F if len(f)) + any(d.m_tail))
+        else:
+            total = 3 ** sum(1 for f, tails in zip(d.F, d.m_tail)
+                             if len(f) or tails)
+        return 2 * total if d.refine.in_h else total

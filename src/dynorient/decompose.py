@@ -42,6 +42,12 @@ off the slot table by walking slot-i edges up to the component root.  A
 layer cut never reroots: the parent side keeps the component root and the
 child, the edge's tail, heads its side.  A link hangs a tail that already
 roots its tree, so only a cycle inversion (``set_root``) everts one.
+
+Each placement fact has one owner: the slot table holds an edge's layer,
+F_i's edge set the tree edges and ``m_tail`` the designated edges by tail.
+A move edits the slot table first and a filler may take the vacated slot,
+so ``_unplace`` is handed the layer the edge left, and only ``m_tail``
+still knows a designated edge's old tail.  ``placed`` and ``m`` are views.
 """
 
 from collections import deque
@@ -71,14 +77,13 @@ class ArboricityDecomposer:
         self.params = params
         self.paranoid = paranoid
         self.refine = RefinementEngine(params, paranoid=paranoid)
-        self.refine.on_pre_enroll = self._evict
+        self.refine.on_pre_enroll = self._pull
         self.g = self.refine.g
         self.store = self.refine.store
         self.frac = self.refine.frac
         self.split = SlotTable()
         self.F = []         # layer -> ParityForest of that layer's tree edges
         self.m_tail = []    # layer -> {tail vertex: designated cycle edge key}
-        self.placed = {}    # key -> ("F", i) or ("M", i)
         self.incidence = {} # vertex -> pooled cycle edge keys at it
         self.queue = deque()    # evicted or fresh edges awaiting placement
         self._dirty = deque()   # cycle edges whose pooled component needs audit
@@ -92,6 +97,15 @@ class ArboricityDecomposer:
         """Layer -> set of designated cycle edge keys, read off ``m_tail``."""
         return [set(tails.values()) for tails in self.m_tail]
 
+    @property
+    def placed(self):
+        """Key -> ("F", i) or ("M", i), read off ``F`` and ``m_tail``."""
+        out = {}
+        for i, (f, tails) in enumerate(zip(self.F, self.m_tail)):
+            out.update(dict.fromkeys(f.edges(), ("F", i)))
+            out.update(dict.fromkeys(tails.values(), ("M", i)))
+        return out
+
     # ------------------------------------------------------------------
     # public updates
 
@@ -99,19 +113,13 @@ class ArboricityDecomposer:
         self._settle(self.refine.insert_edge(u, v))
 
     def delete_edge(self, u, v):
-        key = edge_key(u, v)
-        if self.g.has_edge(u, v) and key in self.split.where:
-            self._pull(key)
+        self._pull(u, v)
         self._settle(self.refine.delete_edge(u, v))
 
     def forests(self):
         """The decomposition as sorted edge-key lists: tree layers, then
         the pooled cycle edges, then the ambiguous-count forest."""
-        out = []
-        for i in range(len(self.F)):
-            layer = sorted(k for k, spot in self.placed.items() if spot == ("F", i))
-            if layer:
-                out.append(layer)
+        out = [sorted(f.edges()) for f in self.F if len(f)]
         pooled = sorted(k for ks in self.m for k in ks)
         if pooled:
             out.append(pooled)
@@ -141,6 +149,20 @@ class ArboricityDecomposer:
             self.F.append(ParityForest())
             self.m_tail.append({})
 
+    def _spot(self, key):
+        """("F", i) while the key is a tree edge of its slot's layer i,
+        ("M", i) while it is that layer's designated edge, and None while
+        it waits in the placement queue or holds no slot."""
+        slot = self.split.where.get(key)
+        if slot is None or slot[1] >= len(self.F):
+            return None
+        t, i = slot
+        if self.F[i].has_edge(*key):
+            return ("F", i)
+        if self.m_tail[i].get(t) == key:
+            return ("M", i)
+        return None
+
     def _loop_path(self, i, h, t):
         """Layer-i tree path from h up to its component root t.  Every
         non-root vertex of F_i hangs from its parent by its slot-i edge,
@@ -152,39 +174,36 @@ class ArboricityDecomposer:
             path.append(_other(slots[x][i], x))
         return path
 
-    def _evict(self, a, b):
-        # refinement is about to absorb this edge; get it out of the layers
+    def _pull(self, a, b):
+        """Take edge (a, b) out of the slot table and its layer, if it is
+        slotted: it is leaving the layers, for good or for repair."""
         key = edge_key(a, b)
-        if key in self.split.where:
-            self._pull(key)
-
-    def _pull(self, key):
-        """Remove a slotted edge from the slot table and its layer."""
-        t = self.split.where[key][0]
-        self._apply_moves(self.split.on_delete(t, _other(key, t)))
+        slot = self.split.where.get(key)
+        if slot is not None:
+            self._apply_moves(self.split.on_delete(slot[0], _other(key, slot[0])))
 
     def _apply_moves(self, moves):
         self.moves += len(moves)
         for k, src, _ in moves:
             if src is not None:
-                self._unplace(k)
+                self._unplace(k, src)
         for k, _, dst in moves:
             if dst is not None:
                 self.queue.append(k)
 
-    def _unplace(self, key):
-        spot = self.placed.pop(key, None)
-        if spot is None:
-            return
-        kind, i = spot
-        a, b = key
-        if kind == "M":
-            t = a if self.m_tail[i].get(a) == key else b
-            assert self.m_tail[i].get(t) == key, (key, i)
-            del self.m_tail[i][t]
-            self._pool_discard(key)
-            return
+    def _unplace(self, key, i):
+        """Take the key out of layer i, the layer its slot just left; the
+        slot table already holds its new slot, if any."""
+        if i >= len(self.F):
+            return      # slotted but never placed
         f = self.F[i]
+        a, b = key
+        if not f.has_edge(a, b):
+            # designated at one endpoint (M_i is a matching), or queued
+            for t in key:
+                if self.m_tail[i].get(t) == key:
+                    self._undesignate(i, t)
+            return
         old_root = f.find_root(a)
         f.cut(a, b)
         # the cut may have severed the path that made the component's
@@ -193,15 +212,12 @@ class ArboricityDecomposer:
         # root is still old_root
         me = self.m_tail[i].get(old_root)
         if me is not None and f.find_root(_other(me, old_root)) != old_root:
-            self._demote(me, i)
+            self._undesignate(i, old_root)
+            self.queue.append(me)
 
-    def _demote(self, key, i):
-        a, b = key
-        t = a if self.m_tail[i].get(a) == key else b
-        del self.m_tail[i][t]
-        self._pool_discard(key)
-        del self.placed[key]
-        self.queue.append(key)
+    def _undesignate(self, i, t):
+        """Drop layer i's designated edge at tail t from M_i and the pool."""
+        self._pool_discard(self.m_tail[i].pop(t))
 
     def _pool_add(self, key):
         for v in key:
@@ -235,15 +251,12 @@ class ArboricityDecomposer:
                 ca, cb = self.store.true_counts(*key)
                 assert ca != cb, (key, ca)
                 new_tail = key[0] if ca > cb else key[1]
-            if old is None and new_tail is None:
-                continue
-            if old is not None and old[0] == new_tail:
-                continue
-            if new_tail is None:
-                self._apply_moves(self.split.on_delete(old[0], _other(key, old[0])))
-            elif old is None:
-                self._apply_moves(self.split.on_insert(new_tail, _other(key, new_tail)))
-            else:
+            if old is None:
+                if new_tail is not None:
+                    self._apply_moves(self.split.on_insert(new_tail, _other(key, new_tail)))
+            elif new_tail is None:
+                self._pull(*key)
+            elif old[0] != new_tail:
                 self._apply_moves(self.split.on_reorient(old[0], new_tail))
 
     def _drain_queue(self):
@@ -257,11 +270,9 @@ class ArboricityDecomposer:
                 self._audit_component(self._dirty.popleft())
                 continue
             key = self.queue.popleft()
-            if key in self.placed or key not in self.split.where:
-                continue
-            if key not in self.g.bundles or key in self.refine.in_h:
-                continue
-            self._place(key)
+            if (key in self.split.where and self._spot(key) is None
+                    and key in self.g.bundles and key not in self.refine.in_h):
+                self._place(key)
 
     def _place(self, key):
         t, i = self.split.where[key]
@@ -275,11 +286,8 @@ class ArboricityDecomposer:
             # closes its component's cycle; becomes the designated edge
             assert t not in self.m_tail[i]
             self.m_tail[i][t] = key
-            self.placed[key] = ("M", i)
             self._pool_add(key)
             self._dirty.append(key)
-            return
-        self.placed[key] = ("F", i)
 
     # ------------------------------------------------------------------
     # pooled-graph restoration
@@ -288,12 +296,14 @@ class ArboricityDecomposer:
         """One pass over the pooled component holding this cycle edge:
         perform at most one switch, then requeue until the component is
         colourful and acyclic."""
-        if self.placed.get(key, ("", 0))[0] != "M":
+        spot = self._spot(key)
+        if spot is None or spot[0] != "M":
             return
         comp_keys, comp_verts = self._component(key)
+        where = self.split.where
         by_label = {}
         for k in comp_keys:
-            by_label.setdefault(self.placed[k][1], []).append(k)
+            by_label.setdefault(where[k][1], []).append(k)
         clashes = sorted(i for i, ks in by_label.items() if len(ks) > 1)
         if clashes:
             # same-layer cycle edges are never adjacent (each M_i is a
@@ -392,21 +402,15 @@ class ArboricityDecomposer:
         which leaves the component (its far endpoint is a stranger to it).
         """
         cyc_keys, cyc_verts = cycle
-        labels = sorted({self.placed[k][1] for k in comp_keys})
-        choice = None
-        for v in sorted(cyc_verts):
-            for i in labels:
-                f = self.F[i]
-                if any(f.has_edge(v, x) for x in comp_verts if x != v):
-                    continue
-                choice = (v, i)
-                break
-            if choice is not None:
-                break
+        where = self.split.where
+        labels = sorted({where[k][1] for k in comp_keys})
+        choice = next(((v, i) for v in sorted(cyc_verts) for i in labels
+                       if not any(self.F[i].has_edge(v, x)
+                                  for x in comp_verts if x != v)), None)
         if choice is None:
             raise ConsistencyError("no switchable layer for a pooled cycle")
         v, i = choice
-        e_star = next(k for k in sorted(comp_keys) if self.placed[k][1] == i)
+        e_star = next(k for k in sorted(comp_keys) if where[k][1] == i)
         if v not in e_star:
             path = self._pool_path(e_star, lambda k: v in k)
             self._switch(path[0], path[1])
@@ -414,7 +418,7 @@ class ArboricityDecomposer:
         e_c = next(k for k in sorted(cyc_keys) if v in k and k != e_star)
         if not self._switch(e_c, e_star):
             return
-        if self.placed.get(e_c) == ("M", i):
+        if self._spot(e_c) == ("M", i):
             self._redesignate(e_c, v, i)
 
     def _switch(self, p, q):
@@ -427,24 +431,22 @@ class ArboricityDecomposer:
         common = set(p) & set(q)
         assert len(common) == 1, (p, q)
         v = common.pop()
-        ip = self.placed[p][1]
-        iq = self.placed[q][1]
+        where = self.split.where
+        ip, iq = where[p][1], where[q][1]
         assert ip != iq, (p, q)
-        if self.split.where[p][0] != v:
+        if where[p][0] != v:
             self._invert(ip, p)
-        if self.placed.get(q) == ("M", iq) and self.split.where[q][0] != v:
+        if self._spot(q) == ("M", iq) and where[q][0] != v:
             self._invert(iq, q)
-        if self.placed.get(p) != ("M", ip) or self.placed.get(q) != ("M", iq):
+        if self._spot(p) != ("M", ip) or self._spot(q) != ("M", iq):
             return False
-        if self.split.where[p][0] != v or self.split.where[q][0] != v:
+        if where[p][0] != v or where[q][0] != v:
             return False
         self.surplus_ops += 1
         self.split.swap(v, ip, iq)
         self.moves += 2
-        for key, i in ((p, ip), (q, iq)):
-            del self.m_tail[i][v]
-            self._pool_discard(key)
-            del self.placed[key]
+        self._undesignate(ip, v)
+        self._undesignate(iq, v)
         self._place(p)
         self._place(q)
         return True
@@ -458,12 +460,9 @@ class ArboricityDecomposer:
         y = self._loop_path(i, u, v)[-2]
         ykey = edge_key(y, v)
         f.cut(y, v)
-        del self.m_tail[i][v]
-        self._pool_discard(key)
+        self._undesignate(i, v)
         f.link(v, u)
-        self.placed[key] = ("F", i)
         self.m_tail[i][y] = ykey
-        self.placed[ykey] = ("M", i)
         self._pool_add(ykey)
         self.surplus_ops += 1
         self._dirty.append(ykey)
@@ -525,7 +524,7 @@ class ArboricityDecomposer:
                 if self.g.loads[s] - self.g.loads[d] < 2:
                     continue
                 if key in self.split.where:
-                    self._pull(key)
+                    self._pull(*key)
                     acted = True
                 removed = 0
                 limit = self.g.count(s, d)
@@ -550,46 +549,47 @@ class ArboricityDecomposer:
         self.refine.verify()
         self.split.check()
         require(not self.queue and not self._dirty, "placement left pending")
+        require(len(self.m_tail) == len(self.F), "layer tables out of step")
         g = self.g
-        m = self.m
+        where = self.split.where
+        in_h = self.refine.in_h
         for key in g.bundles:
             a, b = key
             ca, cb = self.store.true_counts(a, b)
-            if key in self.refine.in_h:
-                require(key not in self.split.where and key not in self.placed, key)
+            if key in in_h:
+                require(key not in where, key)
                 continue
             require(ca != cb, key, ca)
             t = a if ca > cb else b
-            require(self.split.where.get(key, (None, None))[0] == t, key, t)
-            kind, i = self.placed[key]
-            require(self.split.where[key][1] == i, key, i)
-            if kind == "F":
-                require(self.F[i].has_edge(a, b), key, i)
-            else:
-                require(self.m_tail[i].get(t) == key, key, i)
+            slot = where.get(key)
+            require(slot is not None and slot[0] == t
+                    and slot[1] < len(self.F), key, t, slot)
+            i = slot[1]
+            # exactly one of tree edge and designated edge of its layer
+            designated = self.m_tail[i].get(t) == key
+            require(self.F[i].has_edge(a, b) != designated, key, i)
+            if designated:
                 require(self.F[i].connected(a, b), key, i)
-        for key in self.placed:
-            require(key in g.bundles and key not in self.refine.in_h, key)
         for i, f in enumerate(self.F):
-            in_f = {k for k, spot in self.placed.items() if spot == ("F", i)}
-            require(in_f == {edge_key(a, b) for a, b in f.edges()}, i)
-            require({k for k, spot in self.placed.items()
-                     if spot == ("M", i)} == m[i], i)
+            tails = self.m_tail[i]
+            for k in f.edges():
+                require(k in g.bundles and k not in in_h
+                        and where.get(k, (None, None))[1] == i, i, k)
             ends = set()
-            for k in m[i]:
+            for t, k in tails.items():
+                require(t in k and k in g.bundles and k not in in_h
+                        and where.get(k) == (t, i), i, t, k)
+                require(f.find_root(t) == t, i, k)
                 for v in k:
                     require(v not in ends, i, k)
                     ends.add(v)
-            for t, k in self.m_tail[i].items():
-                require(t in k, i, t, k)
-                require(f.find_root(t) == t, i, k)
             # a layer root holds no tree out-edge: its slot is either free
             # or the designated cycle edge
             for a, b in f.edges():
                 r = f.find_root(a)
                 held = self.split.slots.get(r, {}).get(i)
-                require(held is None or held in m[i], i, r, held)
-        pooled = [k for ks in m for k in ks]
+                require(held is None or tails.get(r) == held, i, r, held)
+        pooled = [k for tails in self.m_tail for k in tails.values()]
         require(is_forest(pooled), "pooled cycle edges closed a cycle")
         require(set(pooled) == {k for ks in self.incidence.values() for k in ks})
         for v, ks in self.incidence.items():
@@ -602,7 +602,7 @@ class ArboricityDecomposer:
                 continue
             comp_keys, _ = self._component(k)
             seen |= comp_keys
-            labels = [self.placed[ck][1] for ck in comp_keys]
+            labels = [where[ck][1] for ck in comp_keys]   # slotted, see above
             require(len(labels) == len(set(labels)), "component not colourful")
             require(len(comp_keys) <= width, len(comp_keys), width)
         if alpha is not None:

@@ -301,10 +301,6 @@ class LinkCutForest:
     def has_vertex(self, v: int) -> bool:
         return v in self._v
 
-    def edges(self):
-        """Iterate over edge keys currently in the forest."""
-        return iter(list(self._e.keys()))
-
     def edge_keys(self):
         """Live view of the edge keys: it follows every link and cut."""
         return self._e.keys()

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import textwrap
 import pytest
 
 from dynorient import cli
+from dynorient.errors import ConsistencyError
 from dynorient.traces import format_trace, generate
 
 
@@ -320,3 +322,48 @@ def test_checks_still_report_a_corrupted_load_under_python_O():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert "engine-state" in proc.stdout.split()
+
+
+def _k5_session():
+    """An ``arb`` session on K5, whose first layer closes a cycle."""
+    sess = cli._Session(argparse.Namespace(
+        mode="arb", n=5, gamma=8, epsilon=1.0, alpha_max=None, paranoid=False))
+    for u in range(5):
+        for v in range(u + 1, 5):
+            sess.apply(("a", u, v))
+    return sess
+
+
+def _cut_tree_edge(d):
+    f = next(f for f in d.F if len(f))
+    f.cut(*sorted(f.edges())[0])
+
+
+def _drop_designation(d):
+    tails = next(t for t in d.m_tail if t)
+    del tails[min(tails)]
+
+
+def _link_stray_key(d):
+    # the first pair that a layer forest leaves unconnected
+    f, u, w = next((f, u, w) for f in d.F for u in range(5)
+                   for w in range(u + 1, 5) if not f.connected(u, w))
+    f.link(u, w)
+
+
+def _drop_layer_table(d):
+    d.m_tail.pop()
+
+
+@pytest.mark.parametrize("corrupt", [_cut_tree_edge, _drop_designation,
+                                     _link_stray_key, _drop_layer_table])
+def test_corrupt_placement_is_reported_not_raised(corrupt):
+    sess = _k5_session()
+    sess.d.verify()
+    assert any(sess.d.m_tail) and any(len(f) for f in sess.d.F)
+    corrupt(sess.d)
+    violations = []
+    cli._run_checks(sess, 10, violations)
+    assert "engine-state" in {v["invariant"] for v in violations}
+    with pytest.raises(ConsistencyError):
+        sess.d.verify()

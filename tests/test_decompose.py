@@ -300,7 +300,7 @@ def test_colour_query_accesses_stay_in_budget(monkeypatch, mode, budget):
     mode and 5.28 in pseudoforest mode; the forests' parity memo, dropped
     on every link, cut and evert, gives 2.52 and 2.44.  Every answer's
     radix product must equal ``colour_count()``, so the one-pass query
-    and ``_factors()`` agree on the active factors."""
+    and the factor count agree on the active factors."""
     from dynorient import forest
     from dynorient.colouring import ProductColouring
     accesses = [0]
