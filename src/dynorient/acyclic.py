@@ -42,8 +42,14 @@ class BFOrienter:
     # ------------------------------------------------------------------
 
     def bf_out_edges(self, v):
-        """Current out-neighbours of v, in list order."""
-        return list(self.out[v])
+        """Current out-neighbours of v, in list order; v outside [0, n_cap)
+        raises VertexRangeError, checked as in ``bf_insert``."""
+        if v >= 0:
+            try:
+                return list(self.out[v])
+            except IndexError:
+                pass
+        raise VertexRangeError(f"vertex {v} outside [0, {self.n_cap})")
 
     def edges(self):
         return sorted(edge_key(u, v) for u, lst in enumerate(self.out) for v in lst)

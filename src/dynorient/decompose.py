@@ -52,7 +52,8 @@ still knows a designated edge's old tail.  ``placed`` and ``m`` are views.
 
 from collections import deque
 
-from .errors import ConfigurationError, ConsistencyError, CycleError, require
+from .errors import (ConfigurationError, ConsistencyError, CycleError,
+                     VertexRangeError, require)
 from .forest import ParityForest, edge_key
 from .oracles import is_forest
 from .refine import RefinementEngine
@@ -135,10 +136,14 @@ class ArboricityDecomposer:
         the larger share, which is exactly the slot table's tail, and
         the ambiguous forest contributes v's parent edge if there is
         one, read from the parent-pointer mirror of H.  This is
-        ``len(self.refine.rounded_out_edges(v))`` without the scan."""
+        ``len(self.refine.rounded_out_edges(v))`` without the scan.  Only
+        a zero answer needs the VertexRangeError check of v's range."""
         deg = self.split.out_degree(v)
         if self.refine.hl.parent.get(v) is not None:
-            deg += 1
+            return deg + 1
+        if not deg and not 0 <= v < self.params.n_cap:
+            raise VertexRangeError(
+                f"vertex {v} outside [0, {self.params.n_cap})")
         return deg
 
     # ------------------------------------------------------------------

@@ -26,23 +26,18 @@ rises and recounts only the parent.
 once, accesses v and reports a missing path; otherwise it hands the path's
 min and max numerators, read from the u side, to the caller's ``decide``,
 finds the min or max witness nearest u when asked, applies the shift with
-its range check, and restores the old root once.  ``min_weight``,
-``max_weight``, ``find_extreme_edge`` and ``add_weight`` are thin wrappers
-over it.
+its range check, and restores the old root once.
 
-Each tree also carries a root tag (the semantic root, i.e. the orientation
-sink when the forest mirrors an out-orientation).  The invariant is that the
-represented head of every preferred-path structure equals the tagged root.
-Which operations evert:
+Each tree has a root, the orientation sink when the forest mirrors an
+out-orientation.  Which operations evert:
 
-* ``set_root`` moves the tag;
 * ``link`` everts u's tree at u, unless u already heads it;
 * ``cut`` everts only when u is the parent endpoint, so that u's side ends
   up rooted at u;
-* ``path_update`` and its wrappers evert at u and restore the old root
-  before they return, unless u is the root already;
-* ``edge_weight``, ``set_edge_weight``, ``connected``, ``find_root``,
-  ``depth_parity`` and ``first_edge_on_root_path`` never evert.
+* ``path_update`` everts at u and restores the old root before it returns,
+  unless u is the root already;
+* ``edge_weight``, ``set_edge_weight``, ``depth_parity`` and
+  ``first_edge_on_root_path`` never evert.
 
 ``ParityForest`` keeps the layer trees F_i, which read roots, connectivity
 and depth parity but never a weight.  It is a vertex-only splay link-cut
@@ -62,10 +57,8 @@ vertex read since the last drop.  ``depth_parity`` answers from it and
 fills it on a miss, at the cost of the access it would make anyway.  A
 successful ``link``, ``cut`` or ``set_root`` drops the whole memo, since
 each can move the depth of every vertex in a tree; a typed error raised
-before the write keeps it.  ``path_update`` and its wrappers restore the
-old root before they return, and ``set_edge_weight``, ``connected``,
-``find_root`` and ``first_edge_on_root_path`` move no root, so no depth
-changes and all of these keep it.
+before the write keeps it.  Every other operation leaves all depths as
+they were (``path_update`` restores the root it moved) and keeps it.
 Reads create no node: a vertex the forest has never seen has depth parity
 0, is its own root and has no edge on its root path.
 
@@ -74,8 +67,7 @@ Both forests are iterative throughout, so deep paths do not recurse.
 
 from __future__ import annotations
 
-from .errors import (CycleError, MissingEdgeError, NotConnectedError,
-                     WeightRangeError)
+from .errors import CycleError, MissingEdgeError, WeightRangeError
 
 _INF = 1 << 60
 
@@ -271,21 +263,15 @@ def _wevert(x: _Node):
 
 
 class LinkCutForest:
-    """Dynamic forest over integer vertex ids.
-
-    Parameters
-    ----------
-    gamma : int
-        Weight ceiling; all edge weights stay in [0, gamma] and reversal
-        complements against it.
-    """
+    """Weighted dynamic forest over integer vertex ids; every edge weight
+    stays in [0, gamma], and reversal complements against gamma."""
 
     def __init__(self, gamma: int):
         assert gamma >= 1
         self.gamma = gamma
         self._v = {}
         self._e = {}
-        self._parity = {}   # depth-parity memo; link, cut, set_root drop it
+        self._parity = {}   # depth-parity memo; link and cut drop it
 
     def _vnode(self, v: int) -> _Node:
         n = self._v.get(v)
@@ -305,33 +291,10 @@ class LinkCutForest:
         """Live view of the edge keys: it follows every link and cut."""
         return self._e.keys()
 
-    def connected(self, u: int, v: int) -> bool:
-        if u == v:
-            return u in self._v
-        nu, nv = self._v.get(u), self._v.get(v)
-        if nu is None or nv is None:
-            return False
-        _waccess(nu)
-        _waccess(nv)
-        # after the second access nv alone tops its tree's splay structure,
-        # so nu kept no parent exactly when the access missed its tree
-        return nu.parent is not None
-
-    def find_root(self, v: int) -> int:
-        nv = self._v.get(v)
-        return v if nv is None else _whead(nv).vid
-
-    def set_root(self, r: int):
-        _wevert(self._vnode(r))
-        if self._parity:
-            self._parity.clear()
-
     def link(self, u: int, v: int, weight_u: int):
         """Join u's tree to v's with an edge weighing ``weight_u`` toward u.
-
-        The combined tree keeps v's root.  Raises CycleError if u and v are
-        already connected.
-        """
+        The combined tree keeps v's root; CycleError if u and v are already
+        connected."""
         if u == v:
             raise CycleError(f"self loop at {u}")
         if not 0 <= weight_u <= self.gamma:
@@ -340,9 +303,13 @@ class LinkCutForest:
         if key in self._e:
             raise CycleError(f"edge {key} already present")
         nu, nv = self._vnode(u), self._vnode(v)
-        if self.connected(u, v):
+        _waccess(nu)
+        _waccess(nv)
+        # after the second access nv alone tops its tree's splay structure,
+        # so nu kept a parent exactly when v lies in u's tree
+        if nu.parent is not None:
             raise CycleError(f"{u} and {v} already connected")
-        # connected left nu on top of its own root path; evert it there
+        # nu still tops its own root path; evert it there
         if nu.left is not None:
             _wapply(nu, True, 0)
         e = _Node()
@@ -457,38 +424,6 @@ class LinkCutForest:
         finally:
             if head is not nu:
                 _wevert(head)
-
-    def _read_path(self, u: int, v: int, decide):
-        out = self.path_update(u, v, decide)
-        if out is None:
-            raise NotConnectedError(f"{u} and {v} not connected")
-        return out
-
-    def _path_range(self, u: int, v: int):
-        """Least and greatest path weight as seen from the u side."""
-        seen = []
-
-        def read(mn, mx):
-            seen.extend((mn, mx))
-            return None, 0
-
-        self._read_path(u, v, read)
-        return seen
-
-    def min_weight(self, u: int, v: int) -> int:
-        return self._path_range(u, v)[0]
-
-    def max_weight(self, u: int, v: int) -> int:
-        return self._path_range(u, v)[1]
-
-    def add_weight(self, u: int, v: int, x: int):
-        """Add x to every path edge's weight as seen from the u side."""
-        self._read_path(u, v, lambda mn, mx: (None, x))
-
-    def find_extreme_edge(self, u: int, v: int, which: str = "min"):
-        """Edge attaining the path min/max weight; ties pick the one nearest u."""
-        assert which in ("min", "max")
-        return self._read_path(u, v, lambda mn, mx: (which, 0))[0]
 
     def _splayed_edge(self, u: int, v: int) -> _Node:
         """Edge node of (u, v), splayed so its value and bit are current."""
@@ -737,10 +672,8 @@ class ParityForest:
 
     def link(self, u: int, v: int):
         """Join u's tree to v's with edge (u, v).
-
-        The combined tree keeps v's root.  Raises CycleError if u and v are
-        already connected.
-        """
+        The combined tree keeps v's root; CycleError if u and v are already
+        connected."""
         if u == v:
             raise CycleError(f"self loop at {u}")
         key = edge_key(u, v)

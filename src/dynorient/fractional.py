@@ -12,13 +12,13 @@ equals deduplicating each walk's keys and then their concatenation.
 A bundle's counters live in the raw tables of GraphState, or, while the
 bundle sits in the refinement forest H, as the weight of its edge in that
 LinkCutForest (so path-wide count shifts around H cycles stay logarithmic).
-EdgeStore routes by a live view of the tree's edge keys: a key with an
-edge in the tree reads and flips through the tree, any other key through
-the raw tables (every key, for a store with no tree), and tree-resident
-flips are mirrored into the raw tables.  Path-wide shifts in H skip the
-raw tables; they keep every H count inside the widened ambiguity window,
-away from zero, so neighbour sets never depend on the stale raw values,
-and ``sync_bundle`` writes the count back before an edge leaves the tree.
+EdgeStore routes by a live view of the tree's edge keys: a key with an edge
+in the tree reads and flips through the tree, any other key through the raw
+tables, and tree-resident flips are mirrored into the raw tables.  Path-wide
+shifts in H skip the raw tables; they keep every H count inside the widened
+ambiguity window, away from zero, so neighbour sets never depend on the
+stale raw values, and ``sync_bundle`` writes the count back before an edge
+leaves the tree.
 """
 
 from .errors import MissingEdgeError, SelfLoopError, DuplicateEdgeError
@@ -41,11 +41,11 @@ def dedup_keep_last(keys):
 class EdgeStore:
     """Routes bundle-counter access between the raw tables and the tree."""
 
-    def __init__(self, graph, tree=None):
+    def __init__(self, graph, tree):
         self.g = graph
         self.tree = tree
         # keys whose counter is the tree edge weight: a view, not a copy
-        self.in_tree = tree.edge_keys() if tree is not None else frozenset()
+        self.in_tree = tree.edge_keys()
 
     def true_counts(self, u, v):
         """Authoritative (count toward v, count toward u) pair."""
@@ -89,9 +89,9 @@ class FractionalOrienter:
     """Maintains 1-validity (s(tail) - s(head) <= 1 for every copy) under
     copy and bundle updates."""
 
-    def __init__(self, graph, store=None):
+    def __init__(self, graph, store):
         self.g = graph
-        self.store = store or EdgeStore(graph)
+        self.store = store
 
     def update_nbrs(self, v):
         """Does nothing.  Neighbour sets are always current, so nothing

@@ -179,9 +179,10 @@ def check_eta_valid(loads, bundles, eta: int = 1):
 
 
 class NaiveWeightedForest:
-    """Adjacency-dict twin of the link-cut forest, recomputing everything
-    by BFS.  Same API, same root rules, same tie-breaking; reads of an
-    unseen vertex create nothing."""
+    """Adjacency-dict twin of the link-cut forests, recomputing everything
+    by BFS: their operations, plus separate path reads and shifts for what
+    ``path_update`` does in one exposure.  Same root rules, same
+    tie-breaking; reads of an unseen vertex create nothing."""
 
     def __init__(self, gamma: int):
         self.gamma = gamma

@@ -36,7 +36,7 @@ map: ``in_h`` and the EdgeStore's routing read a live view of its keys.
 import logging
 
 from .errors import (ConfigurationError, DuplicateEdgeError, MissingEdgeError,
-                     require)
+                     VertexRangeError, require)
 from .forest import LinkCutForest, edge_key
 from .fractional import EdgeStore, FractionalOrienter
 from .graph import GraphState
@@ -208,7 +208,11 @@ class RefinementEngine:
         carrying the larger count, and v's H parent edge, if any, points
         out of v, as in ``ArboricityDecomposer.out_degree``.  A non-H edge
         rounded away from v has a positive count out of v, so v's
-        out-neighbour set holds every candidate.  Pure: mutates nothing."""
+        out-neighbour set holds every candidate.  Pure: mutates nothing;
+        raises VertexRangeError for a v outside [0, n_cap)."""
+        n = self.params.n_cap
+        if not 0 <= v < n:
+            raise VertexRangeError(f"vertex {v} outside [0, {n})")
         out = []
         for w in sorted(self.g.out_nbrs[v]):
             key = edge_key(v, w)

@@ -87,7 +87,6 @@ class _ForestWitness:
     """
 
     def __init__(self, n, alpha_max):
-        assert alpha_max >= 1
         self.n = n
         self.dsus = [_DSU(n) for _ in range(alpha_max)]
         self.members = [set() for _ in range(alpha_max)]
@@ -152,6 +151,8 @@ def gen_alpha_preserving(n, steps, seed, alpha_max, delete_bias=0.3,
     """Random churn whose graph never exceeds arboricity alpha_max."""
     if n < 2:
         raise ConfigurationError("need at least two vertices")
+    if alpha_max < 1:
+        raise ConfigurationError(f"alpha_max must be >= 1, got {alpha_max}")
     rng = random.Random(seed)
     witness = _ForestWitness(n, alpha_max)
     live = _EdgePool()

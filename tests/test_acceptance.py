@@ -66,6 +66,32 @@ def _step(d, op, live):
         live.discard(edge_key(op[1], op[2]))
 
 
+def _path_range(f, a, b):
+    """(min, max) of the a..b path numerators from the a side, read by one
+    path_update that shifts nothing."""
+    seen = []
+
+    def record(mn, mx):
+        seen.append((mn, mx))
+        return None, 0
+
+    assert f.path_update(a, b, record) == (None, 0)
+    return seen[0]
+
+
+def _other(e, v):
+    return e[1] if e[0] == v else e[0]
+
+
+def _walk_root(f, v):
+    """v's root in a link-cut forest, walked up by its root-path edges."""
+    e = f.first_edge_on_root_path(v)
+    while e is not None:
+        v = _other(e, v)
+        e = f.first_edge_on_root_path(v)
+    return v
+
+
 def test_1_dynamic_forest_matches_the_naive_mirror():
     rng = random.Random(99)
     n, gamma = 200, 16
@@ -92,22 +118,30 @@ def test_1_dynamic_forest_matches_the_naive_mirror():
             a, b = edges[rng.randrange(len(edges))]
             x = rng.randint(-toy.min_weight(a, b),
                             gamma - toy.max_weight(a, b))
-            real.add_weight(a, b, x)
+            assert real.path_update(a, b, lambda mn, mx: (None, x)) == (None, x)
             toy.add_weight(a, b, x)
             done += 1
         elif r < 0.70 and edges:
             a, b = edges[rng.randrange(len(edges))]
-            assert real.min_weight(a, b) == toy.min_weight(a, b)
-            assert real.max_weight(a, b) == toy.max_weight(a, b)
+            assert _path_range(real, a, b) == (toy.min_weight(a, b),
+                                               toy.max_weight(a, b))
             assert real.edge_weight(a, b) == toy.edge_weight(a, b)
             done += 1
         elif r < 0.80:
-            real.set_root(u)
-            toy.set_root(u)
+            # reroot at u: the cut of u's parent edge roots u's side at u,
+            # and the relink hangs the parent's side below u
+            first = real.first_edge_on_root_path(u)
+            if first is not None:
+                p = _other(first, u)
+                w = real.edge_weight(p, u)
+                for f in (real, toy):
+                    f.cut(u, p)
+                    f.link(p, u, w)
+            assert _walk_root(real, u) == u == toy.find_root(u)
             done += 1
         else:
             assert real.depth_parity(u) == toy.depth_parity(u)
-            assert real.find_root(u) == toy.find_root(u)
+            assert _walk_root(real, u) == toy.find_root(u)
             done += 1
     assert time.perf_counter() - started < 5.0
 

@@ -12,6 +12,7 @@ import pytest
 
 from dynorient import cli
 from dynorient.errors import ConsistencyError
+from dynorient.forest import LinkCutForest, ParityForest
 from dynorient.traces import format_trace, generate
 
 
@@ -367,3 +368,58 @@ def test_corrupt_placement_is_reported_not_raised(corrupt):
     assert "engine-state" in {v["invariant"] for v in violations}
     with pytest.raises(ConsistencyError):
         sess.d.verify()
+
+
+def test_every_forest_method_is_reached_from_the_cli(tmp_path, monkeypatch):
+    """No public method of either link-cut forest serves tests alone: the
+    CLI reaches each one on a dense churn that inverts a layer cycle
+    (``ParityForest.set_root``), with out-degree and colour queries in
+    both colouring modes and the engine checks every few ops."""
+    want, called = set(), set()
+    for cls in (LinkCutForest, ParityForest):
+        for name, fn in list(vars(cls).items()):
+            if name.startswith("_") or not callable(fn):
+                continue
+            key = f"{cls.__name__}.{name}"
+            want.add(key)
+
+            def wrapped(*args, _fn=fn, _key=key, **kw):
+                called.add(_key)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(cls, name, wrapped)
+    n = 12
+    lines = []
+    for k, line in enumerate(_dense_churn_trace(14).splitlines()):
+        lines += [line, f"o {k % n}", f"c {(5 * k) % n}"]
+    path = tmp_path / "t.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for mode in ("colour-forest", "colour-pseudo"):
+        code, text = run_cli(["run", "--mode", mode, "--n", str(n),
+                              "--verify-every", "7", str(path)])
+        report = json.loads(text)
+        assert code == cli.EXIT_OK, report["violations"]
+        assert report["counters"]["reorientations"] >= 1
+    assert called == want, sorted(want - called)
+
+
+_GEN_ALPHA_PRESERVING = ["gen", "--kind", "alpha-preserving", "--n", "6",
+                          "--steps", "20", "--alpha-max"]
+
+
+@pytest.mark.parametrize("alpha_max", ["0", "-3"])
+def test_gen_rejects_alpha_max_below_one_as_usage(alpha_max, capsys):
+    code, text = run_cli(_GEN_ALPHA_PRESERVING + [alpha_max])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_gen_rejects_alpha_max_below_one_under_python_O():
+    # with the checks stripped, a missing guard would loop on rejected
+    # inserts forever; the timeout turns that into a failure
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = _GEN_ALPHA_PRESERVING + ["0"]
+    proc = subprocess.run([sys.executable, "-O", "-m", "dynorient.cli"] + argv,
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == "" and proc.stderr.startswith("error:")

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from dynorient import decompose
 from dynorient.decompose import ArboricityDecomposer
 from dynorient.errors import (ConfigurationError, DuplicateEdgeError,
                               MissingEdgeError, VertexRangeError)
@@ -338,6 +343,52 @@ def test_out_of_range_vertex_is_rejected_and_changes_nothing():
         assert d.g.bundles == bundles
         assert d.g.loads == loads
     d.verify()
+
+
+_QUERY_RANGE = textwrap.dedent("""
+    from dynorient import ArboricityDecomposer, Params
+    from dynorient.acyclic import BFOrienter
+    from dynorient.errors import VertexRangeError
+    n = 4
+    d = ArboricityDecomposer(Params(n_cap=n, gamma=8, epsilon=1.0))
+    for u, v in ((0, 1), (1, 2), (0, 2), (2, 3)):
+        d.insert_edge(u, v)
+    b = BFOrienter(n, alpha_max=1)
+    b.bf_insert(0, 3)          # vertex 3's out-list is [0]
+
+    def state():
+        return (sorted(d.g.bundles.items()), list(d.g.loads),
+                sorted(d.placed.items()), dict(d.refine.hl.parent),
+                [list(lst) for lst in b.out])
+
+    before = state()
+    for query in (d.out_degree, d.refine.rounded_out_edges, b.bf_out_edges):
+        for bad in (-1, n):
+            try:
+                query(bad)
+            except VertexRangeError:
+                continue
+            raise SystemExit(f"{query.__qualname__} answered vertex {bad}")
+    if state() != before:
+        raise SystemExit("a rejected query changed the engine")
+    if sum(map(d.out_degree, range(n))) != 4 or b.bf_out_edges(3) != [0]:
+        raise SystemExit("an in-range query answered wrong")
+    print("rejected")
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_out_of_range_queries_raise_in_both_engines(flags):
+    """``out_degree`` and ``rounded_out_edges`` of the decomposer and
+    ``bf_out_edges`` of the sink-flip engine raise VertexRangeError for
+    -1 and n_cap, change nothing, and keep doing so under python -O."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        decompose.__file__)))
+    proc = subprocess.run([sys.executable] + flags + ["-c", _QUERY_RANGE],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 def test_pooled_cycle_break_hands_designation_to_a_tree_edge():

@@ -1,4 +1,9 @@
-"""Both link-cut forests vs the naive mirror, plus pinned small examples."""
+"""Both link-cut forests vs the naive mirror, plus pinned small examples.
+
+``LinkCutForest`` has no root or connectivity query of its own, so these
+tests read a root by walking ``first_edge_on_root_path`` up the tree, read
+and shift paths through ``path_update``, and reroot a tree by cutting a
+vertex's parent edge and linking it back below the vertex."""
 
 import random
 
@@ -6,17 +11,69 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynorient import forest
-from dynorient.errors import (CycleError, MissingEdgeError, NotConnectedError,
-                              WeightRangeError)
+from dynorient.errors import CycleError, MissingEdgeError, WeightRangeError
 from dynorient.forest import LinkCutForest, ParityForest, edge_key
 from dynorient.oracles import NaiveWeightedForest
+
+
+def _recording(seen, which, shift):
+    """A decision that records the (min, max) it is handed."""
+    def decide(mn, mx):
+        seen.append((mn, mx))
+        return which, shift
+    return decide
+
+
+def _range(f, u, v):
+    """Least and greatest u..v path numerator from the u side, read by one
+    path_update that changes nothing; None when there is no path."""
+    seen = []
+    if f.path_update(u, v, _recording(seen, None, 0)) is None:
+        return None
+    return seen[0]
+
+
+def _shift(f, u, v, x):
+    """Add x to every u..v path numerator read from the u side."""
+    assert f.path_update(u, v, lambda mn, mx: (None, x)) == (None, x)
+
+
+def _extreme(f, u, v, which):
+    """The u..v path edge nearest u that attains the min or max."""
+    return f.path_update(u, v, lambda mn, mx: (which, 0))[0]
+
+
+def _other(e, v):
+    return e[1] if e[0] == v else e[0]
+
+
+def _root(f, v):
+    """v's tree root, reached by walking first_edge_on_root_path."""
+    e = f.first_edge_on_root_path(v)
+    while e is not None:
+        v = _other(e, v)
+        e = f.first_edge_on_root_path(v)
+    return v
+
+
+def _reroot(f, u, mirror=None):
+    """Make u its tree's root in f, and in the mirror when given: the cut
+    of u's parent edge roots u's side at u, and the relink hangs the
+    parent's side below u with the edge's weights unchanged."""
+    first = f.first_edge_on_root_path(u)
+    if first is None:
+        return
+    p = _other(first, u)
+    w = f.edge_weight(p, u)
+    for g in (f,) if mirror is None else (f, mirror):
+        g.cut(u, p)
+        g.link(p, u, w)
 
 
 def test_link_singletons_weight_three():
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 3)
-    assert f.min_weight(0, 1) == 3
-    assert f.max_weight(0, 1) == 3
+    assert _range(f, 0, 1) == (3, 3)
     assert f.edge_weight(0, 1) == 3
     assert f.edge_weight(1, 0) == 5
 
@@ -24,7 +81,7 @@ def test_link_singletons_weight_three():
 def test_link_weight_at_gamma_cap():
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 8)
-    assert f.min_weight(0, 1) == 8
+    assert _range(f, 0, 1) == (8, 8)
     with pytest.raises(WeightRangeError):
         f.link(2, 3, 9)
 
@@ -51,40 +108,37 @@ def _abc_path(gamma=8):
 
 def test_path_weights_direction_sensitivity():
     f = _abc_path()
-    assert f.min_weight(0, 2) == 3
-    assert f.max_weight(0, 2) == 5
+    assert _range(f, 0, 2) == (3, 5)
     # read the other way every weight complements
-    assert f.min_weight(2, 0) == 3
-    assert f.max_weight(2, 0) == 5
+    assert _range(f, 2, 0) == (3, 5)
 
 
 def test_add_weight_toward_c():
     f = _abc_path()
-    f.add_weight(0, 2, 2)
-    assert f.min_weight(0, 2) == 5
-    assert f.max_weight(0, 2) == 7
+    _shift(f, 0, 2, 2)
+    assert _range(f, 0, 2) == (5, 7)
     assert f.edge_weight(0, 1) == 5
     assert f.edge_weight(1, 2) == 7
 
 
 def test_add_weight_zero_is_identity():
     f = _abc_path()
-    f.add_weight(0, 2, 0)
+    _shift(f, 0, 2, 0)
     assert f.edge_weight(0, 1) == 3
     assert f.edge_weight(1, 2) == 5
 
 
 def test_add_weight_reverse_direction():
     f = _abc_path()
-    f.add_weight(2, 0, 2)
+    _shift(f, 2, 0, 2)
     assert f.edge_weight(0, 1) == 1
     assert f.edge_weight(1, 2) == 3
 
 
 def test_add_weight_antisymmetry():
     f = _abc_path()
-    f.add_weight(0, 2, 2)
-    f.add_weight(2, 0, 2)
+    _shift(f, 0, 2, 2)
+    _shift(f, 2, 0, 2)
     assert f.edge_weight(0, 1) == 3
     assert f.edge_weight(1, 2) == 5
 
@@ -92,52 +146,52 @@ def test_add_weight_antisymmetry():
 def test_add_weight_range_checked_and_untouched_on_failure():
     f = _abc_path()
     with pytest.raises(WeightRangeError):
-        f.add_weight(0, 2, 4)  # 5+4 exceeds 8
+        f.path_update(0, 2, lambda mn, mx: (None, 4))  # 5+4 exceeds 8
     assert f.edge_weight(0, 1) == 3
     assert f.edge_weight(1, 2) == 5
 
 
 def test_extreme_edge_witnesses():
     f = _abc_path()
-    assert f.find_extreme_edge(0, 2, "min") == (0, 1)
-    assert f.find_extreme_edge(0, 2, "max") == (1, 2)
-    f.add_weight(0, 2, 2)
-    assert f.find_extreme_edge(0, 2, "min") == (0, 1)
+    assert _extreme(f, 0, 2, "min") == (0, 1)
+    assert _extreme(f, 0, 2, "max") == (1, 2)
+    _shift(f, 0, 2, 2)
+    assert _extreme(f, 0, 2, "min") == (0, 1)
 
 
 def test_extreme_tie_breaks_toward_first_endpoint():
     f = LinkCutForest(gamma=8)
     for a, b in ((0, 1), (1, 2), (2, 3)):
         f.link(a, b, 4)
-    assert edge_key(*f.find_extreme_edge(0, 3, "min")) == (0, 1)
-    assert edge_key(*f.find_extreme_edge(3, 0, "min")) == (2, 3)
+    assert edge_key(*_extreme(f, 0, 3, "min")) == (0, 1)
+    assert edge_key(*_extreme(f, 3, 0, "min")) == (2, 3)
 
 
 def test_roots_through_link_and_cut():
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 4)       # combined tree keeps 1's root
-    assert f.find_root(0) == 1
+    assert _root(f, 0) == 1
     f.link(1, 2, 4)       # now rooted at 2
-    assert f.find_root(0) == 2
+    assert _root(f, 0) == 2
     # cut the b-c edge of a-b-c rooted at c: {a,b} rooted at b, {c} keeps c
     f.cut(1, 2)
-    assert f.find_root(0) == 1
-    assert f.find_root(1) == 1
-    assert f.find_root(2) == 2
+    assert _root(f, 0) == 1
+    assert _root(f, 1) == 1
+    assert _root(f, 2) == 2
     # cut from the root side, cut(c, b) on a-b-c rooted at c: {c} keeps c,
     # {a,b} is rooted at b
     f.link(1, 2, 4)
     f.cut(2, 1)
-    assert f.find_root(0) == 1
-    assert f.find_root(1) == 1
-    assert f.find_root(2) == 2
+    assert _root(f, 0) == 1
+    assert _root(f, 1) == 1
+    assert _root(f, 2) == 2
     # u is the parent endpoint below the root, cut(b, a): {b,c} is rerooted
     # at b, and the b-c weights keep their sides through that evert
     f.link(1, 2, 3)
     f.cut(1, 0)
-    assert f.find_root(0) == 0
-    assert f.find_root(1) == 1
-    assert f.find_root(2) == 1
+    assert _root(f, 0) == 0
+    assert _root(f, 1) == 1
+    assert _root(f, 2) == 1
     assert f.edge_weight(1, 2) == 3
     assert f.edge_weight(2, 1) == 5
 
@@ -146,9 +200,9 @@ def test_cut_only_edge_isolates_both():
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 4)
     f.cut(0, 1)
-    assert f.find_root(0) == 0
-    assert f.find_root(1) == 1
-    assert not f.connected(0, 1)
+    assert _root(f, 0) == 0
+    assert _root(f, 1) == 1
+    assert _range(f, 0, 1) is None
     with pytest.raises(MissingEdgeError):
         f.cut(0, 1)
 
@@ -157,13 +211,13 @@ def test_parities_and_first_edge():
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 4)
     f.link(1, 2, 4)
-    assert f.find_root(0) == 2
+    assert _root(f, 0) == 2
     assert f.depth_parity(0) == 0
     assert f.depth_parity(1) == 1
     assert f.depth_parity(2) == 0
     assert edge_key(*f.first_edge_on_root_path(0)) == (0, 1)
     assert f.first_edge_on_root_path(2) is None
-    f.set_root(0)
+    _reroot(f, 0)
     assert f.depth_parity(2) == 0
     assert edge_key(*f.first_edge_on_root_path(2)) == (1, 2)
     assert f.first_edge_on_root_path(0) is None
@@ -171,7 +225,7 @@ def test_parities_and_first_edge():
 
 def test_isolated_vertex_defaults():
     f = LinkCutForest(gamma=8)
-    assert f.find_root(7) == 7
+    assert _root(f, 7) == 7
     assert f.depth_parity(7) == 0
     assert f.first_edge_on_root_path(7) is None
 
@@ -179,7 +233,7 @@ def test_isolated_vertex_defaults():
 def test_reads_of_an_unseen_vertex_create_no_node():
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 4)
-    assert f.find_root(7) == 7 and f.first_edge_on_root_path(7) is None
+    assert f.first_edge_on_root_path(7) is None and _range(f, 7, 0) is None
     assert not f.has_vertex(7)
     p = ParityForest()
     p.link(0, 1)
@@ -188,12 +242,14 @@ def test_reads_of_an_unseen_vertex_create_no_node():
 
 
 def test_path_ops_require_connectivity():
+    # with no u..v path, path_update answers None without asking decide
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 4)
-    with pytest.raises(NotConnectedError):
-        f.min_weight(0, 2)
-    with pytest.raises(NotConnectedError):
-        f.add_weight(0, 0, 1)
+    seen = []
+    assert f.path_update(0, 2, _recording(seen, "min", 1)) is None
+    assert f.path_update(0, 0, _recording(seen, None, 1)) is None
+    assert seen == []
+    assert f.edge_weight(0, 1) == 4
 
 
 # ----------------------------------------------------------------------
@@ -210,14 +266,68 @@ def _check_parities(f, mirror, n):
         assert f.depth_parity(x) == want, x
 
 
-def _drive(seed, n, steps, gamma=16):
-    """Random link/cut/set_root/add_weight/set_edge_weight and reads
-    beside the naive mirror, with every depth parity read after every op,
-    rejected links included."""
+def _parent_edges(f, n):
+    """Every vertex's parent edge as a key, None at a root: the whole
+    rooting of the forest."""
+    out = []
+    for x in range(n):
+        e = f.first_edge_on_root_path(x)
+        out.append(None if e is None else edge_key(*e))
+    return out
+
+
+def _weights(forest, edges):
+    return [forest.edge_weight(a, b) for a, b in edges]
+
+
+def _path_update_step(real, mirror, rng, u, v, edges, n, gamma):
+    """One path_update on the real forest, checked against the mirror's
+    four separate path operations."""
+    rooting = _parent_edges(real, n)
+    seen = []
+    if u == v or not mirror.connected(u, v):
+        assert real.path_update(u, v, _recording(seen, None, 0)) is None
+        assert seen == []
+        assert _parent_edges(real, n) == rooting
+        return "none"
+    lo = -mirror.min_weight(u, v)
+    hi = gamma - mirror.max_weight(u, v)
+    which = rng.choice([None, "min", "max"])
+    if rng.random() < 0.2:
+        shift = rng.choice([lo - 1 - rng.randrange(3), hi + 1 + rng.randrange(3)])
+    else:
+        shift = rng.randint(lo, hi)
+    decide = _recording(seen, which, shift)
+    if not lo <= shift <= hi:
+        before = _weights(real, edges)
+        with pytest.raises(WeightRangeError):
+            real.path_update(u, v, decide)
+        assert seen == [(mirror.min_weight(u, v), mirror.max_weight(u, v))]
+        assert _weights(real, edges) == before == _weights(mirror, edges)
+        assert _parent_edges(real, n) == rooting
+        return "range"
+    wit, applied = real.path_update(u, v, decide)
+    assert applied == shift
+    assert seen == [(mirror.min_weight(u, v), mirror.max_weight(u, v))]
+    if which is None:
+        assert wit is None
+    else:
+        assert edge_key(*wit) == edge_key(*mirror.find_extreme_edge(u, v, which))
+    mirror.add_weight(u, v, shift)
+    assert _weights(real, edges) == _weights(mirror, edges)
+    assert _parent_edges(real, n) == rooting
+    return "path"
+
+
+def _drive(seed, n, steps, gamma=8):
+    """Random link/cut/reroot/set_edge_weight/path_update and reads beside
+    the naive mirror, with every depth parity read after every op,
+    rejected links included.  Returns the path_update outcomes seen."""
     rng = random.Random(seed)
     real = LinkCutForest(gamma)
     mirror = NaiveWeightedForest(gamma)
     edges = []
+    kinds = set()
     for _ in range(steps):
         op = rng.randrange(10)
         u = rng.randrange(n)
@@ -236,35 +346,23 @@ def _drive(seed, n, steps, gamma=16):
             real.cut(a, b)
             mirror.cut(a, b)
         elif op == 4:
-            if u != v and mirror.connected(u, v):
-                lo = -mirror.min_weight(u, v)
-                hi = gamma - mirror.max_weight(u, v)
-                if lo <= hi:
-                    x = rng.randint(lo, hi)
-                    real.add_weight(u, v, x)
-                    mirror.add_weight(u, v, x)
-        elif op == 5:
-            real.set_root(u)
-            mirror.set_root(u)
-        elif op == 6 and edges:
+            _reroot(real, u, mirror)
+            assert _root(real, u) == u == mirror.find_root(u)
+        elif op == 5 and edges:
             a, b = edges[rng.randrange(len(edges))]
             w = rng.randint(0, gamma)
             real.set_edge_weight(a, b, w)
             mirror.set_edge_weight(a, b, w)
+        elif op <= 7:
+            kinds.add(_path_update_step(real, mirror, rng, u, v, edges, n,
+                                        gamma))
         else:
-            assert real.connected(u, v) == mirror.connected(u, v)
             if edges:
                 # single-edge reads go through the orientation bit
                 a, b = edges[rng.randrange(len(edges))]
                 assert real.edge_weight(a, b) == mirror.edge_weight(a, b)
                 assert real.edge_weight(b, a) == mirror.edge_weight(b, a)
-            if u != v and mirror.connected(u, v):
-                assert real.min_weight(u, v) == mirror.min_weight(u, v)
-                assert real.max_weight(u, v) == mirror.max_weight(u, v)
-                rw = real.find_extreme_edge(u, v, "min")
-                mw = mirror.find_extreme_edge(u, v, "min")
-                assert edge_key(*rw) == edge_key(*mw)
-            assert real.find_root(u) == mirror.find_root(u)
+            assert _root(real, u) == mirror.find_root(u)
             assert real.depth_parity(u) == mirror.depth_parity(u)
             re_ = real.first_edge_on_root_path(u)
             me = mirror.first_edge_on_root_path(u)
@@ -273,19 +371,21 @@ def _drive(seed, n, steps, gamma=16):
                 assert edge_key(*re_) == edge_key(*me)
         _check_parities(real, mirror, n)
     # final full audit
+    assert _parent_edges(real, n) == _parent_edges(mirror, n)
     for a, b in edges:
         assert real.edge_weight(a, b) == mirror.edge_weight(a, b)
         assert real.edge_weight(a, b) + real.edge_weight(b, a) == gamma
+    return kinds
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_mirror_equivalence_small(seed):
-    _drive(seed, n=9, steps=700)
+    _drive(seed, n=9, steps=700, gamma=16)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_mirror_equivalence_medium(seed):
-    _drive(seed, n=40, steps=900)
+    _drive(seed, n=40, steps=900, gamma=16)
 
 
 def test_deep_path_no_recursion_trouble():
@@ -293,134 +393,38 @@ def test_deep_path_no_recursion_trouble():
     f = LinkCutForest(gamma=4)
     for i in range(n - 1):
         f.link(i + 1, i, 2)   # keeps root at 0, path grows downward
-    assert f.find_root(n - 1) == 0
+    assert _root(f, n - 1) == 0
     assert f.depth_parity(n - 1) == (n - 1) & 1
-    f.add_weight(n - 1, 0, 1)
-    assert f.min_weight(n - 1, 0) == 3
-    assert f.max_weight(0, n - 1) == 1
+    _shift(f, n - 1, 0, 1)
+    assert _range(f, n - 1, 0)[0] == 3
+    assert _range(f, 0, n - 1)[1] == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(4, 10))
 def test_mirror_equivalence_fuzz(seed, n):
-    _drive(seed, n=n, steps=120, gamma=8)
+    _drive(seed, n=n, steps=120)
 
 
 # ----------------------------------------------------------------------
 # the one-exposure path primitive
 
 
-def _roots(real, n):
-    return [real.find_root(x) if real.has_vertex(x) else None
-            for x in range(n)]
-
-
-def _weights(forest, edges):
-    return [forest.edge_weight(a, b) for a, b in edges]
-
-
-def _path_update_step(real, mirror, rng, u, v, edges, n, gamma):
-    """One path_update on the real forest, checked against the mirror's
-    four separate path operations."""
-    roots = _roots(real, n)
-    seen = []
-    if u == v or not mirror.connected(u, v):
-        def refuse(mn, mx):
-            seen.append((mn, mx))
-            return None, 0
-        assert real.path_update(u, v, refuse) is None
-        assert seen == []
-        assert _roots(real, n) == roots
-        return "none"
-    lo = -mirror.min_weight(u, v)
-    hi = gamma - mirror.max_weight(u, v)
-    which = rng.choice([None, "min", "max"])
-    if rng.random() < 0.2:
-        shift = rng.choice([lo - 1 - rng.randrange(3), hi + 1 + rng.randrange(3)])
-    else:
-        shift = rng.randint(lo, hi)
-
-    def decide(mn, mx):
-        seen.append((mn, mx))
-        return which, shift
-
-    if not lo <= shift <= hi:
-        before = _weights(real, edges)
-        with pytest.raises(WeightRangeError):
-            real.path_update(u, v, decide)
-        assert seen == [(mirror.min_weight(u, v), mirror.max_weight(u, v))]
-        assert _weights(real, edges) == before == _weights(mirror, edges)
-        assert _roots(real, n) == roots
-        return "range"
-    wit, applied = real.path_update(u, v, decide)
-    assert applied == shift
-    assert seen == [(mirror.min_weight(u, v), mirror.max_weight(u, v))]
-    if which is None:
-        assert wit is None
-    else:
-        assert edge_key(*wit) == edge_key(*mirror.find_extreme_edge(u, v, which))
-    mirror.add_weight(u, v, shift)
-    assert _weights(real, edges) == _weights(mirror, edges)
-    assert _roots(real, n) == roots
-    return "path"
-
-
-def _drive_path_update(seed, n, steps, gamma=8):
-    """Random link/cut/set_root/path_update beside the naive mirror."""
-    rng = random.Random(seed)
-    real = LinkCutForest(gamma)
-    mirror = NaiveWeightedForest(gamma)
-    edges = []
-    kinds = set()
-    for _ in range(steps):
-        op = rng.randrange(8)
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if op <= 1:
-            if u != v and not mirror.connected(u, v):
-                w = rng.randint(0, gamma)
-                real.link(u, v, w)
-                mirror.link(u, v, w)
-                edges.append((u, v))
-        elif op == 2 and edges:
-            a, b = edges.pop(rng.randrange(len(edges)))
-            real.cut(a, b)
-            mirror.cut(a, b)
-        elif op == 3:
-            real.set_root(u)
-            mirror.set_root(u)
-        else:
-            kinds.add(_path_update_step(real, mirror, rng, u, v, edges, n,
-                                        gamma))
-        _check_parities(real, mirror, n)
-    assert _roots(real, n) == [mirror.find_root(x) if mirror.has_vertex(x)
-                               else None for x in range(n)]
-    return kinds
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_path_update_matches_mirror_small(seed):
-    assert _drive_path_update(seed, n=9, steps=600) == {"none", "range", "path"}
+    assert _drive(seed, n=9, steps=600) == {"none", "range", "path"}
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_path_update_matches_mirror_medium(seed):
-    assert _drive_path_update(seed, n=40, steps=700, gamma=16) == {
+    assert _drive(seed, n=40, steps=700, gamma=16) == {
         "none", "range", "path"}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 31), st.integers(4, 10))
 def test_path_update_matches_mirror_fuzz(seed, n):
-    _drive_path_update(seed, n=n, steps=120)
-
-
-def _recording(seen, which, shift):
-    """A decision that records the (min, max) it is handed."""
-    def decide(mn, mx):
-        seen.append((mn, mx))
-        return which, shift
-    return decide
+    _drive(seed, n=n, steps=120, gamma=16)
 
 
 def test_path_update_pinned_witnesses_and_shift():
@@ -435,7 +439,7 @@ def test_path_update_pinned_witnesses_and_shift():
     assert f.path_update(3, 0, _recording(seen, "max", -4)) == ((2, 3), -4)
     assert seen == [(2, 4), (4, 6), (4, 6)]
     assert [f.edge_weight(a, a + 1) for a in range(3)] == [8, 6, 6]
-    assert [f.find_root(x) for x in range(4)] == [3, 3, 3, 3]
+    assert [_root(f, x) for x in range(4)] == [3, 3, 3, 3]
     assert f.path_update(0, 4, _recording(seen, "min", 0)) is None
     assert f.path_update(2, 2, _recording(seen, None, 0)) is None
     assert len(seen) == 3
@@ -456,7 +460,7 @@ def test_path_update_deep_path():
     assert f.edge_weight(0, 1) == 3
     with pytest.raises(WeightRangeError):
         f.path_update(n - 1, 0, lambda mn, mx: (None, 3))
-    assert f.find_root(n - 1) == 0
+    assert _root(f, n - 1) == 0
     assert f.edge_weight(n - 1, n - 2) == 1
     assert f.depth_parity(n - 1) == (n - 1) & 1
 
@@ -485,14 +489,13 @@ def _compare_parity(lean, mirror, verts):
 
 
 def _drive_parity(seed, n, steps):
-    """Random link/cut/set_root on the lean forest beside the naive mirror
-    and the weighted forest.  Cuts come with either endpoint first; the
-    other two reroot a cut's first side at it, so they get the child
-    first, which leaves every root where the lean forest's cut does."""
+    """Random link/cut/set_root on the lean forest beside the naive mirror.
+    Cuts come with either endpoint first; the mirror reroots a cut's first
+    side at it, so it gets the child first, which leaves every root where
+    the lean forest's cut does."""
     rng = random.Random(seed)
     lean = ParityForest()
     mirror = NaiveWeightedForest(1)
-    real = LinkCutForest(1)
     edges = []
     for _ in range(steps):
         op = rng.randrange(5)
@@ -505,7 +508,6 @@ def _drive_parity(seed, n, steps):
             else:
                 lean.link(u, v)
                 mirror.link(u, v, 0)
-                real.link(u, v, 0)
                 edges.append((u, v))
             touched = (u, v)
         elif op == 2 and edges:
@@ -515,18 +517,13 @@ def _drive_parity(seed, n, steps):
             c, p = _child_first(mirror, a, b)
             lean.cut(a, b)
             mirror.cut(c, p)
-            real.cut(c, p)
             touched = (a, b)
         else:
             lean.set_root(u)
             mirror.set_root(u)
-            real.set_root(u)
             touched = (u, v)
         _check_parities(lean, mirror, n)
         _compare_parity(lean, mirror, touched)
-        for x in touched:
-            assert lean.find_root(x) == real.find_root(x), x
-            assert lean.depth_parity(x) == real.depth_parity(x), x
     _compare_parity(lean, mirror, range(n))
 
 
@@ -630,9 +627,12 @@ def test_parity_read_creates_no_vertex(make):
     f = make()
     nodes = len(f._v)
     assert f.depth_parity(9) == 0
+    if isinstance(f, ParityForest):
+        assert not f.connected(9, 9) and f.find_root(9) == 9
+    else:
+        assert f.first_edge_on_root_path(9) is None and _range(f, 9, 0) is None
     assert not f.has_vertex(9)
     assert len(f._v) == nodes
-    assert not f.connected(9, 9)
 
 
 def test_weighted_memo_survives_reads_and_rejected_writes(monkeypatch):
@@ -647,17 +647,18 @@ def test_weighted_memo_survives_reads_and_rejected_writes(monkeypatch):
     with pytest.raises(MissingEdgeError):
         f.cut(0, 2)
     with pytest.raises(WeightRangeError):
-        f.add_weight(0, 3, 5)
-    f.add_weight(0, 3, 2)
+        f.path_update(0, 3, lambda mn, mx: (None, 5))
+    _shift(f, 0, 3, 2)
     f.set_edge_weight(1, 2, 0)
-    assert edge_key(*f.find_extreme_edge(3, 0, "min")) == (2, 3)
-    assert f.find_root(0) == 3 and f.connected(0, 3)
+    assert edge_key(*_extreme(f, 3, 0, "min")) == (2, 3)
+    assert _root(f, 0) == 3 and _range(f, 0, 3) == (0, 6)
     spent = accesses[0]
     assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
     assert accesses[0] == spent, "a read-only or rejected op dropped the memo"
-    f.set_root(0)
+    _reroot(f, 0)
+    spent = accesses[0]
     assert [f.depth_parity(x) for x in range(4)] == [0, 1, 0, 1]
-    assert accesses[0] == spent + 1 + 4
+    assert accesses[0] == spent + 4, "the cut and relink kept the memo"
 
 
 def test_lean_memo_survives_reads_and_rejected_writes(monkeypatch):

@@ -13,7 +13,8 @@ from dynorient.params import Params
 def make(gamma, n=8, **kw):
     p = Params(gamma=gamma, n_cap=n, **kw)
     g = GraphState(p)
-    return g, FractionalOrienter(g)
+    # the tree has no edges, so every key goes to the raw tables
+    return g, FractionalOrienter(g, EdgeStore(g, LinkCutForest(gamma)))
 
 
 def stage_chain(g, triples):

@@ -16,6 +16,15 @@ def root(hl, v):
     raise AssertionError("parent pointers close a cycle")
 
 
+def lct_root(lct, v):
+    """v's root in the link-cut forest, walked up by its root-path edges."""
+    e = lct.first_edge_on_root_path(v)
+    while e is not None:
+        v = e[1] if e[0] == v else e[0]
+        e = lct.first_edge_on_root_path(v)
+    return v
+
+
 def audit(hl):
     """Every parent chain ends at a root, and every parent is recorded."""
     for v, p in hl.parent.items():
@@ -86,12 +95,12 @@ def test_roots_track_link_cut_forest(offset):
             lct.cut(vid(v), vid(w))
             hl.link(vid(w), vid(v))
             lct.link(vid(w), vid(v), 4)
-            assert root(hl, vid(w)) == vid(v) == lct.find_root(vid(w))
+            assert root(hl, vid(w)) == vid(v) == lct_root(lct, vid(w))
         if step % 40 == 0:
             audit(hl)
             for v in range(n):
                 if lct.has_vertex(vid(v)):
-                    assert root(hl, vid(v)) == lct.find_root(vid(v)), (step, v)
+                    assert root(hl, vid(v)) == lct_root(lct, vid(v)), (step, v)
                     fe = lct.first_edge_on_root_path(vid(v))
                     p = hl.parent[vid(v)]
                     assert (fe is None) == (p is None), (step, v)
