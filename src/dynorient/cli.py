@@ -280,7 +280,8 @@ def build_parser():
         p.add_argument("--alpha-max", type=int, default=None,
                        help="arboricity cap of bf mode; other modes ignore it")
         p.add_argument("--verify-every", type=int, default=0, metavar="K",
-                       help="run the invariant suite after every K ops")
+                       help="run the invariant suite after every K ops; "
+                            "0 checks at the end only, below 0 is an error")
         p.add_argument("--paranoid", action="store_true",
                        help="engine self-checks after every update")
         p.add_argument("trace", nargs="?",
@@ -306,11 +307,14 @@ def main(argv=None, out=None):
     args = build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
+        if args.cmd == "gen":
+            return _cmd_gen(args, out)
+        if args.verify_every < 0:
+            raise ConfigurationError(
+                f"--verify-every {args.verify_every} is below 0")
         if args.cmd == "run":
             return _cmd_run(args, out)
-        if args.cmd == "bench":
-            return _cmd_bench(args, out)
-        return _cmd_gen(args, out)
+        return _cmd_bench(args, out)
     except (DynOrientError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,12 +6,20 @@ parity plus one reserved colour for the vertex the cycle hangs off), and
 a vertex's colour is the vector of those per-part colours packed into a
 single integer in mixed radix.  When the structures underneath change,
 every query after that reflects the new decomposition; nothing here is
-ever written, only read.  The forests underneath memoise the depth
-parities they were asked for until their next link, cut or evert, so
-repeated queries between two updates mostly skip the splay work.
+ever written, only read.
+
+A query is one flat pass with one forest call per tree factor, and it
+mostly costs dict hits and arithmetic.  Each forest underneath memoises
+the depth parities it was asked for, per tree, until a link, cut or
+evert changes that tree.  The pooled cycle edges live in plain sets, so
+their parities are found by a walk over a component and cached here for
+every vertex of it; the decomposer bumps ``pool_version`` whenever its
+pooled incidence changes, and the cache starts over.  The code is packed
+during the pass, so the answer skips ``ColourCode``'s digit check, which
+holds by construction.
 """
 
-from .errors import ConfigurationError, VertexRangeError
+from .errors import ColourCodeError, ConfigurationError, VertexRangeError
 
 FOREST_MODE = "forest-decomposition"
 PSEUDOFOREST_MODE = "pseudoforest"
@@ -22,17 +30,21 @@ class ColourCode:
 
     digits[k] is the colour in factor k and lives in range(radices[k]).
     The packed integer weights earlier factors less: digit 0 is the
-    least significant.
+    least significant.  A digit outside its radix, or a length mismatch,
+    raises ColourCodeError.
     """
 
     __slots__ = ("digits", "radices", "code")
 
     def __init__(self, digits, radices):
-        assert len(digits) == len(radices)
+        if len(digits) != len(radices):
+            raise ColourCodeError(
+                f"{len(digits)} digits for {len(radices)} radices")
         code = 0
         scale = 1
         for d, r in zip(digits, radices):
-            assert 0 <= d < r, (d, r)
+            if not 0 <= d < r:
+                raise ColourCodeError(f"digit {d} outside range({r})")
             code += d * scale
             scale *= r
         self.digits = tuple(digits)
@@ -52,6 +64,17 @@ class ColourCode:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ColourCode(digits={list(self.digits)}, code={self.code})"
+
+
+def _packed(digits, radices, code):
+    """A ColourCode from tuples whose digits fit their radices and whose
+    packing is ``code``, made without the check; only ``colour()``, which
+    builds all three in one pass, calls it."""
+    c = object.__new__(ColourCode)
+    c.digits = digits
+    c.radices = radices
+    c.code = code
+    return c
 
 
 class ProductColouring:
@@ -81,77 +104,109 @@ class ProductColouring:
         self.d = decomp
         self._mode = mode
         self.forest_queries = 0
+        self._pool = {}             # vertex -> pooled-forest parity
+        self._pool_version = None   # decomp.pool_version the cache is of
 
     def mode(self):
         return self._mode
 
     def _pool_parity(self, v):
-        # The pooled cycle edges form a forest but live in plain sets,
-        # not in a link/cut structure, so walk v's component and take
-        # the parity of the distance to its smallest vertex.
-        incidence = self.d.incidence
-        dist = {v: 0}
-        order = [v]
-        for x in order:
-            for a, b in incidence.get(x, ()):
-                y = b if a == x else a
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    order.append(y)
-        return dist[min(dist)] & 1
+        """Parity of v's distance to the smallest vertex of its pooled
+        component, from the cache when the pool has not changed since."""
+        d = self.d
+        pool = self._pool
+        if self._pool_version != d.pool_version:
+            pool.clear()
+            self._pool_version = d.pool_version
+        p = pool.get(v)
+        if p is None:
+            # The pooled cycle edges form a forest but live in plain
+            # sets, not in a link/cut structure: walk v's component once
+            # and file the parity of every vertex in it.  In a forest two
+            # distances from v have the parity of the path between their
+            # ends, so each vertex's parity is its distance from v plus
+            # the smallest vertex's.
+            incidence = d.incidence
+            dist = {v: 0}
+            order = [v]
+            for x in order:
+                for a, b in incidence.get(x, ()):
+                    y = b if a == x else a
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        order.append(y)
+            base = dist[min(dist)]
+            for x, k in dist.items():
+                pool[x] = (k + base) & 1
+            p = pool[v]
+        return p
 
     # ------------------------------------------------------------------
     # queries
 
     def colour(self, v):
         """Colour of vertex v.  One pass over the active factors in digit
-        order (layers by index, then the pooled cycle edges, then H);
-        raises VertexRangeError for a v outside [0, n_cap) before any
-        read."""
+        order (layers by index, then the pooled cycle edges, then H),
+        packing the code as it goes; raises VertexRangeError for a v
+        outside [0, n_cap) before any read.  A tree factor's one forest
+        call reads None for a vertex the tree has never seen, which
+        counts one read here, and a parity, which counts two."""
         d = self.d
         n = d.params.n_cap
         if not 0 <= v < n:
             raise VertexRangeError(f"vertex {v} outside [0, {n})")
         digits = []
-        radices = []
         reads = 0
+        code = 0
+        scale = 1
         if self._mode == FOREST_MODE:
             for f in d.F:
                 if len(f):
-                    reads += 1
-                    if f.has_vertex(v):
+                    p = f.depth_parity(v, None)
+                    if p is None:
                         reads += 1
-                        digits.append(f.depth_parity(v))
-                    else:
                         digits.append(0)
-                    radices.append(2)
-            if any(d.m_tail):
-                digits.append(self._pool_parity(v))
-                radices.append(2)
+                    else:
+                        reads += 2
+                        digits.append(p)
+                        code += p * scale
+                    scale *= 2
+            if d.incidence:
+                p = self._pool_parity(v)
+                digits.append(p)
+                code += p * scale
+                scale *= 2
+            ternary = 0
         else:
             for f, tails in zip(d.F, d.m_tail):
-                if len(f) or tails:
-                    if v in tails:
-                        digits.append(2)
-                    else:
+                if v in tails:
+                    digits.append(2)
+                    code += 2 * scale
+                elif len(f) or tails:
+                    p = f.depth_parity(v, None)
+                    if p is None:
                         reads += 1
-                        if f.has_vertex(v):
-                            reads += 1
-                            digits.append(f.depth_parity(v))
-                        else:
-                            digits.append(0)
-                    radices.append(3)
+                        digits.append(0)
+                    else:
+                        reads += 2
+                        digits.append(p)
+                        code += p * scale
+                else:
+                    continue
+                scale *= 3
+            ternary = len(digits)
         if d.refine.in_h:
-            h = d.refine.H
-            reads += 1
-            if h.has_vertex(v):
+            p = d.refine.H.depth_parity(v, None)
+            if p is None:
                 reads += 1
-                digits.append(h.depth_parity(v))
-            else:
                 digits.append(0)
-            radices.append(2)
+            else:
+                reads += 2
+                digits.append(p)
+                code += p * scale
         self.forest_queries += reads
-        return ColourCode(digits, radices)
+        radices = (3,) * ternary + (2,) * (len(digits) - ternary)
+        return _packed(tuple(digits), radices, code)
 
     def colour_count(self):
         """Product of the radices ``colour()`` uses: a factor counts
@@ -159,7 +214,7 @@ class ProductColouring:
         current decomposition, not a high water mark."""
         d = self.d
         if self._mode == FOREST_MODE:
-            total = 2 ** (sum(1 for f in d.F if len(f)) + any(d.m_tail))
+            total = 2 ** (sum(1 for f in d.F if len(f)) + bool(d.incidence))
         else:
             total = 3 ** sum(1 for f, tails in zip(d.F, d.m_tail)
                              if len(f) or tails)

@@ -86,6 +86,7 @@ class ArboricityDecomposer:
         self.F = []         # layer -> ParityForest of that layer's tree edges
         self.m_tail = []    # layer -> {tail vertex: designated cycle edge key}
         self.incidence = {} # vertex -> pooled cycle edge keys at it
+        self.pool_version = 0   # bumped by every change to ``incidence``
         self.queue = deque()    # evicted or fresh edges awaiting placement
         self._dirty = deque()   # cycle edges whose pooled component needs audit
         self.moves = 0
@@ -225,10 +226,12 @@ class ArboricityDecomposer:
         self._pool_discard(self.m_tail[i].pop(t))
 
     def _pool_add(self, key):
+        self.pool_version += 1
         for v in key:
             self.incidence.setdefault(v, set()).add(key)
 
     def _pool_discard(self, key):
+        self.pool_version += 1
         for v in key:
             ks = self.incidence.get(v)
             if ks is not None:

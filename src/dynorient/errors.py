@@ -41,6 +41,11 @@ class WeightRangeError(DynOrientError):
     """A path update would push some edge weight outside [0, gamma]."""
 
 
+class ColourCodeError(DynOrientError):
+    """A colour digit outside its radix, or digits and radices of
+    different lengths."""
+
+
 class SizeError(DynOrientError):
     """Exact oracle invoked above its feasible input size."""
 

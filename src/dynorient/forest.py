@@ -53,14 +53,20 @@ v's depth parity is its size modulo 2.  Which operations evert:
 * ``connected``, ``find_root`` and ``depth_parity`` never evert.
 
 Both forests keep a read-through memo of depth parities, one int per
-vertex read since the last drop.  ``depth_parity`` answers from it and
-fills it on a miss, at the cost of the access it would make anyway.  A
-successful ``link``, ``cut`` or ``set_root`` drops the whole memo, since
-each can move the depth of every vertex in a tree; a typed error raised
-before the write keeps it.  Every other operation leaves all depths as
-they were (``path_update`` restores the root it moved) and keeps it.
-Reads create no node: a vertex the forest has never seen has depth parity
-0, is its own root and has no edge on its root path.
+vertex read since its tree last changed, filed under the root it was read
+under.  ``depth_parity`` answers from it; a miss makes the access it would
+make anyway, and the walk to the path's head that follows names the root
+and, as the path's length, the parity.  A successful ``link``, ``cut`` or
+``set_root`` drops only the entries of the tree it changes: for ``link``
+u's old tree, since v's side keeps every depth; for ``cut`` and
+``set_root`` the whole tree.  The operation's own access exposes that
+root, so finding it is a walk down the exposed path, not another access,
+and it is paid only while the memo holds something.  A typed error is
+raised before any entry is dropped.  Every other operation leaves all
+depths as they were (``path_update`` restores the root it moved) and keeps
+the memo.  Reads create no node: a vertex the forest has never seen has
+depth parity 0 (or the caller's ``default``), is its own root and has no
+edge on its root path.
 
 Both forests are iterative throughout, so deep paths do not recurse.
 """
@@ -244,9 +250,8 @@ def _waccess(x: _Node):
     _wsplay(x)
 
 
-def _whead(x: _Node) -> _Node:
-    """Root of x's tree, splayed to the top of its preferred path."""
-    _waccess(x)
+def _wfirst(x: _Node) -> _Node:
+    """First node of x's splay tree, splayed to its top."""
     while True:
         _wpush(x)
         if x.left is None:
@@ -256,22 +261,56 @@ def _whead(x: _Node) -> _Node:
     return x
 
 
+def _whead(x: _Node) -> _Node:
+    """Root of x's tree, splayed to the top of its root path, so that its
+    aggregates are the path's."""
+    _waccess(x)
+    return _wfirst(x)
+
+
 def _wevert(x: _Node):
     """Make x the root of its tree."""
     _waccess(x)
     _wapply(x, True, 0)
 
 
-class LinkCutForest:
+class _ParityMemo:
+    """Depth parities read since their tree last changed, filed by the
+    root they were read under, so a change to one tree drops that tree's
+    entries alone."""
+
+    def __init__(self):
+        self._parity = {}   # vertex -> depth parity
+        self._tree = {}     # root -> vertices memoised under it
+
+    def _remember(self, v: int, root: int, p: int) -> int:
+        self._parity[v] = p
+        vs = self._tree.get(root)
+        if vs is None:
+            self._tree[root] = [v]
+        else:
+            vs.append(v)
+        return p
+
+    def _forget(self, root: int):
+        """Drop every entry read under ``root``: its tree is changing."""
+        vs = self._tree.pop(root, None)
+        if vs is not None:
+            parity = self._parity
+            for v in vs:
+                del parity[v]
+
+
+class LinkCutForest(_ParityMemo):
     """Weighted dynamic forest over integer vertex ids; every edge weight
     stays in [0, gamma], and reversal complements against gamma."""
 
     def __init__(self, gamma: int):
         assert gamma >= 1
+        super().__init__()
         self.gamma = gamma
         self._v = {}
         self._e = {}
-        self._parity = {}   # depth-parity memo; link and cut drop it
 
     def _vnode(self, v: int) -> _Node:
         n = self._v.get(v)
@@ -283,9 +322,6 @@ class LinkCutForest:
 
     # ------------------------------------------------------------------
     # structure
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._v
 
     def edge_keys(self):
         """Live view of the edge keys: it follows every link and cut."""
@@ -309,7 +345,11 @@ class LinkCutForest:
         # so nu kept a parent exactly when v lies in u's tree
         if nu.parent is not None:
             raise CycleError(f"{u} and {v} already connected")
-        # nu still tops its own root path; evert it there
+        # nu still tops its own root path; u's old tree is the one whose
+        # depths change, and its root heads that path
+        if self._parity:
+            self._forget(_wfirst(nu).vid)
+            _wsplay(nu)
         if nu.left is not None:
             _wapply(nu, True, 0)
         e = _Node()
@@ -322,8 +362,6 @@ class LinkCutForest:
         nu.parent = e
         e.parent = nv
         self._e[key] = e
-        if self._parity:
-            self._parity.clear()
 
     def cut(self, u: int, v: int):
         """Remove edge (u, v).
@@ -341,12 +379,14 @@ class LinkCutForest:
         _waccess(self._v[child])
         # the root path now ends [..., parent, e, child]; detach both sides
         _wsplay(e)
-        e.left.parent = None
+        above = e.left
+        above.parent = None
         e.right.parent = None
         e.left = e.right = None
         del self._e[key]
         if self._parity:
-            self._parity.clear()
+            # the parent side's path still starts at the old root
+            self._forget(_wfirst(above).vid)
         # the parent side keeps the old root, the child side is headed by
         # the child
         if child != u:
@@ -451,17 +491,17 @@ class LinkCutForest:
     # ------------------------------------------------------------------
     # root-relative queries (no rerooting)
 
-    def depth_parity(self, v: int) -> int:
-        """Parity of the number of edges between v and its tree root; 0
-        for a vertex the forest has never seen."""
+    def depth_parity(self, v: int, default=0):
+        """Parity of the number of edges between v and its tree root;
+        ``default`` for a vertex the forest has never seen."""
         p = self._parity.get(v)
         if p is None:
             nv = self._v.get(v)
             if nv is None:
-                return 0
-            _waccess(nv)
-            left = nv.left
-            p = self._parity[v] = left.n_edges & 1 if left is not None else 0
+                return default
+            # the root tops v's root path, whose edges it counts
+            r = _whead(nv)
+            p = self._remember(v, r.vid, r.n_edges & 1)
         return p
 
     def first_edge_on_root_path(self, v: int):
@@ -592,32 +632,31 @@ def _access(x: _Vertex):
     _splay(x)
 
 
-def _leftmost(x: _Vertex) -> _Vertex:
-    """First node in x's splay subtree, pushing reversals on the way."""
+def _first(x: _Vertex) -> _Vertex:
+    """First node of x's splay tree, splayed to its top."""
     while True:
         _push(x)
         if x.left is None:
-            return x
+            break
         x = x.left
+    _splay(x)
+    return x
 
 
-class ParityForest:
+class ParityForest(_ParityMemo):
     """Rooted dynamic forest over integer vertex ids with root, connectivity
     and depth-parity reads and no weights."""
 
     def __init__(self):
+        super().__init__()
         self._v = {}
         self._e = set()
-        self._parity = {}   # depth-parity memo; link, cut, set_root drop it
 
     def _vnode(self, v: int) -> _Vertex:
         n = self._v.get(v)
         if n is None:
             n = self._v[v] = _Vertex(v)
         return n
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._v
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self._e
@@ -634,28 +673,28 @@ class ParityForest:
         if x is None:
             return v
         _access(x)
-        r = _leftmost(x)
-        _splay(r)
-        return r.vid
+        return _first(x).vid
 
     def set_root(self, r: int):
         x = self._vnode(r)
         _access(x)
-        x.rev = not x.rev
         if self._parity:
-            self._parity.clear()
+            self._forget(_first(x).vid)
+            _splay(x)
+        x.rev = not x.rev
 
-    def depth_parity(self, v: int) -> int:
-        """Parity of the number of edges between v and its tree root; 0
-        for a vertex the forest has never seen."""
+    def depth_parity(self, v: int, default=0):
+        """Parity of the number of edges between v and its tree root;
+        ``default`` for a vertex the forest has never seen."""
         p = self._parity.get(v)
         if p is None:
             x = self._v.get(v)
             if x is None:
-                return 0
+                return default
+            # the root tops v's root path, whose vertices it counts
             _access(x)
-            left = x.left
-            p = self._parity[v] = left.size & 1 if left is not None else 0
+            r = _first(x)
+            p = self._remember(v, r.vid, (r.size - 1) & 1)
         return p
 
     def connected(self, u: int, v: int) -> bool:
@@ -682,13 +721,15 @@ class ParityForest:
         nu, nv = self._vnode(u), self._vnode(v)
         if self.connected(u, v):
             raise CycleError(f"{u} and {v} already connected")
-        # connected left nu accessed, and its access of v stayed in v's tree
+        # connected left nu accessed, and its access of v stayed in v's
+        # tree; u's old tree is the one whose depths change
+        if self._parity:
+            self._forget(_first(nu).vid)
+            _splay(nu)
         if nu.left is not None:
             nu.rev = not nu.rev
         nu.parent = nv
         self._e.add(key)
-        if self._parity:
-            self._parity.clear()
 
     def cut(self, u: int, v: int):
         """Remove edge (u, v) without rerooting either side."""
@@ -696,8 +737,6 @@ class ParityForest:
         if key not in self._e:
             raise MissingEdgeError(f"no edge {key}")
         self._e.remove(key)
-        if self._parity:
-            self._parity.clear()
         nu, nv = self._v[u], self._v[v]
         _access(nu)
         _splay(nv)
@@ -705,9 +744,14 @@ class ParityForest:
             # v is u's child and heads its own preferred path, hanging
             # from u by the path-parent pointer alone
             nv.parent = None
-            return
-        # v is u's parent: it now tops u's splay tree with u, the last node
-        # of the root path, as its only right descendant
-        nv.right = None
-        nv.size -= 1
-        nu.parent = None
+            above = nu
+        else:
+            # v is u's parent: it now tops u's splay tree with u, the last
+            # node of the root path, as its only right descendant
+            nv.right = None
+            nv.size -= 1
+            nu.parent = None
+            above = nv
+        if self._parity:
+            # the parent side's path still starts at the old root
+            self._forget(_first(above).vid)

@@ -245,7 +245,10 @@ TRACE_KINDS = ("alpha-preserving", "forest-only", "uniform-sparse",
 
 
 def generate(kind, n, steps, seed, alpha_max=None, query_rate=0.0):
-    """Dispatch by kind name; every generator is deterministic in seed."""
+    """Dispatch by kind name; every generator is deterministic in seed.
+    A negative step count raises ConfigurationError."""
+    if steps < 0:
+        raise ConfigurationError(f"step count {steps} is below 0")
     if kind == "alpha-preserving":
         if alpha_max is None:
             raise ConfigurationError("alpha-preserving traces need alpha_max")

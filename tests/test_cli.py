@@ -268,6 +268,25 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
         == cli.EXIT_USAGE
 
 
+def test_gen_rejects_negative_steps_as_usage(capsys):
+    argv = ["gen", "--kind", "uniform-sparse", "--n", "4", "--steps"]
+    code, text = run_cli(argv + ["-2"])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error:")
+    # no steps is an empty trace, not an error
+    assert run_cli(argv + ["0"]) == (cli.EXIT_OK, "")
+
+
+@pytest.mark.parametrize("cmd", ["run", "bench"])
+def test_negative_verify_every_is_a_usage_error(cmd, tmp_path, capsys):
+    trace = write_trace(tmp_path, [("a", 0, 1)])
+    code, text = run_cli([cmd, "--n", "4", "--verify-every", "-3", trace])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error:")
+    assert run_cli([cmd, "--n", "4", "--verify-every", "0", trace])[0] \
+        == cli.EXIT_OK
+
+
 def test_run_and_bench_reject_a_seed(tmp_path, capsys):
     # only gen draws random numbers; a seed given to a replay is a usage
     # error, not a setting that is silently ignored

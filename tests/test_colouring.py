@@ -9,7 +9,8 @@ import pytest
 from dynorient import forest
 from dynorient.colouring import ColourCode, ProductColouring
 from dynorient.decompose import ArboricityDecomposer
-from dynorient.errors import ConfigurationError, VertexRangeError
+from dynorient.errors import (ColourCodeError, ConfigurationError,
+                              DynOrientError, VertexRangeError)
 from dynorient.forest import edge_key
 from dynorient.oracles import is_proper
 from dynorient.params import Params
@@ -52,6 +53,39 @@ def test_code_packing_is_little_endian():
     assert c == ColourCode((1, 0, 2), (2, 2, 3))
     assert c != ColourCode([1, 0], [2, 3])
     assert len({c, ColourCode((1, 0, 2), (2, 2, 3))}) == 1
+
+
+@pytest.mark.parametrize("digits, radices", [([1, 2], [2, 2]),
+                                             ([0, -1], [2, 3]),
+                                             ([0, 1], [2]),
+                                             ([0], [2, 3])])
+def test_code_rejects_a_digit_outside_its_radix_or_a_length_mismatch(
+        digits, radices):
+    with pytest.raises(ColourCodeError):
+        ColourCode(digits, radices)
+    assert issubclass(ColourCodeError, DynOrientError)
+
+
+_CODE_UNDER_O = textwrap.dedent("""
+    from dynorient import ColourCode
+    from dynorient.errors import ColourCodeError
+    for digits, radices in (([1, 2], [2, 2]), ([0, 1], [2])):
+        try:
+            ColourCode(digits, radices)
+        except ColourCodeError:
+            continue
+        raise SystemExit(f"accepted {digits} over {radices}")
+    print("rejected")
+""")
+
+
+def test_code_checks_its_digits_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forest.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CODE_UNDER_O],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 def test_rejects_unknown_mode():
@@ -197,6 +231,13 @@ def test_properness_survives_churn(mode, seed):
             d.insert_edge(u, v)
             edges.add((u, v))
         assert is_proper(edges, lambda v: col.colour(v).code)
+        for v in range(n):
+            # colour() packs its code unchecked; the checked constructor
+            # must agree on every field
+            got = col.colour(v)
+            want = ColourCode(got.digits, got.radices)
+            assert got == want and got.code == want.code
+            assert type(got.digits) is type(got.radices) is tuple
         if mode == "forest-decomposition":
             assert col.colour_count() == 2 ** len(d.forests())
         else:

@@ -5,6 +5,7 @@ tests read a root by walking ``first_edge_on_root_path`` up the tree, read
 and shift paths through ``path_update``, and reroot a tree by cutting a
 vertex's parent edge and linking it back below the vertex."""
 
+import contextlib
 import random
 
 import pytest
@@ -234,10 +235,10 @@ def test_reads_of_an_unseen_vertex_create_no_node():
     f = LinkCutForest(gamma=8)
     f.link(0, 1, 4)
     assert f.first_edge_on_root_path(7) is None and _range(f, 7, 0) is None
-    assert not f.has_vertex(7)
+    assert f.depth_parity(7, None) is None
     p = ParityForest()
     p.link(0, 1)
-    assert p.find_root(5) == 5 and not p.has_vertex(5)
+    assert p.find_root(5) == 5 and p.depth_parity(5, None) is None
     assert not p.connected(5, 5)
 
 
@@ -256,10 +257,50 @@ def test_path_ops_require_connectivity():
 # differential driving against the naive mirror
 
 
-def _check_parities(f, mirror, n):
+@contextlib.contextmanager
+def _accesses():
+    """Count calls of both access functions inside the block."""
+    counts = [0]
+    saved = forest._access, forest._waccess
+
+    def counted(fn):
+        def wrapped(x):
+            counts[0] += 1
+            return fn(x)
+        return wrapped
+    forest._access, forest._waccess = counted(saved[0]), counted(saved[1])
+    try:
+        yield counts
+    finally:
+        forest._access, forest._waccess = saved
+
+
+def _unmemoised(mirror, u, *new):
+    """Vertices whose parity a write to u's tree may leave out of the
+    memo: u's tree, and those of ``new`` the forest has never seen, which
+    have no entry yet."""
+    out = set(mirror._component(u)) if mirror.has_vertex(u) else {u}
+    out.update(x for x in new if not mirror.has_vertex(x))
+    return out
+
+
+def _trees(mirror):
+    """How many trees of the mirror hold an edge."""
+    return sum(1 for ns in mirror.nbrs.values() if ns) - len(mirror.ew)
+
+
+def _check_parities(f, mirror, n, changed=()):
     """Every vertex's depth parity against the mirror, read twice so the
     second read comes from the memo.  A vertex the mirror has never seen
-    reads 0 and stays unseen by it."""
+    reads 0 and stays unseen by it.  Outside ``changed``, the tree the
+    last write changed, every parity was read before that write, so its
+    first read comes from the memo too, with no access at all."""
+    with _accesses() as spent:
+        for x in range(n):
+            if x not in changed:
+                want = mirror.depth_parity(x) if mirror.has_vertex(x) else 0
+                assert f.depth_parity(x) == want, x
+    assert spent[0] == 0, "a write dropped the memo of another tree"
     for x in range(n):
         want = mirror.depth_parity(x) if mirror.has_vertex(x) else 0
         assert f.depth_parity(x) == want, x
@@ -322,18 +363,23 @@ def _path_update_step(real, mirror, rng, u, v, edges, n, gamma):
 def _drive(seed, n, steps, gamma=8):
     """Random link/cut/reroot/set_edge_weight/path_update and reads beside
     the naive mirror, with every depth parity read after every op,
-    rejected links included.  Returns the path_update outcomes seen."""
+    rejected links included; reads outside the tree an op changed must
+    hit the memo.  Returns the path_update outcomes seen and the most
+    trees with an edge held at once."""
     rng = random.Random(seed)
     real = LinkCutForest(gamma)
     mirror = NaiveWeightedForest(gamma)
     edges = []
     kinds = set()
+    most = 0
     for _ in range(steps):
         op = rng.randrange(10)
         u = rng.randrange(n)
         v = rng.randrange(n)
+        changed = ()
         if op <= 2:
             if u != v and not mirror.connected(u, v):
+                changed = _unmemoised(mirror, u, v)
                 w = rng.randint(0, gamma)
                 real.link(u, v, w)
                 mirror.link(u, v, w)
@@ -343,9 +389,11 @@ def _drive(seed, n, steps, gamma=8):
                     real.link(u, v, 0)
         elif op == 3 and edges:
             a, b = edges.pop(rng.randrange(len(edges)))
+            changed = _unmemoised(mirror, a)
             real.cut(a, b)
             mirror.cut(a, b)
         elif op == 4:
+            changed = _unmemoised(mirror, u)
             _reroot(real, u, mirror)
             assert _root(real, u) == u == mirror.find_root(u)
         elif op == 5 and edges:
@@ -369,23 +417,24 @@ def _drive(seed, n, steps, gamma=8):
             assert (re_ is None) == (me is None)
             if re_ is not None:
                 assert edge_key(*re_) == edge_key(*me)
-        _check_parities(real, mirror, n)
+        _check_parities(real, mirror, n, changed)
+        most = max(most, _trees(mirror))
     # final full audit
     assert _parent_edges(real, n) == _parent_edges(mirror, n)
     for a, b in edges:
         assert real.edge_weight(a, b) == mirror.edge_weight(a, b)
         assert real.edge_weight(a, b) + real.edge_weight(b, a) == gamma
-    return kinds
+    return kinds, most
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_mirror_equivalence_small(seed):
-    _drive(seed, n=9, steps=700, gamma=16)
+    assert _drive(seed, n=9, steps=700, gamma=16)[1] >= 3
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_mirror_equivalence_medium(seed):
-    _drive(seed, n=40, steps=900, gamma=16)
+    assert _drive(seed, n=40, steps=900, gamma=16)[1] >= 5
 
 
 def test_deep_path_no_recursion_trouble():
@@ -412,12 +461,12 @@ def test_mirror_equivalence_fuzz(seed, n):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_path_update_matches_mirror_small(seed):
-    assert _drive(seed, n=9, steps=600) == {"none", "range", "path"}
+    assert _drive(seed, n=9, steps=600)[0] == {"none", "range", "path"}
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_path_update_matches_mirror_medium(seed):
-    assert _drive(seed, n=40, steps=700, gamma=16) == {
+    assert _drive(seed, n=40, steps=700, gamma=16)[0] == {
         "none", "range", "path"}
 
 
@@ -489,23 +538,28 @@ def _compare_parity(lean, mirror, verts):
 
 
 def _drive_parity(seed, n, steps):
-    """Random link/cut/set_root on the lean forest beside the naive mirror.
-    Cuts come with either endpoint first; the mirror reroots a cut's first
-    side at it, so it gets the child first, which leaves every root where
-    the lean forest's cut does."""
+    """Random link/cut/set_root on the lean forest beside the naive mirror,
+    with every depth parity read after every op; reads outside the tree
+    an op changed must hit the memo.  Cuts come with either endpoint
+    first; the mirror reroots a cut's first side at it, so it gets the
+    child first, which leaves every root where the lean forest's cut does.
+    Returns the most trees with an edge held at once."""
     rng = random.Random(seed)
     lean = ParityForest()
     mirror = NaiveWeightedForest(1)
     edges = []
+    most = 0
     for _ in range(steps):
         op = rng.randrange(5)
         u = rng.randrange(n)
         v = rng.randrange(n)
+        changed = ()
         if op <= 1:
             if u == v or mirror.connected(u, v):
                 with pytest.raises(CycleError):
                     lean.link(u, v)
             else:
+                changed = _unmemoised(mirror, u, v)
                 lean.link(u, v)
                 mirror.link(u, v, 0)
                 edges.append((u, v))
@@ -515,26 +569,30 @@ def _drive_parity(seed, n, steps):
             if rng.random() < 0.5:
                 a, b = b, a
             c, p = _child_first(mirror, a, b)
+            changed = _unmemoised(mirror, a)
             lean.cut(a, b)
             mirror.cut(c, p)
             touched = (a, b)
         else:
+            changed = _unmemoised(mirror, u)
             lean.set_root(u)
             mirror.set_root(u)
             touched = (u, v)
-        _check_parities(lean, mirror, n)
+        _check_parities(lean, mirror, n, changed)
         _compare_parity(lean, mirror, touched)
+        most = max(most, _trees(mirror))
     _compare_parity(lean, mirror, range(n))
+    return most
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_parity_forest_matches_mirror_small(seed):
-    _drive_parity(seed, n=9, steps=700)
+    assert _drive_parity(seed, n=9, steps=700) >= 3
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_parity_forest_matches_mirror_medium(seed):
-    _drive_parity(seed, n=40, steps=900)
+    assert _drive_parity(seed, n=40, steps=900) >= 5
 
 
 @settings(max_examples=60, deadline=None)
@@ -631,7 +689,7 @@ def test_parity_read_creates_no_vertex(make):
         assert not f.connected(9, 9) and f.find_root(9) == 9
     else:
         assert f.first_edge_on_root_path(9) is None and _range(f, 9, 0) is None
-    assert not f.has_vertex(9)
+    assert f.depth_parity(9, None) is None
     assert len(f._v) == nodes
 
 

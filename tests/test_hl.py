@@ -99,7 +99,7 @@ def test_roots_track_link_cut_forest(offset):
         if step % 40 == 0:
             audit(hl)
             for v in range(n):
-                if lct.has_vertex(vid(v)):
+                if lct.depth_parity(vid(v), None) is not None:
                     assert root(hl, vid(v)) == lct_root(lct, vid(v)), (step, v)
                     fe = lct.first_edge_on_root_path(vid(v))
                     p = hl.parent[vid(v)]
