@@ -9,14 +9,16 @@ every query after that reflects the new decomposition; nothing here is
 ever written, only read.
 
 A query is one flat pass with one forest call per tree factor, and it
-mostly costs dict hits and arithmetic.  Each forest underneath memoises
-the depth parities it was asked for, per tree, until a link, cut or
-evert changes that tree.  The pooled cycle edges live in plain sets, so
-their parities are found by a walk over a component and cached here for
-every vertex of it; the decomposer bumps ``pool_version`` whenever its
-pooled incidence changes, and the cache starts over.  The code is packed
-during the pass, so the answer skips ``ColourCode``'s digit check, which
-holds by construction.
+mostly costs dict hits and arithmetic.  Whether a layer's tree factor is
+active is the truth of a live view of that forest's edge keys, kept per
+layer here, so the pass makes no call to learn it.  Each forest
+underneath memoises the depth parities it was asked for, per tree, until
+a link, cut or evert changes that tree.  The pooled cycle edges live in
+plain sets, so their parities are found by a walk over a component and
+cached here for every vertex of it; the decomposer bumps
+``pool_version`` whenever its pooled incidence changes, and the cache
+starts over.  The code is packed during the pass, so the answer skips
+``ColourCode``'s digit check, which holds by construction.
 """
 
 from .errors import ColourCodeError, ConfigurationError, VertexRangeError
@@ -106,9 +108,24 @@ class ProductColouring:
         self.forest_queries = 0
         self._pool = {}             # vertex -> pooled-forest parity
         self._pool_version = None   # decomp.pool_version the cache is of
+        # layer -> (forest, live view of its edge keys, designated tails);
+        # layers are only ever appended, so the list only grows with them
+        self._layers = []
 
     def mode(self):
         return self._mode
+
+    def _layer_views(self):
+        """Per-layer (forest, edge-key view, tails), caught up with any
+        layers added since the last call.  A view's truth test says
+        whether the layer's tree factor is active."""
+        layers = self._layers
+        d = self.d
+        k = len(layers)
+        if k != len(d.F):
+            layers.extend((f, f.edge_keys(), tails)
+                          for f, tails in zip(d.F[k:], d.m_tail[k:]))
+        return layers
 
     def _pool_parity(self, v):
         """Parity of v's distance to the smallest vertex of its pooled
@@ -155,13 +172,16 @@ class ProductColouring:
         n = d.params.n_cap
         if not 0 <= v < n:
             raise VertexRangeError(f"vertex {v} outside [0, {n})")
+        layers = self._layers
+        if len(layers) != len(d.F):
+            layers = self._layer_views()
         digits = []
         reads = 0
         code = 0
         scale = 1
         if self._mode == FOREST_MODE:
-            for f in d.F:
-                if len(f):
+            for f, edges, _ in layers:
+                if edges:
                     p = f.depth_parity(v, None)
                     if p is None:
                         reads += 1
@@ -178,11 +198,11 @@ class ProductColouring:
                 scale *= 2
             ternary = 0
         else:
-            for f, tails in zip(d.F, d.m_tail):
+            for f, edges, tails in layers:
                 if v in tails:
                     digits.append(2)
                     code += 2 * scale
-                elif len(f) or tails:
+                elif edges or tails:
                     p = f.depth_parity(v, None)
                     if p is None:
                         reads += 1
@@ -213,9 +233,11 @@ class ProductColouring:
         while it holds at least one edge, so the product tracks the
         current decomposition, not a high water mark."""
         d = self.d
+        layers = self._layer_views()
         if self._mode == FOREST_MODE:
-            total = 2 ** (sum(1 for f in d.F if len(f)) + bool(d.incidence))
+            total = 2 ** (sum(1 for _, edges, _ in layers if edges)
+                          + bool(d.incidence))
         else:
-            total = 3 ** sum(1 for f, tails in zip(d.F, d.m_tail)
-                             if len(f) or tails)
+            total = 3 ** sum(1 for _, edges, tails in layers
+                             if edges or tails)
         return 2 * total if d.refine.in_h else total

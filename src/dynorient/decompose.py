@@ -210,8 +210,7 @@ class ArboricityDecomposer:
                 if self.m_tail[i].get(t) == key:
                     self._undesignate(i, t)
             return
-        old_root = f.find_root(a)
-        f.cut(a, b)
+        old_root = f.cut(a, b)
         # the cut may have severed the path that made the component's
         # designated edge close a cycle; the parent side keeps old_root,
         # which is the edge's tail, so its head stayed exactly when its

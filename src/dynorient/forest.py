@@ -650,7 +650,7 @@ class ParityForest(_ParityMemo):
     def __init__(self):
         super().__init__()
         self._v = {}
-        self._e = set()
+        self._e = {}      # edge key -> None, a set with a read-only view
 
     def _vnode(self, v: int) -> _Vertex:
         n = self._v.get(v)
@@ -664,6 +664,11 @@ class ParityForest(_ParityMemo):
     def edges(self):
         """Iterate over edge keys currently in the forest."""
         return iter(list(self._e))
+
+    def edge_keys(self):
+        """Live view of the edge keys: it follows every link and cut, and
+        its truth test costs no Python-level call."""
+        return self._e.keys()
 
     def __len__(self):
         return len(self._e)
@@ -729,14 +734,15 @@ class ParityForest(_ParityMemo):
         if nu.left is not None:
             nu.rev = not nu.rev
         nu.parent = nv
-        self._e.add(key)
+        self._e[key] = None
 
-    def cut(self, u: int, v: int):
-        """Remove edge (u, v) without rerooting either side."""
+    def cut(self, u: int, v: int) -> int:
+        """Remove edge (u, v) without rerooting either side; returns the
+        parent side's root, the root the tree had before the cut."""
         key = edge_key(u, v)
         if key not in self._e:
             raise MissingEdgeError(f"no edge {key}")
-        self._e.remove(key)
+        del self._e[key]
         nu, nv = self._v[u], self._v[v]
         _access(nu)
         _splay(nv)
@@ -752,6 +758,8 @@ class ParityForest(_ParityMemo):
             nv.size -= 1
             nu.parent = None
             above = nv
+        # the parent side's path still starts at the old root
+        root = _first(above).vid
         if self._parity:
-            # the parent side's path still starts at the old root
-            self._forget(_first(above).vid)
+            self._forget(root)
+        return root

@@ -7,7 +7,19 @@ to a strictly lighter vertex); deleting pulls a chain of tight in-copies the
 other way.  Exactly one load changes per copy update.  A bundle update
 runs gamma such walks, one public ``insert_copy``/``delete_copy`` call per
 copy; they append to one shared log, deduplicated once at the end, which
-equals deduplicating each walk's keys and then their concatenation.
+equals deduplicating each walk's keys and then their concatenation.  The
+validity repair of ``decompose.py`` calls the same two walks.
+
+Each walk is one pass over the raw tables.  It adds or removes the copy by
+editing the bundle's counters in place (a bundle only grows or shrinks
+while raw) and calls GraphState's ``_gain_out``/``_lose_out`` only when a
+count crosses zero.  Each step asks GraphState for the next tight
+neighbour (``tight_out_nbr`` scans the out-neighbours, ``tight_in_nbr``
+reads the in-neighbour heap, whose format only ``graph.py`` knows), and
+every flip goes through ``EdgeStore.flip_copy``.  The public names
+``insert_copy``, ``delete_copy`` and ``flip_copy`` stay one call per copy
+and per flip, because the benchmark's tracer counts walks and flips by
+them.
 
 A bundle's counters live in the raw tables of GraphState, or, while the
 bundle sits in the refinement forest H, as the weight of its edge in that
@@ -49,17 +61,21 @@ class EdgeStore:
 
     def true_counts(self, u, v):
         """Authoritative (count toward v, count toward u) pair."""
-        if ((u, v) if u < v else (v, u)) not in self.in_tree:
-            return self.g.counts(u, v)
-        cu = self.tree.edge_weight(u, v)
-        return cu, self.g.params.gamma - cu
+        key = (u, v) if u < v else (v, u)
+        if key in self.in_tree:
+            cu = self.tree.edge_weight(u, v)
+            return cu, self.g.gamma - cu
+        c = self.g.bundles.get(key)
+        if c is None:
+            raise MissingEdgeError(f"no edge {key}")
+        return (c[0], c[1]) if u < v else (c[1], c[0])
 
     def sync_bundle(self, u, v):
         """Write a resident edge's count back into the raw tables.  Loads
         are untouched: they already account for every copy wherever its
         counter lives."""
         cu = self.tree.edge_weight(u, v)
-        self.g.set_counts_raw(u, v, cu, self.g.params.gamma - cu)
+        self.g.set_counts_raw(u, v, cu, self.g.gamma - cu)
 
     def flip_copy(self, u, v):
         """Reorient one copy from u->v to v->u (no load change)."""
@@ -69,20 +85,7 @@ class EdgeStore:
         cu = self.tree.edge_weight(u, v)
         assert cu >= 1, f"no copy {u}->{v} to flip"
         self.tree.set_edge_weight(u, v, cu - 1)
-        self.g.set_counts_raw(u, v, cu - 1, self.g.params.gamma - cu + 1)
-
-    def add_copy(self, u, v):
-        assert edge_key(u, v) not in self.in_tree, \
-            "bundles only grow while raw"
-        cu, cv = self.g.counts(u, v)
-        self.g.set_counts_raw(u, v, cu + 1, cv)
-
-    def remove_copy(self, u, v):
-        assert edge_key(u, v) not in self.in_tree, \
-            "bundles only shrink while raw"
-        cu, cv = self.g.counts(u, v)
-        assert cu >= 1, f"no copy {u}->{v} to remove"
-        self.g.set_counts_raw(u, v, cu - 1, cv)
+        self.g.set_counts_raw(u, v, cu - 1, self.g.gamma - cu + 1)
 
 
 class FractionalOrienter:
@@ -98,13 +101,6 @@ class FractionalOrienter:
         calls this; it stays only because the benchmark's traced runs
         look the method up by name."""
 
-    def tight_in_nbr(self, v):
-        """A heaviest in-neighbour, provided it is one unit heavier."""
-        w = self.g.max_load_in_nbr(v)
-        if w is None or self.g.loads[w] < self.g.loads[v] + 1:
-            return None
-        return w
-
     # ------------------------------------------------------------------
 
     def insert_copy(self, u, v, log):
@@ -114,17 +110,22 @@ class FractionalOrienter:
         if u == v:
             raise SelfLoopError(f"copy {u}->{u}")
         g = self.g
-        if not g.has_edge(u, v):
+        key = (u, v) if u < v else (v, u)
+        c = g.bundles.get(key)
+        if c is None:
             g.add_bundle(u, v)
+            c = g.bundles[key]
+        assert key not in self.store.in_tree, "bundles only grow while raw"
+        assert c[0] + c[1] < g.gamma, f"bundle {key} is full"
         loads = g.loads
-        if loads[u] <= loads[v]:
-            w = u
-            self.store.add_copy(u, v)
-        else:
-            w = v
-            self.store.add_copy(v, u)
+        # the new copy leaves the lighter endpoint, u on a tie
+        w, x = (u, v) if loads[u] <= loads[v] else (v, u)
+        i = 0 if w < x else 1
+        c[i] += 1
+        if c[i] == 1:
+            g._gain_out(w, x)
         start = len(log)
-        log.append((u, v) if u < v else (v, u))
+        log.append(key)
         top = loads[w]
         tight = g.tight_out_nbr
         flip = self.store.flip_copy
@@ -144,18 +145,25 @@ class FractionalOrienter:
         copies, v->u otherwise; then pull a maximal tight chain toward the
         vacated tail.  Appends to ``log`` as ``insert_copy``."""
         g = self.g
-        cu, cv = self.store.true_counts(u, v)
-        if cu > 0:
-            w = u
-            self.store.remove_copy(u, v)
-        elif cv > 0:
-            w = v
-            self.store.remove_copy(v, u)
+        key = (u, v) if u < v else (v, u)
+        c = g.bundles.get(key)
+        if c is None:
+            raise MissingEdgeError(f"no edge {key}")
+        assert key not in self.store.in_tree, "bundles only shrink while raw"
+        i = 0 if u < v else 1
+        if c[i] > 0:
+            w, x = u, v
+        elif c[1 - i] > 0:
+            w, x = v, u
+            i = 1 - i
         else:
-            raise MissingEdgeError(f"bundle {edge_key(u, v)} has no copies")
+            raise MissingEdgeError(f"bundle {key} has no copies")
+        c[i] -= 1
+        if not c[i]:
+            g._lose_out(w, x)
         start = len(log)
-        log.append((u, v) if u < v else (v, u))
-        tight = self.tight_in_nbr
+        log.append(key)
+        tight = g.tight_in_nbr
         flip = self.store.flip_copy
         while True:
             nxt = tight(w)
@@ -171,25 +179,25 @@ class FractionalOrienter:
     def gamma_insert(self, u, v):
         """Insert a fresh bundle one copy at a time; the copies' walks share
         one log, deduplicated once."""
-        if self.g.has_edge(u, v):
-            raise DuplicateEdgeError(f"bundle {edge_key(u, v)} exists")
+        key = edge_key(u, v)
+        if key in self.g.bundles:
+            raise DuplicateEdgeError(f"bundle {key} exists")
         log = []
-        for _ in range(self.g.params.gamma):
+        for _ in range(self.g.gamma):
             self.insert_copy(u, v, log)
-        cu, cv = self.store.true_counts(u, v)
-        assert cu + cv == self.g.params.gamma
+        assert sum(self.g.bundles[key]) == self.g.gamma
         return dedup_keep_last(log)
 
     def gamma_delete(self, u, v):
         """Drain and drop a full raw bundle one copy at a time; the copies'
         walks share one log, deduplicated once."""
         key = edge_key(u, v)
-        if not self.g.has_edge(u, v):
+        if key not in self.g.bundles:
             raise MissingEdgeError(f"no bundle {key}")
         assert key not in self.store.in_tree, \
             "resident bundles must leave the tree before deletion"
         log = []
-        for _ in range(self.g.params.gamma):
+        for _ in range(self.g.gamma):
             self.delete_copy(u, v, log)
         self.g.drop_bundle(u, v)
         return dedup_keep_last(log)

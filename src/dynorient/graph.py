@@ -6,22 +6,32 @@ per-vertex integer loads (copies pointing out of the vertex), and the
 neighbourhood indexes the reorientation walks need.  It deliberately knows
 nothing about the tree structures layered on top; callers that relocate a
 bundle's authority elsewhere write counters back through
-``set_counts_raw``.
+``set_counts_raw``.  The copy walks in ``fractional.py`` edit a raw
+bundle's counters in place and call ``_gain_out``/``_lose_out`` when a
+count crosses zero, the one pair of hooks that keep the neighbour sets and
+heaps in step.
 
-Loads change only through ``bump_load``.  Every increase pushes a fresh
-(load, vertex) entry into the in-neighbour heaps of everything the vertex
-points at, so ``max_load_in_nbr`` can discard stale heap entries and still
-never miss the true maximum: an entry's recorded load is always an upper
-bound on the current one.  A heap that grows past 2·|in-neighbours| + 4
-entries, by a push or by losing an in-neighbour, is rebuilt from the live
-in-neighbours; each rebuild is paid for by the pushes and losses since the
-previous one, so the upkeep stays amortised O(1); ``_bound_heap`` is the
-one place that rule lives.  The walk steps (``count``, ``counts``,
-``move_copies``, ``bump_load``) build bundle keys inline and touch the
-neighbour sets only when a count crosses zero.
+Each vertex keeps a max-heap of its in-neighbours by load, as Kopelowitz,
+Krauthgamer, Porat and Solomon keep for worst-case orientations.  The entry
+format is known here alone: in-neighbour x recorded at load l is the one
+int x − l·n_cap, which orders as (−l, x) does and compares faster than that
+tuple.  Loads change only through ``bump_load``.  Every increase pushes a
+fresh entry into the in-neighbour heaps of everything the vertex points at,
+and a gained in-neighbour is pushed at its current load, so each live
+in-neighbour has an entry whose recorded load bounds its current one from
+above.  ``tight_in_nbr`` therefore answers None as soon as the top's
+recorded load is below the threshold, and otherwise drops dead tops and
+refreshes stale ones in place until the top is exact.  A heap that grows
+past 2·|in-neighbours| + 4 entries, by a push or by losing an in-neighbour,
+is rebuilt from the live in-neighbours; each rebuild is paid for by the
+pushes and losses since the previous one, so the upkeep stays amortised
+O(1).  ``_bound_heap`` states that rule and ``bump_load`` inlines it.  A
+scan of the in-neighbour set would skip the pushes, but each walk step
+would then cost O(in-degree), which is unbounded (every leaf of a star
+keeps copies toward the centre).
 """
 
-import heapq
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .errors import (DuplicateEdgeError, MissingEdgeError, SelfLoopError,
                      VertexRangeError)
@@ -33,13 +43,14 @@ class GraphState:
     def __init__(self, params):
         self.params = params
         self.gamma = params.gamma
-        n = params.n_cap
+        self.n_cap = n = params.n_cap
         self.loads = [0] * n
         # (a, b) with a < b  ->  [copies toward b, copies toward a]
         # i.e. slot 0 counts copies oriented a -> b ("a's copies")
         self.bundles = {}
         self.out_nbrs = [set() for _ in range(n)]
         self.in_set = [set() for _ in range(n)]
+        # in-neighbour x recorded at load l is the entry x - l*n_cap
         self.in_heap = [[] for _ in range(n)]
 
     # ------------------------------------------------------------------
@@ -97,10 +108,10 @@ class GraphState:
             self._lose_out(u, v)
 
     def _gain_out(self, u: int, v: int):
-        """u now has copies toward v."""
+        """u now has copies toward v: u joins v's in-neighbours and heap."""
         self.out_nbrs[u].add(v)
         self.in_set[v].add(u)
-        heapq.heappush(self.in_heap[v], (-self.loads[u], u))
+        heappush(self.in_heap[v], u - self.loads[u] * self.n_cap)
         self._bound_heap(v)
 
     def _lose_out(self, u: int, v: int):
@@ -135,7 +146,7 @@ class GraphState:
         """Overwrite both counters without touching loads.
 
         Used to sync the flat counters after an edge's authoritative weight
-        lived elsewhere, and for staging copies during bundle growth; the
+        lived elsewhere, and to shift counts that keep every load; the
         caller is responsible for load bookkeeping.
         """
         assert cu >= 0 and cv >= 0 and cu + cv <= self.gamma
@@ -151,36 +162,55 @@ class GraphState:
         loads[v] = load
         assert load >= 0
         if delta > 0:
-            entry = (-load, v)
+            entry = v - load * self.n_cap
             heaps = self.in_heap
-            bound = self._bound_heap
+            in_set = self.in_set
             for w in self.out_nbrs[v]:
-                heapq.heappush(heaps[w], entry)
-                bound(w)
+                h = heaps[w]
+                heappush(h, entry)
+                # _bound_heap's rule, inlined on the hottest path
+                if len(h) > 2 * len(in_set[w]) + 4:
+                    self._rebuild_heap(w)
 
     def _bound_heap(self, w: int):
         """Rebuild w's heap from its live in-neighbours once it outgrows
-        them: the one owner of the amortisation rule."""
-        h = self.in_heap[w]
-        ins = self.in_set[w]
-        if len(h) > 2 * len(ins) + 4:
-            loads = self.loads
-            h[:] = [(-loads[x], x) for x in ins]
-            heapq.heapify(h)
+        them: the amortisation rule, which ``bump_load`` inlines."""
+        if len(self.in_heap[w]) > 2 * len(self.in_set[w]) + 4:
+            self._rebuild_heap(w)
 
-    def max_load_in_nbr(self, w: int):
-        """In-neighbour of w with maximum load, or None.  Ties pick lowest id."""
-        h = self.in_heap[w]
-        ins = self.in_set[w]
+    def _rebuild_heap(self, w: int):
+        loads = self.loads
+        n = self.n_cap
+        h = [x - loads[x] * n for x in self.in_set[w]]
+        heapify(h)
+        self.in_heap[w] = h
+
+    def tight_in_nbr(self, v: int):
+        """Heaviest in-neighbour of v, ties to the lowest id, provided its
+        load is at least load(v) + 1; otherwise None.
+
+        The top entry's recorded load bounds every live in-neighbour's
+        load from above, so a top below the threshold answers None at
+        once; stale tops are dropped or refreshed only on the way to an
+        answer."""
+        h = self.in_heap[v]
+        loads = self.loads
+        n = self.n_cap
+        # an entry records a load below load(v) + 1 exactly when it is at
+        # least -load(v)·n
+        low = -loads[v] * n
+        ins = self.in_set[v]
         while h:
-            negl, x = h[0]
+            top = h[0]
+            if top >= low:
+                return None
+            x = top % n
             if x not in ins:
-                heapq.heappop(h)
+                heappop(h)
                 continue
-            lx = self.loads[x]
-            if -negl != lx:
-                heapq.heappop(h)
-                heapq.heappush(h, (-lx, x))
+            exact = x - loads[x] * n
+            if top != exact:
+                heapreplace(h, exact)
                 continue
             return x
         return None

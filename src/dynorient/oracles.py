@@ -340,6 +340,110 @@ class NaiveWeightedForest:
 
 
 # ----------------------------------------------------------------------
+# naive per-copy walks
+
+
+class NaiveCopyWalk:
+    """Reference for the fractional engine's copy walks over a plain count
+    table: the same decisions, every neighbour read a full rescan.
+
+    ``counts`` maps (a, b) with a < b to [copies a -> b, copies b -> a]
+    and holds the true counts, wherever the engine keeps them.  A copy
+    insert leaves the lighter endpoint (the first argument on a tie) and
+    then flips one copy at a time toward the least-id out-neighbour at
+    least one unit lighter; a copy delete takes the first argument's
+    direction when it has copies and then pulls one copy at a time from
+    the heaviest in-neighbour (least id on a tie) at least one unit
+    heavier.  Logs take one key per changed bundle, as the engine's do;
+    ``flips`` counts every single-copy flip."""
+
+    def __init__(self, gamma, loads, counts=()):
+        self.gamma = gamma
+        self.loads = list(loads)
+        self.counts = {k: list(c) for k, c in dict(counts).items()}
+        self.flips = 0
+
+    def count(self, u, v):
+        """Copies oriented u -> v; 0 for a missing bundle."""
+        c = self.counts.get(edge_key(u, v))
+        if c is None:
+            return 0
+        return c[0] if u < v else c[1]
+
+    def _shift(self, u, v, k):
+        self.counts[edge_key(u, v)][0 if u < v else 1] += k
+
+    def _nbrs(self, v):
+        return [b if a == v else a for a, b in self.counts if v in (a, b)]
+
+    def out_nbrs(self, v):
+        return {x for x in self._nbrs(v) if self.count(v, x)}
+
+    def in_set(self, v):
+        return {x for x in self._nbrs(v) if self.count(x, v)}
+
+    def tight_out_nbr(self, u):
+        return min((w for w in self.out_nbrs(u)
+                    if self.loads[w] <= self.loads[u] - 1), default=None)
+
+    def tight_in_nbr(self, v):
+        best = min(self.in_set(v), key=lambda x: (-self.loads[x], x),
+                   default=None)
+        if best is None or self.loads[best] < self.loads[v] + 1:
+            return None
+        return best
+
+    def _flip(self, a, b, log):
+        self._shift(a, b, -1)
+        self._shift(b, a, 1)
+        self.flips += 1
+        log.append(edge_key(a, b))
+
+    def insert_copy(self, u, v, log):
+        key = edge_key(u, v)
+        self.counts.setdefault(key, [0, 0])
+        w, x = (u, v) if self.loads[u] <= self.loads[v] else (v, u)
+        self._shift(w, x, 1)
+        log.append(key)
+        nxt = self.tight_out_nbr(w)
+        while nxt is not None:
+            self._flip(w, nxt, log)
+            w = nxt
+            nxt = self.tight_out_nbr(w)
+        self.loads[w] += 1
+
+    def delete_copy(self, u, v, log):
+        w, x = (u, v) if self.count(u, v) else (v, u)
+        if not self.count(w, x):
+            raise MissingEdgeError(f"bundle {edge_key(u, v)} has no copies")
+        self._shift(w, x, -1)
+        log.append(edge_key(u, v))
+        nxt = self.tight_in_nbr(w)
+        while nxt is not None:
+            self._flip(nxt, w, log)
+            w = nxt
+            nxt = self.tight_in_nbr(w)
+        self.loads[w] -= 1
+
+    @staticmethod
+    def _last_of_each(log):
+        return [k for i, k in enumerate(log) if k not in log[i + 1:]]
+
+    def gamma_insert(self, u, v):
+        log = []
+        for _ in range(self.gamma):
+            self.insert_copy(u, v, log)
+        return self._last_of_each(log)
+
+    def gamma_delete(self, u, v):
+        log = []
+        for _ in range(self.gamma):
+            self.delete_copy(u, v, log)
+        del self.counts[edge_key(u, v)]
+        return self._last_of_each(log)
+
+
+# ----------------------------------------------------------------------
 # offline comparison scheme for the sink-flip engine
 
 

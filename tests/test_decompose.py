@@ -270,7 +270,8 @@ def test_link_cut_accesses_per_update_stay_in_budget(monkeypatch):
     exposure per S-edge and one root read there give 5.71 and 11.48.
     ``_place`` calling ``link`` alone, with no root read before it, and
     taking its ``CycleError`` as the designated-edge case gives 9.85 for
-    the layers."""
+    the layers, and ``_unplace`` taking the old root from the layer
+    ``cut`` instead of a ``find_root`` before it gives 7.83."""
     from dynorient import forest
     counts = {"H": 0, "layers": 0}
 
@@ -292,8 +293,50 @@ def test_link_cut_accesses_per_update_stay_in_budget(monkeypatch):
     updates = step + 1 - 100
     assert updates == 388
     assert counts["H"] / updates <= 5.71, counts
-    assert counts["layers"] / updates <= 9.85, counts
+    assert counts["layers"] / updates <= 7.83, counts
     assert d.refine.inversions > 50, "too few rotations to weigh"
+
+
+def test_in_neighbour_heap_work_per_update_stays_in_budget(monkeypatch):
+    """Heap calls per dense-churn update in ``graph.py``, counted on the
+    replay of the link-cut budget test above (seed 1, n=12, 388 counted
+    updates).  Every load raise pushes into each out-neighbour's heap;
+    reads drop dead entries and refresh stale tops, and a heap that
+    outgrows 2·|in-neighbours| + 4 is rebuilt.  With a heap read that
+    popped and re-pushed every stale top and never stopped early, an
+    update made 59.58 pushes, 22.99 pops and 2.66 rebuilds.  A read
+    that answers None once the top's recorded load is below the
+    threshold, and refreshes a stale top in place, makes 37.88 pushes
+    (all of them raises and gained in-neighbours), 1.22 pops, 15.88
+    in-place refreshes and 2.66 rebuilds."""
+    from dynorient import graph
+    counts = dict.fromkeys(("heappush", "heappop", "heapreplace",
+                            "heapify"), 0)
+
+    def counted(name):
+        fn = getattr(graph, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(graph, name, counted(name))
+    rng = random.Random(1)
+    n = 12
+    d = decomposer(n=n, paranoid=False)
+    for step, _ in enumerate(dense_churn(d, rng, n, 500,
+                                         n * (n - 1) // 2 * 0.8, 0.1)):
+        if step == 99:
+            counts.update(dict.fromkeys(counts, 0))
+    updates = step + 1 - 100
+    assert updates == 388
+    per = {k: c / updates for k, c in counts.items()}
+    assert per["heappush"] <= 37.88, per
+    assert per["heappop"] <= 1.22, per
+    assert per["heapreplace"] <= 15.89, per
+    assert per["heapify"] <= 2.66, per
 
 
 @pytest.mark.parametrize("mode, budget", [("forest-decomposition", 1.77),

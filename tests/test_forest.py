@@ -570,7 +570,8 @@ def _drive_parity(seed, n, steps):
                 a, b = b, a
             c, p = _child_first(mirror, a, b)
             changed = _unmemoised(mirror, a)
-            lean.cut(a, b)
+            root = mirror.find_root(a)
+            assert lean.cut(a, b) == root
             mirror.cut(c, p)
             touched = (a, b)
         else:
@@ -609,8 +610,9 @@ def test_parity_forest_cut_keeps_both_roots(child_first):
     f.link(1, 2)
     f.link(2, 3)
     assert f.find_root(0) == 3 and f.depth_parity(0) == 1
-    # cut b-c: the parent side {c, d} keeps d, the child side is headed by b
-    f.cut(*((1, 2) if child_first else (2, 1)))
+    # cut b-c: the parent side {c, d} keeps d, the child side is headed by
+    # b; the cut reports the parent side's root
+    assert f.cut(*((1, 2) if child_first else (2, 1))) == 3
     assert [f.find_root(x) for x in range(4)] == [1, 1, 3, 3]
     assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
     assert not f.connected(1, 2) and f.connected(0, 1)
@@ -623,7 +625,7 @@ def test_parity_forest_cut_keeps_both_roots(child_first):
     assert [f.depth_parity(x) for x in range(4)] == [0, 1, 1, 0]
     # after set_root the cut rule follows the new rooting
     f.set_root(1)
-    f.cut(*((2, 0) if child_first else (0, 2)))
+    assert f.cut(*((2, 0) if child_first else (0, 2))) == 1
     assert [f.find_root(x) for x in range(4)] == [1, 1, 2, 2]
     with pytest.raises(CycleError):
         f.link(0, 1)

@@ -91,13 +91,14 @@ def test_max_load_in_nbr_tracks_changes():
     g.bump_load(1, 2)
     g.bump_load(2, 5)
     g.bump_load(3, 5)
-    assert g.max_load_in_nbr(0) == 2   # ties break toward the lower id
+    # vertex 0 has load 0, so the heaviest in-neighbour is tight
+    assert g.tight_in_nbr(0) == 2   # ties break toward the lower id
     g.bump_load(2, -4)
-    assert g.max_load_in_nbr(0) == 3
+    assert g.tight_in_nbr(0) == 3
     # membership loss hides a stale heap entry
     g.set_counts_raw(3, 0, 0, 8)
-    assert g.max_load_in_nbr(0) == 1
-    assert g.max_load_in_nbr(5) is None
+    assert g.tight_in_nbr(0) == 1
+    assert g.tight_in_nbr(5) is None
 
 
 def test_tight_out_nbr_scans_in_id_order():

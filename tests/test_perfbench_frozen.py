@@ -9,9 +9,15 @@ against the package as it stands.
 import argparse
 import importlib.util
 import os
+import random
 
 from dynorient import cli
 from dynorient.colouring import ProductColouring
+from dynorient.forest import LinkCutForest
+from dynorient.fractional import EdgeStore, FractionalOrienter
+from dynorient.graph import GraphState
+from dynorient.oracles import NaiveCopyWalk
+from dynorient.params import Params
 from dynorient.traces import generate
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -53,3 +59,35 @@ def test_benchmark_tracer_finds_every_key_it_reads():
         tracer.uninstall()
     assert not missing, missing
     assert ProductColouring.colour is colour
+
+
+def test_benchmark_tracer_counts_every_copy_flip():
+    # the tracer counts flips and walk lengths by the public names
+    # flip_copy, insert_copy and delete_copy; a walk that bypassed them
+    # would read zero flips here instead of the reference walk's count
+    tracer = _load("tracer").Tracer()
+    rng = random.Random(2)
+    n, gamma = 10, 8
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    live = set()
+    try:
+        tracer.install()
+        g = GraphState(Params(n_cap=n, gamma=gamma))
+        fo = FractionalOrienter(g, EdgeStore(g, LinkCutForest(gamma)))
+        ref = NaiveCopyWalk(gamma, g.loads)
+        tracer.enabled = True
+        for _ in range(150):
+            if len(live) > 0.8 * len(pairs):
+                key = rng.choice(sorted(live))
+                assert fo.gamma_delete(*key) == ref.gamma_delete(*key)
+                live.discard(key)
+            else:
+                key = rng.choice([k for k in pairs if k not in live])
+                assert fo.gamma_insert(*key) == ref.gamma_insert(*key)
+                live.add(key)
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    assert ref.flips > 0
+    assert tracer.methods["fractional.flip_copy"][0] == ref.flips
+    assert tracer.walk_len_max > 0
