@@ -7,15 +7,17 @@ Three subcommands:
   status ("ok" or "violation"), the violations as
   ``{op_index, invariant, detail}`` with stable invariant names, query
   results, cumulative counters, and a hash of the semantic end state.
+  An engine fault (ConsistencyError) in an op is an ``engine-state``
+  violation at that op, and ends the replay.
 * ``gen`` prints a deterministic trace of the requested kind; --seed
   picks its random stream and is the only seed any subcommand takes.
 * ``bench`` replays a trace without verification and prints one CSV row
   per op: ``op_index,op,micros,reorientations,repairs,moves,surplus_ops``
   (counters are cumulative, so every column is monotone).
 
-Exit codes: 0 clean, 1 at least one invariant violation, 2 usage or
-malformed trace.  Verification is read-only: the reported state hash is
-the same whether or not --verify-every is set.
+Exit codes: 0 clean, 1 at least one invariant violation or engine fault,
+2 usage or malformed trace.  Verification is read-only: the reported
+state hash is the same whether or not --verify-every is set.
 """
 
 import argparse
@@ -28,7 +30,8 @@ import time
 from .acyclic import BFOrienter
 from .colouring import ProductColouring
 from .decompose import ArboricityDecomposer
-from .errors import ConfigurationError, DynOrientError, TraceError, require
+from .errors import (ConfigurationError, ConsistencyError, DynOrientError,
+                     TraceError, require)
 from .forest import edge_key
 from .oracles import exact_arboricity, is_forest, is_proper
 from .params import Params
@@ -194,6 +197,8 @@ def _read_trace(args):
 def _apply(sess, idx, op):
     try:
         return sess.apply(op)
+    except ConsistencyError:
+        raise
     except DynOrientError as e:
         raise TraceError(f"op {idx} {op!r}: {e}") from None
 
@@ -216,13 +221,19 @@ def _cmd_run(args, out):
         if op[0] == "x":
             _run_checks(sess, idx, violations)
             continue
-        value = _apply(sess, idx, op)
+        try:
+            value = _apply(sess, idx, op)
+        except ConsistencyError as e:
+            violations.append({"op_index": idx, "invariant": "engine-state",
+                               "detail": str(e)[:200]})
+            break
         if value is not None:
             results.append({"op_index": idx, "op": op[0],
                             "vertex": op[1], "value": value})
         if args.verify_every and (idx + 1) % args.verify_every == 0:
             _run_checks(sess, idx, violations)
-    _run_checks(sess, len(ops), violations)
+    else:
+        _run_checks(sess, len(ops), violations)
     report = {
         "mode": args.mode,
         "n": args.n,
@@ -317,7 +328,8 @@ def main(argv=None, out=None):
         return _cmd_bench(args, out)
     except (DynOrientError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        fault = isinstance(e, ConsistencyError)
+        return EXIT_VIOLATION if fault else EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

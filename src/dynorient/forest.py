@@ -17,7 +17,7 @@ value in the reversed subtree; it and path shifts travel as lazy tags
 toggles each edge node's orientation bit ``flip``: the parent endpoint is
 ``b`` (the link's v) while the bit is clear and ``a`` while it is set.  Once
 an edge node is splayed, its value and bit are current, so a single edge is
-read, written or cut without rerooting.  Both forests run lean module-level
+read, shifted or cut without rerooting.  Both forests run lean module-level
 splay cores (``_wsplay``/``_waccess`` here, ``_splay``/``_access`` for the
 layers): a rotation hands the parent's subtree aggregate to the node that
 rises and recounts only the parent.
@@ -36,7 +36,7 @@ out-orientation.  Which operations evert:
   up rooted at u;
 * ``path_update`` everts at u and restores the old root before it returns,
   unless u is the root already;
-* ``edge_weight``, ``set_edge_weight``, ``depth_parity`` and
+* ``edge_weight``, ``shift_edge_weight``, ``depth_parity`` and
   ``first_edge_on_root_path`` never evert.
 
 ``ParityForest`` keeps the layer trees F_i, which read roots, connectivity
@@ -480,13 +480,18 @@ class LinkCutForest(_ParityMemo):
             return (self.gamma + e.val) >> 1
         return (self.gamma - e.val) >> 1
 
-    def set_edge_weight(self, u: int, v: int, weight_u: int):
-        if not 0 <= weight_u <= self.gamma:
-            raise WeightRangeError(f"weight {weight_u} outside [0, {self.gamma}]")
+    def shift_edge_weight(self, u: int, v: int, delta: int) -> int:
+        """Add ``delta`` to the weight of edge (u, v) at u in one splay and
+        return the new weight; a weight that would leave [0, gamma] raises
+        WeightRangeError with nothing changed."""
         e = self._splayed_edge(u, v)
-        c = 2 * weight_u - self.gamma
-        e.val = c if u == (e.a if e.flip else e.b) else -c
+        sign = 1 if u == (e.a if e.flip else e.b) else -1
+        w = ((self.gamma + sign * e.val) >> 1) + delta
+        if not 0 <= w <= self.gamma:
+            raise WeightRangeError(f"weight {w} outside [0, {self.gamma}]")
+        e.val += 2 * sign * delta
         _wpull(e)
+        return w
 
     # ------------------------------------------------------------------
     # root-relative queries (no rerooting)

@@ -6,9 +6,9 @@ surplus down a chain of tight out-copies (each flip moves one unit of load
 to a strictly lighter vertex); deleting pulls a chain of tight in-copies the
 other way.  Exactly one load changes per copy update.  A bundle update
 runs gamma such walks, one public ``insert_copy``/``delete_copy`` call per
-copy; they append to one shared log, deduplicated once at the end, which
-equals deduplicating each walk's keys and then their concatenation.  The
-validity repair of ``decompose.py`` calls the same two walks.
+copy; they append to one shared log, which the refinement drain alone
+deduplicates.  The validity repair of ``decompose.py`` calls the same two
+walks.
 
 Each walk is one pass over the raw tables.  It adds or removes the copy by
 editing the bundle's counters in place (a bundle only grows or shrinks
@@ -16,38 +16,29 @@ while raw) and calls GraphState's ``_gain_out``/``_lose_out`` only when a
 count crosses zero.  Each step asks GraphState for the next tight
 neighbour (``tight_out_nbr`` scans the out-neighbours, ``tight_in_nbr``
 reads the in-neighbour heap, whose format only ``graph.py`` knows), and
-every flip goes through ``EdgeStore.flip_copy``.  The public names
-``insert_copy``, ``delete_copy`` and ``flip_copy`` stay one call per copy
-and per flip, because the benchmark's tracer counts walks and flips by
-them.
+every flip goes through ``EdgeStore.flip_copy``.  Loads fall strictly
+along an insert walk and rise along a delete walk, so an insert walk
+makes at most its starting load in flips, and a delete walk at most
+n_cap − 1 and at most its final load; past a bound a walk raises
+ConsistencyError.  The public names ``insert_copy``, ``delete_copy`` and
+``flip_copy`` stay one call per copy and per flip, because the
+benchmark's tracer counts walks and flips by them.
 
 A bundle's counters live in the raw tables of GraphState, or, while the
 bundle sits in the refinement forest H, as the weight of its edge in that
 LinkCutForest (so path-wide count shifts around H cycles stay logarithmic).
 EdgeStore routes by a live view of the tree's edge keys: a key with an edge
 in the tree reads and flips through the tree, any other key through the raw
-tables, and tree-resident flips are mirrored into the raw tables.  Path-wide
-shifts in H skip the raw tables; they keep every H count inside the widened
-ambiguity window, away from zero, so neighbour sets never depend on the
-stale raw values, and ``sync_bundle`` writes the count back before an edge
-leaves the tree.
+tables, and a tree-resident flip (one ``shift_edge_weight``) is mirrored
+into the raw tables.  Path-wide shifts in H skip the raw tables; they keep
+every H count inside the widened ambiguity window, away from zero, so
+neighbour sets never depend on the stale raw values, and ``sync_bundle``
+writes the count back before an edge leaves the tree.
 """
 
-from .errors import MissingEdgeError, SelfLoopError, DuplicateEdgeError
+from .errors import (ConsistencyError, DuplicateEdgeError, MissingEdgeError,
+                     SelfLoopError, require)
 from .forest import edge_key
-
-
-def dedup_keep_last(keys):
-    """Collapse duplicates keeping each key's final occurrence, in order."""
-    seen = set()
-    out = []
-    for k in reversed(keys):
-        if k in seen:
-            continue
-        seen.add(k)
-        out.append(k)
-    out.reverse()
-    return out
 
 
 class EdgeStore:
@@ -82,10 +73,8 @@ class EdgeStore:
         if ((u, v) if u < v else (v, u)) not in self.in_tree:
             self.g.move_copies(u, v, 1)
             return
-        cu = self.tree.edge_weight(u, v)
-        assert cu >= 1, f"no copy {u}->{v} to flip"
-        self.tree.set_edge_weight(u, v, cu - 1)
-        self.g.set_counts_raw(u, v, cu - 1, self.g.gamma - cu + 1)
+        cu = self.tree.shift_edge_weight(u, v, -1)
+        self.g.set_counts_raw(u, v, cu, self.g.gamma - cu)
 
 
 class FractionalOrienter:
@@ -124,21 +113,19 @@ class FractionalOrienter:
         c[i] += 1
         if c[i] == 1:
             g._gain_out(w, x)
-        start = len(log)
         log.append(key)
-        top = loads[w]
         tight = g.tight_out_nbr
         flip = self.store.flip_copy
-        while True:
+        for _ in range(loads[w]):
             nxt = tight(w)
             if nxt is None:
                 break
             flip(w, nxt)
             log.append((w, nxt) if w < nxt else (nxt, w))
             w = nxt
+        else:
+            require(tight(w) is None, "insert walk passed its bound", u, v, w)
         g.bump_load(w, 1)
-        # the raw walk bounds its deduplicated keys
-        assert len(log) - start <= 2 * top + 2, (len(log) - start, top)
 
     def delete_copy(self, u, v, log):
         """Remove one copy from the bundle, direction u->v when it has any
@@ -165,39 +152,38 @@ class FractionalOrienter:
         log.append(key)
         tight = g.tight_in_nbr
         flip = self.store.flip_copy
-        while True:
+        for _ in range(g.n_cap - 1):
             nxt = tight(w)
             if nxt is None:
                 break
             flip(nxt, w)
             log.append((w, nxt) if w < nxt else (nxt, w))
             w = nxt
-        top = g.loads[w]
+        else:
+            require(tight(w) is None, "delete walk passed its bound", u, v, w)
+        if len(log) - start > g.loads[w] + 1:
+            raise ConsistencyError("delete walk ended too light", u, v, w)
         g.bump_load(w, -1)
-        assert len(log) - start <= 2 * top + 2, (len(log) - start, top)
 
     def gamma_insert(self, u, v):
-        """Insert a fresh bundle one copy at a time; the copies' walks share
-        one log, deduplicated once."""
+        """Insert a fresh bundle one copy at a time; returns the log the
+        copies' walks share, undeduplicated."""
         key = edge_key(u, v)
         if key in self.g.bundles:
             raise DuplicateEdgeError(f"bundle {key} exists")
         log = []
         for _ in range(self.g.gamma):
             self.insert_copy(u, v, log)
-        assert sum(self.g.bundles[key]) == self.g.gamma
-        return dedup_keep_last(log)
+        return log
 
     def gamma_delete(self, u, v):
-        """Drain and drop a full raw bundle one copy at a time; the copies'
-        walks share one log, deduplicated once."""
+        """Drain and drop a full raw bundle one copy at a time; returns the
+        log as ``gamma_insert``."""
         key = edge_key(u, v)
         if key not in self.g.bundles:
             raise MissingEdgeError(f"no bundle {key}")
-        assert key not in self.store.in_tree, \
-            "resident bundles must leave the tree before deletion"
         log = []
         for _ in range(self.g.gamma):
             self.delete_copy(u, v, log)
         self.g.drop_bundle(u, v)
-        return dedup_keep_last(log)
+        return log

@@ -8,27 +8,27 @@ nothing about the tree structures layered on top; callers that relocate a
 bundle's authority elsewhere write counters back through
 ``set_counts_raw``.  The copy walks in ``fractional.py`` edit a raw
 bundle's counters in place and call ``_gain_out``/``_lose_out`` when a
-count crosses zero, the one pair of hooks that keep the neighbour sets and
-heaps in step.
+count crosses zero, the one pair of hooks that keep the indexes in step.
 
-Each vertex keeps a max-heap of its in-neighbours by load, as Kopelowitz,
-Krauthgamer, Porat and Solomon keep for worst-case orientations.  The entry
-format is known here alone: in-neighbour x recorded at load l is the one
-int x − l·n_cap, which orders as (−l, x) does and compares faster than that
-tuple.  Loads change only through ``bump_load``.  Every increase pushes a
-fresh entry into the in-neighbour heaps of everything the vertex points at,
+Only the out-neighbour sets say who points where.  For its in-neighbours
+each vertex keeps a count and a max-heap by load, as Kopelowitz,
+Krauthgamer, Porat and Solomon keep for worst-case orientations.  The
+entry format is known here alone: in-neighbour x recorded at load l is the
+one int x − l·n_cap, which orders as (−l, x) does and compares faster than
+that tuple.  Loads change only through ``bump_load``.  Every increase
+pushes a fresh entry into the heaps of everything the vertex points at,
 and a gained in-neighbour is pushed at its current load, so each live
 in-neighbour has an entry whose recorded load bounds its current one from
 above.  ``tight_in_nbr`` therefore answers None as soon as the top's
-recorded load is below the threshold, and otherwise drops dead tops and
-refreshes stale ones in place until the top is exact.  A heap that grows
-past 2·|in-neighbours| + 4 entries, by a push or by losing an in-neighbour,
-is rebuilt from the live in-neighbours; each rebuild is paid for by the
-pushes and losses since the previous one, so the upkeep stays amortised
-O(1).  ``_bound_heap`` states that rule and ``bump_load`` inlines it.  A
-scan of the in-neighbour set would skip the pushes, but each walk step
-would then cost O(in-degree), which is unbounded (every leaf of a star
-keeps copies toward the centre).
+recorded load is below the threshold, and otherwise drops tops that no
+longer point at v and refreshes stale ones in place until the top is
+exact.  A heap past 2·in-degree + 4 entries is rebuilt from its ids that
+still point at its vertex, every live in-neighbour among them; each
+rebuild is paid for by the pushes and losses since the previous one, so
+the upkeep stays amortised O(1).  ``_bound_heap`` states that rule and
+``bump_load`` inlines it.  A scan of the in-neighbours would skip the
+pushes, but each walk step would then cost O(in-degree), which is
+unbounded (every leaf of a star keeps copies toward the centre).
 """
 
 from heapq import heapify, heappop, heappush, heapreplace
@@ -49,15 +49,12 @@ class GraphState:
         # i.e. slot 0 counts copies oriented a -> b ("a's copies")
         self.bundles = {}
         self.out_nbrs = [set() for _ in range(n)]
-        self.in_set = [set() for _ in range(n)]
+        self.in_deg = [0] * n
         # in-neighbour x recorded at load l is the entry x - l*n_cap
         self.in_heap = [[] for _ in range(n)]
 
     # ------------------------------------------------------------------
     # bundles
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.bundles
 
     def add_bundle(self, u: int, v: int):
         n = self.params.n_cap
@@ -110,14 +107,14 @@ class GraphState:
     def _gain_out(self, u: int, v: int):
         """u now has copies toward v: u joins v's in-neighbours and heap."""
         self.out_nbrs[u].add(v)
-        self.in_set[v].add(u)
+        self.in_deg[v] += 1
         heappush(self.in_heap[v], u - self.loads[u] * self.n_cap)
         self._bound_heap(v)
 
     def _lose_out(self, u: int, v: int):
         """u no longer has copies toward v."""
         self.out_nbrs[u].discard(v)
-        self.in_set[v].discard(u)
+        self.in_deg[v] -= 1
         self._bound_heap(v)
 
     def move_copies(self, u: int, v: int, k: int = 1):
@@ -164,24 +161,26 @@ class GraphState:
         if delta > 0:
             entry = v - load * self.n_cap
             heaps = self.in_heap
-            in_set = self.in_set
+            in_deg = self.in_deg
             for w in self.out_nbrs[v]:
                 h = heaps[w]
                 heappush(h, entry)
                 # _bound_heap's rule, inlined on the hottest path
-                if len(h) > 2 * len(in_set[w]) + 4:
+                if len(h) > 2 * in_deg[w] + 4:
                     self._rebuild_heap(w)
 
     def _bound_heap(self, w: int):
         """Rebuild w's heap from its live in-neighbours once it outgrows
         them: the amortisation rule, which ``bump_load`` inlines."""
-        if len(self.in_heap[w]) > 2 * len(self.in_set[w]) + 4:
+        if len(self.in_heap[w]) > 2 * self.in_deg[w] + 4:
             self._rebuild_heap(w)
 
     def _rebuild_heap(self, w: int):
         loads = self.loads
+        out = self.out_nbrs
         n = self.n_cap
-        h = [x - loads[x] * n for x in self.in_set[w]]
+        h = [x - loads[x] * n for x in {e % n for e in self.in_heap[w]}
+             if w in out[x]]
         heapify(h)
         self.in_heap[w] = h
 
@@ -199,13 +198,13 @@ class GraphState:
         # an entry records a load below load(v) + 1 exactly when it is at
         # least -load(v)·n
         low = -loads[v] * n
-        ins = self.in_set[v]
+        out = self.out_nbrs
         while h:
             top = h[0]
             if top >= low:
                 return None
             x = top % n
-            if x not in ins:
+            if v not in out[x]:
                 heappop(h)
                 continue
             exact = x - loads[x] * n

@@ -318,12 +318,12 @@ class NaiveWeightedForest:
             raise MissingEdgeError(f"no edge {edge_key(u, v)}")
         return self._num_from(u, v)
 
-    def set_edge_weight(self, u, v, weight_u):
-        if not self.has_edge(u, v):
-            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
-        if not 0 <= weight_u <= self.gamma:
-            raise WeightRangeError(f"weight {weight_u} outside [0, {self.gamma}]")
-        self._set_num_from(u, v, weight_u)
+    def shift_edge_weight(self, u, v, delta):
+        w = self.edge_weight(u, v) + delta
+        if not 0 <= w <= self.gamma:
+            raise WeightRangeError(f"weight {w} outside [0, {self.gamma}]")
+        self._set_num_from(u, v, w)
+        return w
 
     def depth_parity(self, v):
         return (len(self._path_or_self(self.find_root(v), v)) - 1) & 1
@@ -354,8 +354,9 @@ class NaiveCopyWalk:
     least one unit lighter; a copy delete takes the first argument's
     direction when it has copies and then pulls one copy at a time from
     the heaviest in-neighbour (least id on a tie) at least one unit
-    heavier.  Logs take one key per changed bundle, as the engine's do;
-    ``flips`` counts every single-copy flip."""
+    heavier.  Logs take the copy's bundle key and then one key per flip,
+    undeduplicated, as the engine's do; ``flips`` counts every
+    single-copy flip."""
 
     def __init__(self, gamma, loads, counts=()):
         self.gamma = gamma
@@ -379,7 +380,7 @@ class NaiveCopyWalk:
     def out_nbrs(self, v):
         return {x for x in self._nbrs(v) if self.count(v, x)}
 
-    def in_set(self, v):
+    def in_nbrs(self, v):
         return {x for x in self._nbrs(v) if self.count(x, v)}
 
     def tight_out_nbr(self, u):
@@ -387,7 +388,7 @@ class NaiveCopyWalk:
                     if self.loads[w] <= self.loads[u] - 1), default=None)
 
     def tight_in_nbr(self, v):
-        best = min(self.in_set(v), key=lambda x: (-self.loads[x], x),
+        best = min(self.in_nbrs(v), key=lambda x: (-self.loads[x], x),
                    default=None)
         if best is None or self.loads[best] < self.loads[v] + 1:
             return None
@@ -425,22 +426,18 @@ class NaiveCopyWalk:
             nxt = self.tight_in_nbr(w)
         self.loads[w] -= 1
 
-    @staticmethod
-    def _last_of_each(log):
-        return [k for i, k in enumerate(log) if k not in log[i + 1:]]
-
     def gamma_insert(self, u, v):
         log = []
         for _ in range(self.gamma):
             self.insert_copy(u, v, log)
-        return self._last_of_each(log)
+        return log
 
     def gamma_delete(self, u, v):
         log = []
         for _ in range(self.gamma):
             self.delete_copy(u, v, log)
         del self.counts[edge_key(u, v)]
-        return self._last_of_each(log)
+        return log
 
 
 # ----------------------------------------------------------------------

@@ -34,9 +34,9 @@ map: ``in_h`` and the EdgeStore's routing read a live view of its keys.
 """
 
 import logging
+from collections import Counter
 
-from .errors import (ConfigurationError, DuplicateEdgeError, MissingEdgeError,
-                     VertexRangeError, require)
+from .errors import ConfigurationError, VertexRangeError, require
 from .forest import LinkCutForest, edge_key
 from .fractional import EdgeStore, FractionalOrienter
 from .graph import GraphState
@@ -74,8 +74,6 @@ class RefinementEngine:
 
     def insert_edge(self, u, v):
         """Insert the bundle; returns every bundle key the update touched."""
-        if self.g.has_edge(u, v):
-            raise DuplicateEdgeError(f"edge {edge_key(u, v)} present")
         self._touched = {edge_key(u, v)}
         q = self.frac.gamma_insert(u, v)
         self._drain(q)
@@ -84,8 +82,6 @@ class RefinementEngine:
         return set(self._touched)
 
     def delete_edge(self, u, v):
-        if not self.g.has_edge(u, v):
-            raise MissingEdgeError(f"no edge {edge_key(u, v)}")
         self._touched = {edge_key(u, v)}
         if edge_key(u, v) in self.in_h:
             self._unhook(u, v)
@@ -100,7 +96,6 @@ class RefinementEngine:
         (the arboricity layer repairs copies through the fractional engine
         directly).  Returns every key the current update has touched so far,
         including whatever the drain itself moved."""
-        self._touched.update(q)
         self._drain(q)
         return set(self._touched)
 
@@ -126,6 +121,8 @@ class RefinementEngine:
     # phase two
 
     def _drain(self, q):
+        """Phase two over a raw walk log, deduplicated here alone: each key
+        is handled once, in the reverse order of its last occurrences."""
         p = self.params
         pending = []
         seen = set()
@@ -134,7 +131,7 @@ class RefinementEngine:
                 continue
             seen.add(key)
             self._touched.add(key)
-            if not self.g.has_edge(*key):
+            if key not in self.g.bundles:
                 continue
             cu, cv = self.store.true_counts(*key)
             if key in self.in_h:
@@ -254,6 +251,9 @@ class RefinementEngine:
             out_copies[u] += cu
             out_copies[w] += cv
         require(g.loads == out_copies, "a load is not its out-copy count")
+        ins = Counter(w for ws in g.out_nbrs for w in ws)
+        require(g.in_deg == [ins[v] for v in range(p.n_cap)],
+                "an in-degree is not its in-neighbour count")
         require(check_eta_valid(g.loads, true) == [], "copy breaks 1-validity")
         require(is_forest(self.in_h), "H closed a cycle")
         for key in self.in_h:

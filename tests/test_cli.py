@@ -11,6 +11,7 @@ import textwrap
 import pytest
 
 from dynorient import cli
+from dynorient.decompose import ArboricityDecomposer
 from dynorient.errors import ConsistencyError
 from dynorient.forest import LinkCutForest, ParityForest
 from dynorient.traces import format_trace, generate
@@ -266,6 +267,47 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
     # missing file
     assert run_cli(["run", "--n", "4", str(tmp_path / "nope")])[0] \
         == cli.EXIT_USAGE
+
+
+def _fault_at(monkeypatch, k):
+    """Make the decomposer's k-th insert raise an engine fault."""
+    calls = [0]
+    real = ArboricityDecomposer.insert_edge
+
+    def insert_edge(self, u, v):
+        calls[0] += 1
+        if calls[0] == k:
+            raise ConsistencyError(f"synthetic fault at ({u}, {v})")
+        return real(self, u, v)
+    monkeypatch.setattr(ArboricityDecomposer, "insert_edge", insert_edge)
+
+
+def test_engine_fault_is_a_violation_at_its_op(tmp_path, monkeypatch):
+    ops = [("a", 0, 1), ("o", 0), ("a", 1, 2), ("a", 2, 3), ("o", 2),
+           ("a", 0, 3)]
+    trace = write_trace(tmp_path, ops)
+    _fault_at(monkeypatch, 3)
+    code, text = run_cli(["run", "--mode", "arb", "--n", "4",
+                          "--verify-every", "1", trace])
+    assert code == cli.EXIT_VIOLATION
+    report = json.loads(text)
+    assert list(report) == ["mode", "n", "ops", "status", "violations",
+                            "results", "counters", "state_hash"]
+    assert report["status"] == "violation" and report["ops"] == 6
+    # the replay stops at the faulting op: no later answer, no later check
+    assert report["violations"] == [{
+        "op_index": 3, "invariant": "engine-state",
+        "detail": "synthetic fault at (2, 3)"}]
+    assert [r["op_index"] for r in report["results"]] == [1]
+
+
+def test_bench_exits_on_an_engine_fault_as_a_violation(tmp_path, monkeypatch,
+                                                       capsys):
+    trace = write_trace(tmp_path, [("a", 0, 1), ("a", 1, 2)])
+    _fault_at(monkeypatch, 2)
+    code, _ = run_cli(["bench", "--mode", "arb", "--n", "4", trace])
+    assert code == cli.EXIT_VIOLATION
+    assert capsys.readouterr().err.startswith("error: synthetic fault")
 
 
 def test_gen_rejects_negative_steps_as_usage(capsys):

@@ -361,7 +361,7 @@ def _path_update_step(real, mirror, rng, u, v, edges, n, gamma):
 
 
 def _drive(seed, n, steps, gamma=8):
-    """Random link/cut/reroot/set_edge_weight/path_update and reads beside
+    """Random link/cut/reroot/shift_edge_weight/path_update and reads beside
     the naive mirror, with every depth parity read after every op,
     rejected links included; reads outside the tree an op changed must
     hit the memo.  Returns the path_update outcomes seen and the most
@@ -399,8 +399,14 @@ def _drive(seed, n, steps, gamma=8):
         elif op == 5 and edges:
             a, b = edges[rng.randrange(len(edges))]
             w = rng.randint(0, gamma)
-            real.set_edge_weight(a, b, w)
-            mirror.set_edge_weight(a, b, w)
+            delta = w - mirror.edge_weight(a, b)
+            assert real.shift_edge_weight(a, b, delta) == w
+            assert mirror.shift_edge_weight(a, b, delta) == w
+            # a shift past either end changes nothing, the memo included
+            for past in (gamma + 1 - w, -w - 1):
+                with pytest.raises(WeightRangeError):
+                    real.shift_edge_weight(b, a, -past)
+            assert real.edge_weight(a, b) == w
         elif op <= 7:
             kinds.add(_path_update_step(real, mirror, rng, u, v, edges, n,
                                         gamma))
@@ -499,7 +505,7 @@ def test_path_update_deep_path():
     f = LinkCutForest(gamma=4)
     for i in range(n - 1):
         f.link(i + 1, i, 2)   # keeps root at 0, path grows downward
-    f.set_edge_weight(n // 2, n // 2 + 1, 1)
+    assert f.shift_edge_weight(n // 2, n // 2 + 1, -1) == 1
     seen = []
     assert f.path_update(n - 1, 0, _recording(seen, None, 0)) == (None, 0)
     wit, _ = f.path_update(0, n - 1, _recording(seen, "min", 1))
@@ -709,7 +715,10 @@ def test_weighted_memo_survives_reads_and_rejected_writes(monkeypatch):
     with pytest.raises(WeightRangeError):
         f.path_update(0, 3, lambda mn, mx: (None, 5))
     _shift(f, 0, 3, 2)
-    f.set_edge_weight(1, 2, 0)
+    assert f.shift_edge_weight(2, 1, 6) == 8
+    with pytest.raises(WeightRangeError):
+        f.shift_edge_weight(1, 2, -1)
+    assert f.edge_weight(1, 2) == 0
     assert edge_key(*_extreme(f, 3, 0, "min")) == (2, 3)
     assert _root(f, 0) == 3 and _range(f, 0, 3) == (0, 6)
     spent = accesses[0]

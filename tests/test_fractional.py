@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import dynorient
 from dynorient.errors import MissingEdgeError, SelfLoopError, DuplicateEdgeError
 from dynorient.forest import LinkCutForest, edge_key
-from dynorient.fractional import EdgeStore, FractionalOrienter, dedup_keep_last
+from dynorient.fractional import EdgeStore, FractionalOrienter
 from dynorient.graph import GraphState
 from dynorient.oracles import NaiveCopyWalk, check_eta_valid
 from dynorient.params import Params
@@ -18,6 +23,11 @@ def make(gamma, n=8, **kw):
     return g, FractionalOrienter(g, EdgeStore(g, LinkCutForest(gamma)))
 
 
+def in_nbrs(g, v):
+    """v's in-neighbours, derived from the out-neighbour sets."""
+    return {x for x in range(g.n_cap) if v in g.out_nbrs[x]}
+
+
 def stage_chain(g, triples):
     """Install bundles with given directed counts and matching loads."""
     for u, v, cu, cv in triples:
@@ -27,11 +37,6 @@ def stage_chain(g, triples):
         out = sum(g.count(v, w) for w in g.out_nbrs[v])
         if out:
             g.bump_load(v, out)
-
-
-def test_dedup_keeps_last_occurrence():
-    keys = [(0, 1), (1, 2), (0, 1), (2, 3), (1, 2)]
-    assert dedup_keep_last(keys) == [(0, 1), (2, 3), (1, 2)]
 
 
 def test_single_copy_gamma_one():
@@ -71,7 +76,7 @@ def test_gamma_delete_restores_empty():
     g, fo = make(gamma=4, n=2)
     fo.gamma_insert(0, 1)
     fo.gamma_delete(0, 1)
-    assert not g.has_edge(0, 1)
+    assert (0, 1) not in g.bundles
     assert g.loads[:2] == [0, 0]
     with pytest.raises(MissingEdgeError):
         fo.gamma_delete(0, 1)
@@ -222,8 +227,8 @@ def test_heap_agrees_with_scan_oracle():
         got = g.tight_in_nbr(v)
         want = None
         for x in range(12):
-            if x != v and g.has_edge(x, v) and g.count(x, v) > 0 \
-                    and g.loads[x] >= g.loads[v] + 1:
+            if (x != v and edge_key(x, v) in g.bundles and g.count(x, v) > 0
+                    and g.loads[x] >= g.loads[v] + 1):
                 if want is None or g.loads[x] > g.loads[want]:
                     want = x
         assert got == want, (v, got, want)
@@ -265,9 +270,10 @@ def test_in_neighbour_heaps_stay_bounded_under_dense_churn():
             fo.gamma_insert(*key)
             live.add(key)
         for w in range(n):
-            assert len(g.in_heap[w]) <= 2 * len(g.in_set[w]) + 4, w
-            want = min(g.in_set[w], key=lambda x: (-g.loads[x], x),
-                       default=None)
+            ins = in_nbrs(g, w)
+            assert g.in_deg[w] == len(ins), w
+            assert len(g.in_heap[w]) <= 2 * len(ins) + 4, w
+            want = min(ins, key=lambda x: (-g.loads[x], x), default=None)
             if want is not None and g.loads[want] <= g.loads[w]:
                 want = None
             assert g.tight_in_nbr(w) == want, w
@@ -277,9 +283,8 @@ def test_in_neighbour_heaps_stay_bounded_under_dense_churn():
 @pytest.mark.parametrize("seed", [5, 6])
 def test_gamma_walks_share_one_log(seed):
     # gamma_insert/gamma_delete append every copy's walk to one log and
-    # deduplicate it once; the reference composes gamma public per-copy
-    # calls, each deduplicating its own walk, and deduplicates the
-    # concatenation
+    # return it raw; the reference composes gamma public per-copy calls,
+    # each with its own log, and concatenates them
     rng = random.Random(seed)
     n = 12
     gamma = 8
@@ -297,7 +302,7 @@ def test_gamma_walks_share_one_log(seed):
             for _ in range(gamma):
                 walk = []
                 fb.delete_copy(u, v, walk)
-                logs.extend(dedup_keep_last(walk))
+                logs.extend(walk)
             gb.drop_bundle(u, v)
             live.discard(key)
         else:
@@ -308,17 +313,17 @@ def test_gamma_walks_share_one_log(seed):
             for _ in range(gamma):
                 walk = []
                 fb.insert_copy(u, v, walk)
-                logs.extend(dedup_keep_last(walk))
+                logs.extend(walk)
             live.add(key)
-        assert got == dedup_keep_last(logs)
+        assert got == logs
         assert all(a < b and ((a, b) in ga.bundles or (a, b) == key)
                    for a, b in got), got
-        longest = max(longest, len(got))
-        merged += len(got) < len(logs)
+        longest = max(longest, len(set(got)))
+        merged += len(set(got)) < len(got)
         assert ga.loads == gb.loads
         assert ga.bundles == gb.bundles
         assert ga.out_nbrs == gb.out_nbrs
-        assert ga.in_set == gb.in_set
+        assert ga.in_deg == gb.in_deg
         for w in range(n):
             assert ga.tight_in_nbr(w) == gb.tight_in_nbr(w), w
     assert longest > 1, "no walk ever left the inserted bundle"
@@ -339,7 +344,8 @@ def _assert_matches_reference(eng, ref):
         == ref.counts
     for v in range(len(g.loads)):
         assert g.out_nbrs[v] == ref.out_nbrs(v), v
-        assert g.in_set[v] == ref.in_set(v), v
+        assert in_nbrs(g, v) == ref.in_nbrs(v), v
+        assert g.in_deg[v] == len(ref.in_nbrs(v)), v
         assert g.tight_in_nbr(v) == ref.tight_in_nbr(v), v
 
 
@@ -396,3 +402,136 @@ def test_walks_match_the_reference_walk(seed):
     eng.verify()
     assert singles > 500, singles
     assert through_h > 100, "too few walks flipped an H-resident bundle"
+
+
+def _last_of_each(log):
+    """The reference dedup: each key at its last occurrence, in order."""
+    return [k for i, k in enumerate(log) if k not in log[i + 1:]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_drain_of_a_raw_log_decides_as_its_deduplicated_log(seed):
+    # twin engines take the same updates; one drains the raw walk logs,
+    # the other the same logs reduced to each key's last occurrence, and
+    # both must unhook, rotate and enroll alike, in the same order
+    rng = random.Random(seed)
+    n = 10
+    p = Params(n_cap=n, gamma=8, epsilon=1.0)
+    ea, eb = RefinementEngine(p), RefinementEngine(p)
+    repeats = [0]
+
+    def counted(walk):
+        def raw(u, v):
+            log = walk(u, v)
+            repeats[0] += len(set(log)) < len(log)
+            return log
+        return raw
+
+    def reduced(walk):
+        return lambda u, v: _last_of_each(walk(u, v))
+
+    decisions = []
+    for eng, wrap in ((ea, counted), (eb, reduced)):
+        eng.frac.gamma_insert = wrap(eng.frac.gamma_insert)
+        eng.frac.gamma_delete = wrap(eng.frac.gamma_delete)
+        seen = []
+        for name in ("handle_s_edge", "_unhook"):
+            def recorded(a, b, _fn=getattr(eng, name), _name=name, _seen=seen):
+                _seen.append((_name, a, b))
+                return _fn(a, b)
+            setattr(eng, name, recorded)
+        decisions.append(seen)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    live = set()
+    for _ in range(300):
+        if len(live) > 0.8 * len(pairs) or (live and rng.random() < 0.3):
+            key = rng.choice(sorted(live))
+            got = [e.delete_edge(*key) for e in (ea, eb)]
+            live.discard(key)
+        else:
+            key = rng.choice([k for k in pairs if k not in live])
+            got = [e.insert_edge(*key) for e in (ea, eb)]
+            live.add(key)
+        assert got[0] == got[1]
+        assert decisions[0] == decisions[1]
+        assert sorted(ea.in_h) == sorted(eb.in_h)
+        assert ea.g.loads == eb.g.loads
+        assert {k: ea.store.true_counts(*k) for k in ea.g.bundles} \
+            == {k: eb.store.true_counts(*k) for k in eb.g.bundles}
+    ea.verify()
+    assert repeats[0] > 50, repeats[0]
+    assert sum(name == "handle_s_edge" for name, *_ in decisions[0]) > 20
+
+
+_WALK_PAST_ITS_BOUND = textwrap.dedent("""
+    from dynorient.errors import ConsistencyError
+    from dynorient.forest import LinkCutForest
+    from dynorient.fractional import EdgeStore, FractionalOrienter
+    from dynorient.graph import GraphState
+    from dynorient.params import Params
+
+    def make():
+        g = GraphState(Params(n_cap=6, gamma=8))
+        return g, FractionalOrienter(g, EdgeStore(g, LinkCutForest(8)))
+
+    def any_in_nbr(self, v):
+        # the heaviest in-neighbour, whatever its load
+        ins = [x for x in range(self.n_cap) if v in self.out_nbrs[x]]
+        return min(ins, key=lambda x: (-self.loads[x], x), default=None)
+
+    def any_out_nbr(self, u):
+        return min(self.out_nbrs[u], default=None)
+
+    def expect_fault(walk):
+        try:
+            walk()
+        except ConsistencyError as e:
+            return str(e)
+        raise SystemExit("the walk ended without a fault")
+
+    # a delete walk pulls from an in-neighbour that is not heavier: the
+    # copies between 0 and 1 would swap back and forth forever
+    g, fo = make()
+    fo.gamma_insert(0, 1)
+    real_in = GraphState.tight_in_nbr
+    GraphState.tight_in_nbr = any_in_nbr
+    print(expect_fault(lambda: fo.gamma_delete(0, 1)))
+    GraphState.tight_in_nbr = real_in
+
+    # an insert walk sheds onto an out-neighbour that is not lighter
+    g, fo = make()
+    GraphState.tight_out_nbr = any_out_nbr
+    print(expect_fault(lambda: fo.insert_copy(0, 1, [])))
+
+    # one pull from a lighter in-neighbour ends the delete walk below a
+    # load of its flip count
+    g, fo = make()
+    g.add_bundle(0, 1)
+    g.set_counts_raw(0, 1, 1, 1)
+    g.bump_load(0, 1)
+    answers = [1]
+
+    def lighter_once(self, v):
+        return answers.pop() if answers else None
+
+    GraphState.tight_in_nbr = lighter_once
+    print(expect_fault(lambda: fo.delete_copy(0, 1, [])))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_walk_past_its_bound_raises_instead_of_looping(flags):
+    # a tight-neighbour read that keeps answering must end the walk with
+    # a typed error, also with assertions stripped; the timeout turns a
+    # walk that loops into a failure instead of a hang
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        dynorient.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", _WALK_PAST_ITS_BOUND],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3, proc.stdout
+    assert lines == ["('delete walk passed its bound', 0, 1, 1)",
+                     "('insert walk passed its bound', 0, 1, 0)",
+                     "('delete walk ended too light', 0, 1, 1)"]

@@ -1,9 +1,16 @@
+import gc
+
 import pytest
 
 from dynorient.errors import (ConfigurationError, DuplicateEdgeError,
                               MissingEdgeError, SelfLoopError)
 from dynorient.graph import GraphState
 from dynorient.params import Params
+
+
+def in_nbrs(g, v):
+    """v's in-neighbours, derived from the out-neighbour sets."""
+    return {x for x in range(g.n_cap) if v in g.out_nbrs[x]}
 
 
 def small_params(**kw):
@@ -46,7 +53,7 @@ def test_params_recommended_recipe():
 def test_empty_state():
     g = GraphState(small_params())
     assert g.loads == [0] * 8
-    assert not g.has_edge(0, 1)
+    assert (0, 1) not in g.bundles
     with pytest.raises(MissingEdgeError):
         g.count(0, 1)
 
@@ -54,7 +61,7 @@ def test_empty_state():
 def test_bundle_lifecycle():
     g = GraphState(small_params())
     g.add_bundle(2, 5)
-    assert g.has_edge(5, 2)
+    assert (2, 5) in g.bundles
     assert g.counts(2, 5) == (0, 0)
     with pytest.raises(DuplicateEdgeError):
         g.add_bundle(5, 2)
@@ -64,11 +71,13 @@ def test_bundle_lifecycle():
     assert g.count(2, 5) == 6
     assert g.count(5, 2) == 2
     assert 5 in g.out_nbrs[2] and 2 in g.out_nbrs[5]
-    assert 2 in g.in_set[5] and 5 in g.in_set[2]
+    assert in_nbrs(g, 5) == {2} and in_nbrs(g, 2) == {5}
+    assert g.in_deg[5] == g.in_deg[2] == 1
     g.set_counts_raw(2, 5, 0, 0)
-    assert 5 not in g.out_nbrs[2] and 2 not in g.in_set[5]
+    assert 5 not in g.out_nbrs[2] and in_nbrs(g, 5) == set()
+    assert g.in_deg == [0] * 8
     g.drop_bundle(2, 5)
-    assert not g.has_edge(2, 5)
+    assert (2, 5) not in g.bundles
 
 
 def test_move_copies_and_membership():
@@ -115,3 +124,20 @@ def test_tight_out_nbr_scans_in_id_order():
     assert g.tight_out_nbr(0) == 4
     g.bump_load(4, 2)
     assert g.tight_out_nbr(0) is None
+
+
+def test_empty_state_tracks_two_objects_per_vertex():
+    # one out-neighbour set and one in-neighbour heap per vertex; the
+    # in-degrees are plain ints in one list, and no set mirrors the
+    # in-neighbours
+    n = 5000
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        g = GraphState(Params(n_cap=n, gamma=8))
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert added <= 2 * n + 16, added
+    assert g.in_deg == [0] * n

@@ -64,6 +64,17 @@ def test_verify_catches_a_load_moved_between_vertices():
         eng.verify()
 
 
+def test_verify_catches_an_in_degree_off_its_in_neighbours():
+    eng = engine(n=3)
+    eng.insert_edge(0, 1)
+    eng.insert_edge(1, 2)
+    eng.verify()
+    # the heaps' rebuild rule reads the in-degrees alone
+    eng.g.in_deg[1] += 1
+    with pytest.raises(ConsistencyError):
+        eng.verify()
+
+
 def test_duplicate_and_missing_raise():
     eng = engine()
     eng.insert_edge(0, 1)
@@ -215,7 +226,7 @@ class FifoEngine(RefinementEngine):
             if key in seen:
                 continue
             seen.add(key)
-            if not self.g.has_edge(*key):
+            if key not in self.g.bundles:
                 continue
             cu, cv = self.store.true_counts(*key)
             if key in self.in_h:
