@@ -1,24 +1,37 @@
 """Implicit proper colouring read off a maintained decomposition.
 
-No colour table is stored.  Each part of the decomposition colours its
-own vertices (a forest by depth parity, a cycle-carrying layer by depth
+No colour table is kept.  Each part of the decomposition colours its own
+vertices (a forest by depth parity, a cycle-carrying layer by depth
 parity plus one reserved colour for the vertex the cycle hangs off), and
 a vertex's colour is the vector of those per-part colours packed into a
 single integer in mixed radix.  When the structures underneath change,
-every query after that reflects the new decomposition; nothing here is
-ever written, only read.
+every query after that reflects the new decomposition; a query never
+writes to them.
 
-A query is one flat pass with one forest call per tree factor, and it
-mostly costs dict hits and arithmetic.  Whether a layer's tree factor is
-active is the truth of a live view of that forest's edge keys, kept per
-layer here, so the pass makes no call to learn it.  Each forest
-underneath memoises the depth parities it was asked for, per tree, until
-a link, cut or evert changes that tree.  The pooled cycle edges live in
-plain sets, so their parities are found by a walk over a component and
-cached here for every vertex of it; the decomposer bumps
-``pool_version`` whenever its pooled incidence changes, and the cache
-starts over.  The code is packed during the pass, so the answer skips
-``ColourCode``'s digit check, which holds by construction.
+Each colouring memoises its last answer per vertex, with the vertex's
+change stamp and the epoch it was made under (``forest.ChangeStamps``,
+owned by the decomposer).  A hit is one dict lookup and two int
+compares.  The stamps are exact because every input of an answer bumps
+one of them when it changes:
+
+* a forest bumps a vertex's stamp when it drops that vertex's memoised
+  depth parity, which every link, cut or evert of its tree does, and
+  when it first makes a node for the vertex;
+* a forest bumps the epoch when its edge set turns empty or non-empty,
+  and the decomposer does when the pooled cycle edges do;
+* the decomposer bumps every vertex of a pooled component that an edge
+  joins or leaves (its tail among them) and the old tail of an inverted
+  cycle.
+
+A miss is the pass an unmemoised query makes: one flat pass with one
+forest read per tree factor, tried on the forest's parity memo first,
+so the worst-case query bound is unchanged.  Whether a layer's tree
+factor is active is the truth of a live view of that forest's edge keys.
+The pooled cycle edges live in plain sets, so their parities are found
+by a walk over a component and cached here for every vertex of it until
+the decomposer's ``pool_version`` moves.  The code is packed during the
+pass, so the answer skips ``ColourCode``'s digit check, which holds by
+construction.
 """
 
 from .errors import ColourCodeError, ConfigurationError, VertexRangeError
@@ -96,7 +109,8 @@ class ProductColouring:
     so codes are stable between updates.  Queries never mutate the
     engine; ``forest_queries`` counts the link/cut reads requested, one
     membership test per tree factor plus one depth-parity read per tree
-    that holds the vertex, memo hits included, so the per-query cost
+    that holds the vertex, memo hits included: a memoised answer
+    charges the reads of the pass that made it, so the per-query cost
     stays inspectable and does not depend on what was asked before.
     """
 
@@ -108,22 +122,28 @@ class ProductColouring:
         self.forest_queries = 0
         self._pool = {}             # vertex -> pooled-forest parity
         self._pool_version = None   # decomp.pool_version the cache is of
-        # layer -> (forest, live view of its edge keys, designated tails);
-        # layers are only ever appended, so the list only grows with them
+        # layer -> (memo get, forest, live view of its edge keys,
+        # designated tails); layers are only ever appended, so the list
+        # only grows with them
         self._layers = []
+        # vertex -> (code, its change stamp, the epoch, reads) as of the
+        # pass that made the code
+        self._memo = {}
+        self._stamps = decomp.stamps
+        self._stamp_of = decomp.stamps.of
 
     def mode(self):
         return self._mode
 
     def _layer_views(self):
-        """Per-layer (forest, edge-key view, tails), caught up with any
-        layers added since the last call.  A view's truth test says
-        whether the layer's tree factor is active."""
+        """Per-layer (memo get, forest, edge-key view, tails), caught up
+        with any layers added since the last call.  A view's truth test
+        says whether the layer's tree factor is active."""
         layers = self._layers
         d = self.d
         k = len(layers)
         if k != len(d.F):
-            layers.extend((f, f.edge_keys(), tails)
+            layers.extend((f.memo_get, f, f.edge_keys(), tails)
                           for f, tails in zip(d.F[k:], d.m_tail[k:]))
         return layers
 
@@ -162,12 +182,24 @@ class ProductColouring:
     # queries
 
     def colour(self, v):
-        """Colour of vertex v.  One pass over the active factors in digit
-        order (layers by index, then the pooled cycle edges, then H),
-        packing the code as it goes; raises VertexRangeError for a v
-        outside [0, n_cap) before any read.  A tree factor's one forest
-        call reads None for a vertex the tree has never seen, which
-        counts one read here, and a parity, which counts two."""
+        """Colour of vertex v: the memoised code while v's change stamp
+        and the epoch are those it was made under, else a fresh pass.
+        Raises VertexRangeError for a v outside [0, n_cap) before any
+        read: only in-range vertices are ever memoised."""
+        m = self._memo.get(v)
+        if (m is not None and m[1] == self._stamp_of[v]
+                and m[2] == self._stamps.epoch):
+            self.forest_queries += m[3]
+            return m[0]
+        return self._pass(v)
+
+    def _pass(self, v):
+        """One pass over the active factors in digit order (layers by
+        index, then the pooled cycle edges, then H), packing the code as
+        it goes, and memoised for v.  A tree factor's one forest read
+        answers from the forest's memo, or from ``depth_parity``; it
+        reads None for a vertex the tree has never seen, which counts
+        one read here, and a parity, which counts two."""
         d = self.d
         n = d.params.n_cap
         if not 0 <= v < n:
@@ -180,9 +212,11 @@ class ProductColouring:
         code = 0
         scale = 1
         if self._mode == FOREST_MODE:
-            for f, edges, _ in layers:
+            for get, f, edges, _ in layers:
                 if edges:
-                    p = f.depth_parity(v, None)
+                    p = get(v)
+                    if p is None:
+                        p = f.depth_parity(v, None)
                     if p is None:
                         reads += 1
                         digits.append(0)
@@ -198,12 +232,14 @@ class ProductColouring:
                 scale *= 2
             ternary = 0
         else:
-            for f, edges, tails in layers:
+            for get, f, edges, tails in layers:
                 if v in tails:
                     digits.append(2)
                     code += 2 * scale
                 elif edges or tails:
-                    p = f.depth_parity(v, None)
+                    p = get(v)
+                    if p is None:
+                        p = f.depth_parity(v, None)
                     if p is None:
                         reads += 1
                         digits.append(0)
@@ -216,7 +252,10 @@ class ProductColouring:
                 scale *= 3
             ternary = len(digits)
         if d.refine.in_h:
-            p = d.refine.H.depth_parity(v, None)
+            h = d.refine.H
+            p = h.memo_get(v)
+            if p is None:
+                p = h.depth_parity(v, None)
             if p is None:
                 reads += 1
                 digits.append(0)
@@ -226,7 +265,9 @@ class ProductColouring:
                 code += p * scale
         self.forest_queries += reads
         radices = (3,) * ternary + (2,) * (len(digits) - ternary)
-        return _packed(tuple(digits), radices, code)
+        c = _packed(tuple(digits), radices, code)
+        self._memo[v] = (c, self._stamp_of[v], self._stamps.epoch, reads)
+        return c
 
     def colour_count(self):
         """Product of the radices ``colour()`` uses: a factor counts
@@ -235,9 +276,9 @@ class ProductColouring:
         d = self.d
         layers = self._layer_views()
         if self._mode == FOREST_MODE:
-            total = 2 ** (sum(1 for _, edges, _ in layers if edges)
+            total = 2 ** (sum(1 for _, _, edges, _ in layers if edges)
                           + bool(d.incidence))
         else:
-            total = 3 ** sum(1 for _, edges, tails in layers
+            total = 3 ** sum(1 for _, _, edges, tails in layers
                              if edges or tails)
         return 2 * total if d.refine.in_h else total

@@ -54,7 +54,7 @@ from collections import deque
 
 from .errors import (ConfigurationError, ConsistencyError, CycleError,
                      VertexRangeError, require)
-from .forest import ParityForest, edge_key
+from .forest import ChangeStamps, ParityForest, edge_key
 from .oracles import is_forest
 from .refine import RefinementEngine
 from .split import SlotTable
@@ -77,7 +77,11 @@ class ArboricityDecomposer:
             )
         self.params = params
         self.paranoid = paranoid
-        self.refine = RefinementEngine(params, paranoid=paranoid)
+        # change stamps of every vertex, bumped by H, the layer forests,
+        # the inversions and the pool edits; the colourings read them
+        self.stamps = ChangeStamps(params.n_cap)
+        self.refine = RefinementEngine(params, paranoid=paranoid,
+                                       stamps=self.stamps)
         self.refine.on_pre_enroll = self._pull
         self.g = self.refine.g
         self.store = self.refine.store
@@ -152,7 +156,7 @@ class ArboricityDecomposer:
 
     def _ensure_layer(self, i):
         while len(self.F) <= i:
-            self.F.append(ParityForest())
+            self.F.append(ParityForest(self.stamps))
             self.m_tail.append({})
 
     def _spot(self, key):
@@ -225,18 +229,38 @@ class ArboricityDecomposer:
         self._pool_discard(self.m_tail[i].pop(t))
 
     def _pool_add(self, key):
+        """Pool a designated edge.  Every vertex of its new pooled
+        component is stamped, its tail among them, and the epoch moves
+        when the pool turns non-empty.  A layer holding a designated edge
+        also holds the tree path the edge closes, so ``m_tail`` never
+        turns a colour factor on or off by itself; the pool does."""
         self.pool_version += 1
+        if not self.incidence:
+            self.stamps.epoch += 1
         for v in key:
             self.incidence.setdefault(v, set()).add(key)
+        self._stamp_component(key)
 
     def _pool_discard(self, key):
+        """Unpool a designated edge, stamped like ``_pool_add``."""
         self.pool_version += 1
+        self._stamp_component(key)
         for v in key:
             ks = self.incidence.get(v)
             if ks is not None:
                 ks.discard(key)
                 if not ks:
                     del self.incidence[v]
+        if not self.incidence:
+            self.stamps.epoch += 1
+
+    def _stamp_component(self, key):
+        """Bump the stamp of every vertex of the pooled component holding
+        key: their pooled parities are measured from its smallest vertex,
+        which a merge or split can move."""
+        stamp = self.stamps.of
+        for v in self._component(key)[1]:
+            stamp[v] += 1
 
     # ------------------------------------------------------------------
     # update pipeline
@@ -507,6 +531,10 @@ class ArboricityDecomposer:
         self.F[i].set_root(h)
         del self.m_tail[i][t]
         self.m_tail[i][h] = key
+        # t's reserved digit moves to h.  A colour memoised for h read
+        # h's parity here, which set_root dropped, stamping h; t's digit
+        # is read off m_tail, so t is stamped here
+        self.stamps.of[t] += 1
         self.inversions += 1
         if self.paranoid:
             assert loads == loads_before, "inversion moved a load"

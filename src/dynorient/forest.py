@@ -66,12 +66,23 @@ raised before any entry is dropped.  Every other operation leaves all
 depths as they were (``path_update`` restores the root it moved) and keeps
 the memo.  Reads create no node: a vertex the forest has never seen has
 depth parity 0 (or the caller's ``default``), is its own root and has no
-edge on its root path.
+edge on its root path.  ``memo_get`` reads the memo alone, with no
+access.
+
+Both forests report to a ``ChangeStamps`` they are handed (or make their
+own), which the colourings read to keep their per-vertex answers exact:
+every memo entry a write drops, and every vertex's first node, bumps that
+vertex's stamp, and a link onto an empty forest or a cut that empties it
+bumps the epoch.  The stamps cost one int increment per dropped entry and
+change no access or root walk, so updates and the worst-case depth-parity
+read cost what they cost without them.
 
 Both forests are iterative throughout, so deep paths do not recurse.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .errors import CycleError, MissingEdgeError, WeightRangeError
 
@@ -274,14 +285,34 @@ def _wevert(x: _Node):
     _wapply(x, True, 0)
 
 
+class ChangeStamps:
+    """Change stamps shared by the forests of one decomposition and read
+    by its colourings: ``of[v]`` grows whenever a depth parity, node or
+    designation of v that a colour reads may have changed, and ``epoch``
+    grows whenever a colour factor turns on or off.  ``of`` is a list of
+    ``n`` ints, or a dict that grows on demand when no ``n`` is given."""
+
+    __slots__ = ("of", "epoch")
+
+    def __init__(self, n=None):
+        self.of = defaultdict(int) if n is None else [0] * n
+        self.epoch = 0
+
+
 class _ParityMemo:
     """Depth parities read since their tree last changed, filed by the
     root they were read under, so a change to one tree drops that tree's
-    entries alone."""
+    entries alone.  Every dropped entry bumps its vertex's change stamp,
+    and so does the first node made for a vertex; a link onto an empty
+    forest and a cut that empties it bump the epoch."""
 
-    def __init__(self):
+    def __init__(self, stamps):
         self._parity = {}   # vertex -> depth parity
         self._tree = {}     # root -> vertices memoised under it
+        self.stamps = ChangeStamps() if stamps is None else stamps
+        # v's memoised depth parity, or None: a read with no access, for
+        # callers that try the memo before ``depth_parity``
+        self.memo_get = self._parity.get
 
     def _remember(self, v: int, root: int, p: int) -> int:
         self._parity[v] = p
@@ -297,17 +328,19 @@ class _ParityMemo:
         vs = self._tree.pop(root, None)
         if vs is not None:
             parity = self._parity
+            stamp = self.stamps.of
             for v in vs:
                 del parity[v]
+                stamp[v] += 1
 
 
 class LinkCutForest(_ParityMemo):
     """Weighted dynamic forest over integer vertex ids; every edge weight
     stays in [0, gamma], and reversal complements against gamma."""
 
-    def __init__(self, gamma: int):
+    def __init__(self, gamma: int, stamps: ChangeStamps = None):
         assert gamma >= 1
-        super().__init__()
+        super().__init__(stamps)
         self.gamma = gamma
         self._v = {}
         self._e = {}
@@ -318,6 +351,7 @@ class LinkCutForest(_ParityMemo):
             n = _Node()
             n.vid = v
             self._v[v] = n
+            self.stamps.of[v] += 1
         return n
 
     # ------------------------------------------------------------------
@@ -361,6 +395,8 @@ class LinkCutForest(_ParityMemo):
         e.n_edges = 1
         nu.parent = e
         e.parent = nv
+        if not self._e:
+            self.stamps.epoch += 1
         self._e[key] = e
 
     def cut(self, u: int, v: int):
@@ -384,6 +420,8 @@ class LinkCutForest(_ParityMemo):
         e.right.parent = None
         e.left = e.right = None
         del self._e[key]
+        if not self._e:
+            self.stamps.epoch += 1
         if self._parity:
             # the parent side's path still starts at the old root
             self._forget(_wfirst(above).vid)
@@ -652,8 +690,8 @@ class ParityForest(_ParityMemo):
     """Rooted dynamic forest over integer vertex ids with root, connectivity
     and depth-parity reads and no weights."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, stamps: ChangeStamps = None):
+        super().__init__(stamps)
         self._v = {}
         self._e = {}      # edge key -> None, a set with a read-only view
 
@@ -661,6 +699,7 @@ class ParityForest(_ParityMemo):
         n = self._v.get(v)
         if n is None:
             n = self._v[v] = _Vertex(v)
+            self.stamps.of[v] += 1
         return n
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -739,6 +778,8 @@ class ParityForest(_ParityMemo):
         if nu.left is not None:
             nu.rev = not nu.rev
         nu.parent = nv
+        if not self._e:
+            self.stamps.epoch += 1
         self._e[key] = None
 
     def cut(self, u: int, v: int) -> int:
@@ -748,6 +789,8 @@ class ParityForest(_ParityMemo):
         if key not in self._e:
             raise MissingEdgeError(f"no edge {key}")
         del self._e[key]
+        if not self._e:
+            self.stamps.epoch += 1
         nu, nv = self._v[u], self._v[v]
         _access(nu)
         _splay(nv)

@@ -33,8 +33,8 @@ unbounded (every leaf of a star keeps copies toward the centre).
 
 from heapq import heapify, heappop, heappush, heapreplace
 
-from .errors import (DuplicateEdgeError, MissingEdgeError, SelfLoopError,
-                     VertexRangeError)
+from .errors import (ConsistencyError, DuplicateEdgeError, MissingEdgeError,
+                     SelfLoopError, VertexRangeError, WeightRangeError)
 from .forest import edge_key
 
 
@@ -72,7 +72,8 @@ class GraphState:
         counts = self.bundles.get(key)
         if counts is None:
             raise MissingEdgeError(f"no edge {key}")
-        assert counts == [0, 0], "bundle still holds copies"
+        if counts != [0, 0]:
+            raise ConsistencyError(f"bundle {key} still holds copies {counts}")
         del self.bundles[key]
 
     def count(self, u: int, v: int) -> int:
@@ -118,7 +119,9 @@ class GraphState:
         self._bound_heap(v)
 
     def move_copies(self, u: int, v: int, k: int = 1):
-        """Reorient k copies of (u, v) from u -> v to v -> u.  No load change."""
+        """Reorient k copies of (u, v) from u -> v to v -> u.  No load
+        change; WeightRangeError, with nothing changed, unless
+        0 <= k <= the copies oriented u -> v."""
         if u < v:
             c = self.bundles.get((u, v))
             i = 0
@@ -129,7 +132,9 @@ class GraphState:
             raise MissingEdgeError(f"no edge {edge_key(u, v)}")
         cu = c[i]
         cv = c[1 - i]
-        assert cu >= k >= 0, f"only {cu} copies oriented {u}->{v}"
+        if not 0 <= k <= cu:
+            raise WeightRangeError(
+                f"cannot move {k} of the {cu} copies oriented {u}->{v}")
         if not k:
             return
         c[i] = cu - k
@@ -144,9 +149,12 @@ class GraphState:
 
         Used to sync the flat counters after an edge's authoritative weight
         lived elsewhere, and to shift counts that keep every load; the
-        caller is responsible for load bookkeeping.
+        caller is responsible for load bookkeeping.  Counts below 0 or
+        summing past gamma raise WeightRangeError with nothing changed.
         """
-        assert cu >= 0 and cv >= 0 and cu + cv <= self.gamma
+        if cu < 0 or cv < 0 or cu + cv > self.gamma:
+            raise WeightRangeError(
+                f"counts ({cu}, {cv}) outside [0, {self.gamma}]")
         self._write_count(u, v, cu)
         self._write_count(v, u, cv)
 
@@ -154,10 +162,13 @@ class GraphState:
     # loads
 
     def bump_load(self, v: int, delta: int):
+        """Add delta to v's load; ConsistencyError, with nothing changed,
+        if the load would drop below 0."""
         loads = self.loads
         load = loads[v] + delta
+        if load < 0:
+            raise ConsistencyError(f"load of {v} would drop to {load}")
         loads[v] = load
-        assert load >= 0
         if delta > 0:
             entry = v - load * self.n_cap
             heaps = self.in_heap

@@ -49,13 +49,14 @@ log = logging.getLogger(__name__)
 
 class RefinementEngine:
 
-    def __init__(self, params, paranoid: bool = False):
+    def __init__(self, params, paranoid: bool = False, stamps=None):
         if params.gamma <= DELTA_NUM:
             raise ConfigurationError(
                 f"gamma must exceed {DELTA_NUM}, got {params.gamma}")
         self.params = params
         self.g = GraphState(params)
-        self.H = LinkCutForest(params.gamma)
+        # H bumps the caller's change stamps, or its own when none given
+        self.H = LinkCutForest(params.gamma, stamps)
         self.store = EdgeStore(self.g, self.H)
         self.frac = FractionalOrienter(self.g, self.store)
         self.hl = HeavyLightOrienter()

@@ -1,9 +1,15 @@
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from dynorient import graph
 from dynorient.errors import (ConfigurationError, DuplicateEdgeError,
-                              MissingEdgeError, SelfLoopError)
+                              MissingEdgeError, SelfLoopError,
+                              WeightRangeError)
 from dynorient.graph import GraphState
 from dynorient.params import Params
 
@@ -88,8 +94,53 @@ def test_move_copies_and_membership():
     assert g.counts(0, 1) == (0, 8)
     assert 1 not in g.out_nbrs[0]
     assert 0 in g.out_nbrs[1]
-    with pytest.raises(AssertionError):
+    with pytest.raises(WeightRangeError):
         g.move_copies(0, 1, 1)
+    assert g.counts(0, 1) == (0, 8)
+
+
+_RAW_WRITES_UNDER_O = textwrap.dedent("""
+    from dynorient.errors import (ConsistencyError, DynOrientError,
+                                  WeightRangeError)
+    from dynorient.graph import GraphState
+    from dynorient.params import Params
+    g = GraphState(Params(n_cap=4, gamma=8))
+    g.add_bundle(0, 1)
+    g.set_counts_raw(0, 1, 0, 8)
+    g.bump_load(1, 8)
+
+    def state():
+        return (dict((k, list(c)) for k, c in g.bundles.items()),
+                list(g.loads), [set(s) for s in g.out_nbrs], list(g.in_deg))
+
+    before = state()
+    bad = [(lambda: g.move_copies(0, 1, 1), WeightRangeError),
+           (lambda: g.move_copies(1, 0, -1), WeightRangeError),
+           (lambda: g.set_counts_raw(0, 1, -1, 8), WeightRangeError),
+           (lambda: g.set_counts_raw(0, 1, 1, 8), WeightRangeError),
+           (lambda: g.bump_load(0, -1), ConsistencyError),
+           (lambda: g.drop_bundle(0, 1), ConsistencyError)]
+    for call, err in bad:
+        try:
+            call()
+        except err:
+            pass
+        else:
+            raise SystemExit(f"no {err.__name__}")
+        if state() != before:
+            raise SystemExit(f"{err.__name__} left a write behind")
+    assert False, "-O strips this assert, so only a run without -O fails"
+""")
+
+
+def test_raw_writes_raise_typed_errors_before_any_write_under_python_O():
+    # a raw flip of a copy that is not there once drove a count negative
+    # under -O: set_counts_raw(0, 1, 0, 8), then move_copies(0, 1, 1)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graph.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", _RAW_WRITES_UNDER_O],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 def test_max_load_in_nbr_tracks_changes():
