@@ -7,6 +7,10 @@ Three subcommands:
   status ("ok" or "violation"), the violations as
   ``{op_index, invariant, detail}`` with stable invariant names, query
   results, cumulative counters, and a hash of the semantic end state.
+  The colour-* modes add two counters: ``colour_passes``, the colour
+  queries that missed the colouring's memo, and ``forest_reads``, the
+  forest reads charged to every colour query.  Both count the queries of
+  the properness checks too, so they grow with --verify-every.
   An engine fault (ConsistencyError) in an op is an ``engine-state``
   violation at that op, and ends the replay.
 * ``gen`` prints a deterministic trace of the requested kind; --seed
@@ -152,8 +156,13 @@ class _Session:
                     "flips": self.bf.flip_count,
                     "repairs": 0, "moves": 0, "surplus_ops": 0}
         d = self.d
-        return {"reorientations": d.inversions, "repairs": d.repair_pairs,
-                "moves": d.moves, "surplus_ops": d.surplus_ops}
+        out = {"reorientations": d.inversions, "repairs": d.repair_pairs,
+               "moves": d.moves, "surplus_ops": d.surplus_ops}
+        if self.mode in _COLOUR_MODE:
+            # colour misses, and the forest reads charged to every query
+            out["colour_passes"] = self.col.passes
+            out["forest_reads"] = self.col.forest_queries
+        return out
 
     def state_hash(self):
         """Digest of the semantic state only, indifferent to internal

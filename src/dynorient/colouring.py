@@ -14,19 +14,24 @@ owned by the decomposer).  A hit is one dict lookup and two int
 compares.  The stamps are exact because every input of an answer bumps
 one of them when it changes:
 
-* a forest bumps a vertex's stamp when it drops that vertex's memoised
-  depth parity, which every link, cut or evert of its tree does, and
-  when it first makes a node for the vertex;
+* a forest bumps a vertex's stamp when a link, cut or evert flips or
+  drops that vertex's memoised depth parity, and when it first makes a
+  node for the vertex; a colour memoised for v read v's parity in every
+  active tree factor, so each of them has an entry for v, and a write
+  that keeps the entry as it was leaves v's colour as it was;
 * a forest bumps the epoch when its edge set turns empty or non-empty,
   and the decomposer does when the pooled cycle edges do;
 * the decomposer bumps every vertex of a pooled component that an edge
-  joins or leaves (its tail among them) and the old tail of an inverted
-  cycle.
+  joins or leaves (its tail among them) and both ends of an inverted
+  cycle's designated edge, whose reserved digit moves.
 
 A miss is the pass an unmemoised query makes: one flat pass with one
 forest read per tree factor, tried on the forest's parity memo first,
-so the worst-case query bound is unchanged.  Whether a layer's tree
-factor is active is the truth of a live view of that forest's edge keys.
+so the worst-case query bound is unchanged; since the forests re-file
+their entries instead of dropping them, most factors answer from the
+memo with no access.  ``passes`` counts the misses.  Whether a layer's
+tree factor is active is the truth of a live view of that forest's edge
+keys.
 The pooled cycle edges live in plain sets, so their parities are found
 by a walk over a component and cached here for every vertex of it until
 the decomposer's ``pool_version`` moves.  The code is packed during the
@@ -34,7 +39,8 @@ pass, so the answer skips ``ColourCode``'s digit check, which holds by
 construction.
 """
 
-from .errors import ColourCodeError, ConfigurationError, VertexRangeError
+from .errors import (ColourCodeError, ConfigurationError, VertexRangeError,
+                     check_vertex)
 
 FOREST_MODE = "forest-decomposition"
 PSEUDOFOREST_MODE = "pseudoforest"
@@ -120,6 +126,7 @@ class ProductColouring:
         self.d = decomp
         self._mode = mode
         self.forest_queries = 0
+        self.passes = 0             # misses: the passes made, one per miss
         self._pool = {}             # vertex -> pooled-forest parity
         self._pool_version = None   # decomp.pool_version the cache is of
         # layer -> (memo get, forest, live view of its edge keys,
@@ -184,13 +191,19 @@ class ProductColouring:
     def colour(self, v):
         """Colour of vertex v: the memoised code while v's change stamp
         and the epoch are those it was made under, else a fresh pass.
-        Raises VertexRangeError for a v outside [0, n_cap) before any
-        read: only in-range vertices are ever memoised."""
-        m = self._memo.get(v)
-        if (m is not None and m[1] == self._stamp_of[v]
-                and m[2] == self._stamps.epoch):
-            self.forest_queries += m[3]
-            return m[0]
+        Raises VertexRangeError for a v that is not an int in [0, n_cap)
+        before any read: only such vertices are ever memoised.  A
+        ``bool`` is an int, so ``True`` is vertex 1.  A float equal to a
+        memoised vertex finds its entry, and then the stamp list refuses
+        it as an index."""
+        try:
+            m = self._memo.get(v)
+            if (m is not None and m[1] == self._stamp_of[v]
+                    and m[2] == self._stamps.epoch):
+                self.forest_queries += m[3]
+                return m[0]
+        except TypeError:
+            raise VertexRangeError(f"vertex {v!r} is not an int") from None
         return self._pass(v)
 
     def _pass(self, v):
@@ -201,9 +214,8 @@ class ProductColouring:
         reads None for a vertex the tree has never seen, which counts
         one read here, and a parity, which counts two."""
         d = self.d
-        n = d.params.n_cap
-        if not 0 <= v < n:
-            raise VertexRangeError(f"vertex {v} outside [0, {n})")
+        check_vertex(v, d.params.n_cap)
+        self.passes += 1
         layers = self._layers
         if len(layers) != len(d.F):
             layers = self._layer_views()

@@ -53,7 +53,7 @@ still knows a designated edge's old tail.  ``placed`` and ``m`` are views.
 from collections import deque
 
 from .errors import (ConfigurationError, ConsistencyError, CycleError,
-                     VertexRangeError, require)
+                     check_vertex, require)
 from .forest import ChangeStamps, ParityForest, edge_key
 from .oracles import is_forest
 from .refine import RefinementEngine
@@ -141,14 +141,16 @@ class ArboricityDecomposer:
         the larger share, which is exactly the slot table's tail, and
         the ambiguous forest contributes v's parent edge if there is
         one, read from the parent-pointer mirror of H.  This is
-        ``len(self.refine.rounded_out_edges(v))`` without the scan.  Only
-        a zero answer needs the VertexRangeError check of v's range."""
+        ``len(self.refine.rounded_out_edges(v))`` without the scan.  A v
+        that is not an int, or a zero answer, needs the VertexRangeError
+        check of v; the dict lookups would take 1.0 for vertex 1."""
+        if v.__class__ is not int:
+            check_vertex(v, self.params.n_cap)
         deg = self.split.out_degree(v)
         if self.refine.hl.parent.get(v) is not None:
             return deg + 1
-        if not deg and not 0 <= v < self.params.n_cap:
-            raise VertexRangeError(
-                f"vertex {v} outside [0, {self.params.n_cap})")
+        if not deg:
+            check_vertex(v, self.params.n_cap)
         return deg
 
     # ------------------------------------------------------------------
@@ -531,10 +533,12 @@ class ArboricityDecomposer:
         self.F[i].set_root(h)
         del self.m_tail[i][t]
         self.m_tail[i][h] = key
-        # t's reserved digit moves to h.  A colour memoised for h read
-        # h's parity here, which set_root dropped, stamping h; t's digit
-        # is read off m_tail, so t is stamped here
-        self.stamps.of[t] += 1
+        # t's reserved digit moves to h.  Both digits are read off m_tail,
+        # and set_root stamps only the entries whose parity it flips, so
+        # both ends are stamped here
+        stamp = self.stamps.of
+        stamp[t] += 1
+        stamp[h] += 1
         self.inversions += 1
         if self.paranoid:
             assert loads == loads_before, "inversion moved a load"
@@ -606,6 +610,7 @@ class ArboricityDecomposer:
             if designated:
                 require(self.F[i].connected(a, b), key, i)
         for i, f in enumerate(self.F):
+            f.verify()
             tails = self.m_tail[i]
             for k in f.edges():
                 require(k in g.bundles and k not in in_h

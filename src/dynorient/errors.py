@@ -55,6 +55,13 @@ class TraceError(DynOrientError):
 
 
 
+def check_vertex(v, n):
+    """Raise ``VertexRangeError`` unless v is an int in [0, n).  A ``bool``
+    is an int and passes: ``True`` is vertex 1."""
+    if not isinstance(v, int) or not 0 <= v < n:
+        raise VertexRangeError(f"vertex {v!r} outside the ints [0, {n})")
+
+
 def require(ok, *context):
     """Raise ``ConsistencyError(*context)`` unless ``ok``; unlike ``assert``,
     it still checks under ``python -O``."""

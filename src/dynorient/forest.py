@@ -53,29 +53,45 @@ v's depth parity is its size modulo 2.  Which operations evert:
 * ``connected``, ``find_root`` and ``depth_parity`` never evert.
 
 Both forests keep a read-through memo of depth parities, one int per
-vertex read since its tree last changed, filed under the root it was read
-under.  ``depth_parity`` answers from it; a miss makes the access it would
-make anyway, and the walk to the path's head that follows names the root
-and, as the path's length, the parity.  A successful ``link``, ``cut`` or
-``set_root`` drops only the entries of the tree it changes: for ``link``
-u's old tree, since v's side keeps every depth; for ``cut`` and
-``set_root`` the whole tree.  The operation's own access exposes that
-root, so finding it is a walk down the exposed path, not another access,
-and it is paid only while the memo holds something.  A typed error is
-raised before any entry is dropped.  Every other operation leaves all
-depths as they were (``path_update`` restores the root it moved) and keeps
-the memo.  Reads create no node: a vertex the forest has never seen has
-depth parity 0 (or the caller's ``default``), is its own root and has no
-edge on its root path.  ``memo_get`` reads the memo alone, with no
-access.
+vertex read, in one group per tree, filed under the tree's root; each
+memoised vertex's node points to its group.  ``depth_parity`` answers
+from it; a miss makes the access it would make anyway, and the walk to
+the path's head that follows names the root and, as the path's length,
+the parity.  A write moves every depth on one side of the tree it
+changes by one parity, so it re-files that side's entries with one XOR
+instead of dropping them:
+
+* ``set_root`` moves the whole tree by the new root's old parity, read
+  from its own access (``size`` on the layers);
+* ``link`` moves u's old tree by the parity of depth(u) + depth(v) + 1,
+  read from its two accesses (``size`` on the layers, ``n_edges`` on H),
+  and merges its group into v's;
+* ``cut`` splits the group: the child side moves by the child's old
+  parity, and on H, where a cut with u the parent endpoint everts u's
+  side, the parent side moves by u's.  The child side's entries are
+  found by a walk over the vertices' neighbour lists, which stops once
+  it has passed as many vertices as the tree has entries and then drops
+  the tree's entries instead, so a cut's added work is bounded by them.
+
+The operation finds the group through a memoised endpoint's node, or
+else by the tree's root, read by a walk down the path its own access
+exposed, never by another access; a link whose two endpoints both lack
+an entry walks for u's group and drops it rather than walk again for
+v's root, so no write makes more root walks than a memo that dropped
+every changed tree.  A typed error is raised before any entry moves.
+Every other operation leaves all depths as they were (``path_update``
+restores the root it moved) and keeps the memo.  Reads create no node:
+a vertex the forest has never seen has depth parity 0 (or the caller's
+``default``), is its own root and has no edge on its root path.
+``memo_get`` reads the memo alone, with no access, and ``verify``
+checks every entry and group against fresh reads.
 
 Both forests report to a ``ChangeStamps`` they are handed (or make their
 own), which the colourings read to keep their per-vertex answers exact:
-every memo entry a write drops, and every vertex's first node, bumps that
-vertex's stamp, and a link onto an empty forest or a cut that empties it
-bumps the epoch.  The stamps cost one int increment per dropped entry and
-change no access or root walk, so updates and the worst-case depth-parity
-read cost what they cost without them.
+every memo entry a write flips or drops, and every vertex's first node,
+bumps that vertex's stamp, and a link onto an empty forest or a cut that
+empties it bumps the epoch.  An entry a write keeps as it was keeps its
+stamp, so the colour memoised for its vertex stays valid.
 
 Both forests are iterative throughout, so deep paths do not recurse.
 """
@@ -84,16 +100,19 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .errors import CycleError, MissingEdgeError, WeightRangeError
+from .errors import CycleError, MissingEdgeError, WeightRangeError, require
 
 _INF = 1 << 60
 
 
 class _Node:
     __slots__ = ("parent", "left", "right", "vid", "a", "b", "is_edge",
-                 "flip", "val", "mn", "mx", "n_edges", "rev", "add")
+                 "flip", "val", "mn", "mx", "n_edges", "rev", "add",
+                 "group", "nbrs")
 
     def __init__(self):
+        self.group = None   # memo group of a vertex node, see _ParityMemo
+        self.nbrs = None    # a vertex node's neighbour nodes; None on an edge
         self.parent = None
         self.left = None
         self.right = None
@@ -299,39 +318,171 @@ class ChangeStamps:
         self.epoch = 0
 
 
+class _Group(set):
+    """The nodes of one tree whose depth parities are memoised: a set
+    that knows the root it is filed under."""
+
+    __slots__ = ("root",)
+
+
 class _ParityMemo:
-    """Depth parities read since their tree last changed, filed by the
-    root they were read under, so a change to one tree drops that tree's
-    entries alone.  Every dropped entry bumps its vertex's change stamp,
-    and so does the first node made for a vertex; a link onto an empty
-    forest and a cut that empties it bump the epoch."""
+    """Depth parities of vertices read since they were last dropped, in
+    groups, one per tree, each filed under its tree's root; every
+    memoised vertex's node points to its group.  A link, cut or evert
+    moves every depth of one side of the tree it changes by one parity,
+    so it re-files that side's entries with one XOR instead of dropping
+    them; only a cut whose child side outgrows its tree's entries drops
+    them all.  An entry whose parity flips or that is dropped bumps its
+    vertex's change stamp, and so does the first node made for a vertex;
+    a link onto an empty forest and a cut that empties it bump the epoch.
+    Each vertex node also lists its neighbour nodes, the adjacency the
+    cut walks its child side over."""
 
     def __init__(self, stamps):
         self._parity = {}   # vertex -> depth parity
-        self._tree = {}     # root -> vertices memoised under it
+        self._tree = {}     # root -> _Group of the nodes memoised under it
         self.stamps = ChangeStamps() if stamps is None else stamps
         # v's memoised depth parity, or None: a read with no access, for
         # callers that try the memo before ``depth_parity``
         self.memo_get = self._parity.get
 
-    def _remember(self, v: int, root: int, p: int) -> int:
-        self._parity[v] = p
-        vs = self._tree.get(root)
-        if vs is None:
-            self._tree[root] = [v]
+    def _remember(self, x, root: int, p: int) -> int:
+        """Memoise parity p of node x, read under ``root``."""
+        self._parity[x.vid] = p
+        g = self._tree.get(root)
+        if g is None:
+            g = self._tree[root] = _Group((x,))
+            g.root = root
         else:
-            vs.append(v)
+            g.add(x)
+        x.group = g
         return p
 
-    def _forget(self, root: int):
-        """Drop every entry read under ``root``: its tree is changing."""
-        vs = self._tree.pop(root, None)
-        if vs is not None:
-            parity = self._parity
-            stamp = self.stamps.of
-            for v in vs:
-                del parity[v]
-                stamp[v] += 1
+    def _forget(self, g: _Group):
+        """Drop every entry of group g."""
+        del self._tree[g.root]
+        parity = self._parity
+        stamp = self.stamps.of
+        for x in g:
+            v = x.vid
+            del parity[v]
+            stamp[v] += 1
+            x.group = None
+
+    def _flip(self, xs):
+        """XOR the entries of the nodes xs with 1."""
+        parity = self._parity
+        stamp = self.stamps.of
+        for x in xs:
+            v = x.vid
+            parity[v] ^= 1
+            stamp[v] += 1
+
+    def _refile(self, g: _Group, root: int):
+        """File g under ``root``, merged with the group already there."""
+        if g.root == root:
+            return
+        tree = self._tree
+        del tree[g.root]
+        h = tree.get(root)
+        if h is None:
+            g.root = root
+            tree[root] = g
+            return
+        if len(h) >= len(g):
+            g, h = h, g
+        else:
+            g.root = root
+            tree[root] = g
+        # the smaller group h moves into g, which is filed under root
+        g |= h
+        for x in h:
+            x.group = g
+
+    def _hang(self, g: _Group, nv, walked: bool, s: int):
+        """Re-file group g of the tree a link hangs below node nv: every
+        depth there moves by parity s, and the tree takes nv's root, named
+        by nv's group or, when nv has no entry, by a root walk from nv,
+        its path's splay root.  When the link ``walked`` for g already, g
+        is dropped instead of walking again."""
+        gv = nv.group
+        if gv is not None:
+            root = gv.root
+        elif not walked:
+            root = self._walk_root(nv)
+        else:
+            self._forget(g)
+            return
+        if s:
+            self._flip(g)
+        self._refile(g, root)
+
+    def _split(self, g: _Group, c, s: int):
+        """Split the group g of a tree just cut: the entries of the child
+        side, headed by node c, move by parity s to a group of their own,
+        found by a walk of the child side over the neighbour lists.  A
+        walk that would pass more vertices than g has entries drops g
+        instead.  Returns what is left of g for the parent side, or
+        None."""
+        if c.nbrs:
+            cap = len(g)
+            side = [c]
+            seen = {c}
+            for x in side:
+                for y in x.nbrs:
+                    if y not in seen:
+                        if len(side) == cap:
+                            self._forget(g)
+                            return None
+                        seen.add(y)
+                        side.append(y)
+            h = _Group([x for x in side if x.group is g])
+            if not h:
+                return g
+        elif c.group is g:
+            # the child side is c alone
+            h = _Group((c,))
+        else:
+            return g
+        if s:
+            self._flip(h)
+        if len(h) == len(g):
+            self._refile(g, c.vid)
+            return None
+        g -= h
+        h.root = c.vid
+        self._tree[c.vid] = h
+        for x in h:
+            x.group = h
+        return g
+
+    def verify(self):
+        """Raise ConsistencyError, also under ``python -O``, unless every
+        memo entry equals a fresh read of its root path, every memoised
+        vertex's group is filed under its tree's current root, and the
+        neighbour lists hold exactly the edge keys."""
+        parity, tree = self._parity, self._tree
+        require(sum(map(len, tree.values())) == len(parity),
+                "memo groups and entries differ in number")
+        for r, g in tree.items():
+            require(g.root == r and g, "memo group misfiled", r)
+            for x in g:
+                require(x.group is g and x.vid in parity,
+                        "memo group member without its entry", r, x.vid)
+        for v, p in parity.items():
+            root, fresh = self._read(self._v[v])
+            require(p == fresh, "memoised parity is stale", v, p)
+            require(tree.get(root) is self._v[v].group,
+                    "memo group not filed under its root", v, root)
+        edges = self._e
+        ends = 0
+        for v, x in self._v.items():
+            require(x.group is None or v in parity, "stray memo group", v)
+            for y in x.nbrs:
+                require(edge_key(v, y.vid) in edges,
+                        "neighbour list edge missing", v, y.vid)
+                ends += 1
+        require(ends == 2 * len(edges), "neighbour lists miss an edge")
 
 
 class LinkCutForest(_ParityMemo):
@@ -350,9 +501,15 @@ class LinkCutForest(_ParityMemo):
         if n is None:
             n = _Node()
             n.vid = v
+            n.nbrs = []
             self._v[v] = n
             self.stamps.of[v] += 1
         return n
+
+    @staticmethod
+    def _walk_root(x: _Node) -> int:
+        """Root of the tree whose root path x's splay tree holds."""
+        return _wfirst(x).vid
 
     # ------------------------------------------------------------------
     # structure
@@ -379,11 +536,18 @@ class LinkCutForest(_ParityMemo):
         # so nu kept a parent exactly when v lies in u's tree
         if nu.parent is not None:
             raise CycleError(f"{u} and {v} already connected")
-        # nu still tops its own root path; u's old tree is the one whose
-        # depths change, and its root heads that path
         if self._parity:
-            self._forget(_wfirst(nu).vid)
-            _wsplay(nu)
+            # nu still tops its own root path, which its edge count spans,
+            # and so does nv: u's old tree hangs at depth(v) + 1 from u,
+            # so its depths move by the parity of depth(u) + depth(v) + 1
+            g = nu.group
+            walked = g is None
+            if walked:
+                # u's old tree is found by its root, which heads u's path
+                g = self._tree.get(_wfirst(nu).vid)
+                _wsplay(nu)
+            if g is not None:
+                self._hang(g, nv, walked, (nu.n_edges + nv.n_edges + 1) & 1)
         if nu.left is not None:
             _wapply(nu, True, 0)
         e = _Node()
@@ -398,6 +562,8 @@ class LinkCutForest(_ParityMemo):
         if not self._e:
             self.stamps.epoch += 1
         self._e[key] = e
+        nu.nbrs.append(nv)
+        nv.nbrs.append(nu)
 
     def cut(self, u: int, v: int):
         """Remove edge (u, v).
@@ -412,7 +578,10 @@ class LinkCutForest(_ParityMemo):
             raise MissingEdgeError(f"no edge {key}")
         _wsplay(e)
         child = e.b if e.flip else e.a
-        _waccess(self._v[child])
+        nc = self._v[child]
+        _waccess(nc)
+        # the child's depth parity: the edges of its root path
+        pc = nc.n_edges & 1
         # the root path now ends [..., parent, e, child]; detach both sides
         _wsplay(e)
         above = e.left
@@ -422,13 +591,29 @@ class LinkCutForest(_ParityMemo):
         del self._e[key]
         if not self._e:
             self.stamps.epoch += 1
+        nu, nv = self._v[u], self._v[v]
+        nu.nbrs.remove(nv)
+        nv.nbrs.remove(nu)
         if self._parity:
-            # the parent side's path still starts at the old root
-            self._forget(_wfirst(above).vid)
+            g = nu.group
+            if g is None:
+                g = nv.group
+            if g is None:
+                # the parent side's path still starts at the old root
+                g = self._tree.get(_wfirst(above).vid)
+            if g is not None:
+                # the child heads its side, whose depths move by its old
+                # parity; when u is the parent endpoint, the evert below
+                # moves the parent side's depths by u's, the other parity
+                g = self._split(g, nc, pc)
+                if g is not None and child != u:
+                    if not pc:
+                        self._flip(g)
+                    self._refile(g, u)
         # the parent side keeps the old root, the child side is headed by
         # the child
         if child != u:
-            _wevert(self._v[u])
+            _wevert(nu)
 
     # ------------------------------------------------------------------
     # path operations
@@ -542,10 +727,15 @@ class LinkCutForest(_ParityMemo):
             nv = self._v.get(v)
             if nv is None:
                 return default
-            # the root tops v's root path, whose edges it counts
-            r = _whead(nv)
-            p = self._remember(v, r.vid, r.n_edges & 1)
+            p = self._remember(nv, *self._read(nv))
         return p
+
+    @staticmethod
+    def _read(x: _Node):
+        """(root, depth parity) of vertex node x, read afresh: the root
+        tops x's root path, whose edges it counts."""
+        r = _whead(x)
+        return r.vid, r.n_edges & 1
 
     def first_edge_on_root_path(self, v: int):
         """The edge incident to v on the v-to-root path, or None at the root."""
@@ -567,9 +757,12 @@ class LinkCutForest(_ParityMemo):
 
 
 class _Vertex:
-    __slots__ = ("parent", "left", "right", "rev", "size", "vid")
+    __slots__ = ("parent", "left", "right", "rev", "size", "vid", "group",
+                 "nbrs")
 
     def __init__(self, vid):
+        self.group = None   # memo group, see _ParityMemo
+        self.nbrs = []      # neighbour vertices
         self.parent = None
         self.left = None
         self.right = None
@@ -702,6 +895,11 @@ class ParityForest(_ParityMemo):
             self.stamps.of[v] += 1
         return n
 
+    @staticmethod
+    def _walk_root(x: _Vertex) -> int:
+        """Root of the tree whose root path x's splay tree holds."""
+        return _first(x).vid
+
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self._e
 
@@ -728,8 +926,16 @@ class ParityForest(_ParityMemo):
         x = self._vnode(r)
         _access(x)
         if self._parity:
-            self._forget(_first(x).vid)
-            _splay(x)
+            g = x.group
+            if g is None:
+                g = self._tree.get(_first(x).vid)
+                _splay(x)
+            if g is not None:
+                # every depth moves by r's old parity; x tops its root
+                # path, depth(r) + 1 vertices
+                if not x.size & 1:
+                    self._flip(g)
+                self._refile(g, r)
         x.rev = not x.rev
 
     def depth_parity(self, v: int, default=0):
@@ -740,11 +946,16 @@ class ParityForest(_ParityMemo):
             x = self._v.get(v)
             if x is None:
                 return default
-            # the root tops v's root path, whose vertices it counts
-            _access(x)
-            r = _first(x)
-            p = self._remember(v, r.vid, (r.size - 1) & 1)
+            p = self._remember(x, *self._read(x))
         return p
+
+    @staticmethod
+    def _read(x: _Vertex):
+        """(root, depth parity) of vertex x, read afresh: the root tops
+        x's root path, whose vertices it counts."""
+        _access(x)
+        r = _first(x)
+        return r.vid, (r.size - 1) & 1
 
     def connected(self, u: int, v: int) -> bool:
         if u == v:
@@ -773,14 +984,24 @@ class ParityForest(_ParityMemo):
         # connected left nu accessed, and its access of v stayed in v's
         # tree; u's old tree is the one whose depths change
         if self._parity:
-            self._forget(_first(nu).vid)
-            _splay(nu)
+            # nu and nv top their root paths, whose vertices they count:
+            # u's old tree hangs at depth(v) + 1 from u, so its depths
+            # move by the parity of depth(u) + depth(v) + 1
+            g = nu.group
+            walked = g is None
+            if walked:
+                g = self._tree.get(_first(nu).vid)
+                _splay(nu)
+            if g is not None:
+                self._hang(g, nv, walked, (nu.size + nv.size - 1) & 1)
         if nu.left is not None:
             nu.rev = not nu.rev
         nu.parent = nv
         if not self._e:
             self.stamps.epoch += 1
         self._e[key] = None
+        nu.nbrs.append(nv)
+        nv.nbrs.append(nu)
 
     def cut(self, u: int, v: int) -> int:
         """Remove edge (u, v) without rerooting either side; returns the
@@ -793,12 +1014,15 @@ class ParityForest(_ParityMemo):
             self.stamps.epoch += 1
         nu, nv = self._v[u], self._v[v]
         _access(nu)
+        # u's depth parity: its root path holds its depth + 1 vertices
+        pu = (nu.size - 1) & 1
         _splay(nv)
         if nv.parent is nu:
             # v is u's child and heads its own preferred path, hanging
             # from u by the path-parent pointer alone
             nv.parent = None
             above = nu
+            child, pc = nv, pu ^ 1
         else:
             # v is u's parent: it now tops u's splay tree with u, the last
             # node of the root path, as its only right descendant
@@ -806,8 +1030,15 @@ class ParityForest(_ParityMemo):
             nv.size -= 1
             nu.parent = None
             above = nv
+            child, pc = nu, pu
+        nu.nbrs.remove(nv)
+        nv.nbrs.remove(nu)
         # the parent side's path still starts at the old root
         root = _first(above).vid
         if self._parity:
-            self._forget(root)
+            g = self._tree.get(root)
+            if g is not None:
+                # the child heads its side, whose depths move by its old
+                # parity; the parent side's depths stay
+                self._split(g, child, pc)
         return root

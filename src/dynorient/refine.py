@@ -36,7 +36,7 @@ map: ``in_h`` and the EdgeStore's routing read a live view of its keys.
 import logging
 from collections import Counter
 
-from .errors import ConfigurationError, VertexRangeError, require
+from .errors import ConfigurationError, check_vertex, require
 from .forest import LinkCutForest, edge_key
 from .fractional import EdgeStore, FractionalOrienter
 from .graph import GraphState
@@ -207,10 +207,8 @@ class RefinementEngine:
         out of v, as in ``ArboricityDecomposer.out_degree``.  A non-H edge
         rounded away from v has a positive count out of v, so v's
         out-neighbour set holds every candidate.  Pure: mutates nothing;
-        raises VertexRangeError for a v outside [0, n_cap)."""
-        n = self.params.n_cap
-        if not 0 <= v < n:
-            raise VertexRangeError(f"vertex {v} outside [0, {n})")
+        raises VertexRangeError for a v that is not an int in [0, n_cap)."""
+        check_vertex(v, self.params.n_cap)
         out = []
         for w in sorted(self.g.out_nbrs[v]):
             key = edge_key(v, w)
@@ -257,6 +255,7 @@ class RefinementEngine:
                 "an in-degree is not its in-neighbour count")
         require(check_eta_valid(g.loads, true) == [], "copy breaks 1-validity")
         require(is_forest(self.in_h), "H closed a cycle")
+        self.H.verify()
         for key in self.in_h:
             require(self.hl.has_edge(*key), "H edge missing from the mirror", key)
         # out-degrees read H's parents off the mirror; it must agree with

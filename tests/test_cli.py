@@ -83,6 +83,22 @@ def test_colour_modes_scan_properness(mode, tmp_path):
     assert report["status"] == "ok"
 
 
+@pytest.mark.parametrize("mode", ["colour-forest", "colour-pseudo"])
+def test_colour_modes_count_passes_and_forest_reads(mode, tmp_path):
+    """The colour modes add ``colour_passes`` (memo misses) and
+    ``forest_reads`` beside the decomposer counters.  Here 0 and 1 miss
+    once each and every query, the end-of-run properness check's two
+    among them, reads H's parity of a vertex it holds: two reads."""
+    trace = write_trace(tmp_path, [("a", 0, 1), ("c", 0), ("c", 0),
+                                   ("c", 1)])
+    code, text = run_cli(["run", "--mode", mode, "--n", "4", trace])
+    assert code == cli.EXIT_OK
+    counters = json.loads(text)["counters"]
+    assert counters == {"reorientations": 0, "repairs": 0, "moves": 0,
+                        "surplus_ops": 0, "colour_passes": 2,
+                        "forest_reads": 10}
+
+
 def test_bf_mode_runs_and_reports_counters(tmp_path):
     ops = generate("alpha-preserving", n=30, steps=200, seed=6, alpha_max=2)
     trace = write_trace(tmp_path, ops)

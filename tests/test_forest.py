@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynorient import forest
-from dynorient.errors import CycleError, MissingEdgeError, WeightRangeError
+from dynorient.errors import (ConsistencyError, CycleError, MissingEdgeError,
+                              WeightRangeError)
 from dynorient.forest import LinkCutForest, ParityForest, edge_key
 from dynorient.oracles import NaiveWeightedForest
 
@@ -703,6 +704,9 @@ def test_parity_read_creates_no_vertex(make):
 
 def test_weighted_memo_survives_reads_and_rejected_writes(monkeypatch):
     f = _weighted_path()
+    mirror = NaiveWeightedForest(8)
+    for a in range(3):
+        mirror.link(a, a + 1, 4)
     accesses = _counted_accesses(monkeypatch)
     assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
     assert accesses[0] == 4
@@ -724,10 +728,14 @@ def test_weighted_memo_survives_reads_and_rejected_writes(monkeypatch):
     spent = accesses[0]
     assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
     assert accesses[0] == spent, "a read-only or rejected op dropped the memo"
-    _reroot(f, 0)
+    # the cut shifts the child side {0} by 0's parity and the relink
+    # hangs {1, 2, 3} below 0, shifted by one parity: both re-file the
+    # entries, so every read is a memo hit
+    _reroot(f, 0, mirror)
     spent = accesses[0]
-    assert [f.depth_parity(x) for x in range(4)] == [0, 1, 0, 1]
-    assert accesses[0] == spent + 4, "the cut and relink kept the memo"
+    assert [f.depth_parity(x) for x in range(4)] == [
+        mirror.depth_parity(x) for x in range(4)] == [0, 1, 0, 1]
+    assert accesses[0] == spent, "the cut and relink dropped the memo"
 
 
 def test_lean_memo_survives_reads_and_rejected_writes(monkeypatch):
@@ -749,3 +757,178 @@ def test_lean_memo_survives_reads_and_rejected_writes(monkeypatch):
     assert [f.depth_parity(x) for x in range(4)] == [1, 0, 1, 0]
     f.link(1, 3)
     assert [f.depth_parity(x) for x in range(4)] == [0, 1, 1, 0]
+
+
+# ----------------------------------------------------------------------
+# the memo follows links, cuts and everts
+
+
+def _memo_snapshot(f, n):
+    return ({x: f.memo_get(x) for x in range(n) if f.memo_get(x) is not None},
+            [f.stamps.of[x] for x in range(n)], set(f._v))
+
+
+def _check_memo_moves(f, mirror, n, before):
+    """After one op, every memo entry equals the mirror.  A vertex
+    memoised before the op has its stamp moved exactly when its parity
+    changed or its entry was dropped; any other vertex's stamp moves only
+    with its first node.  Returns (kept, flipped, dropped) entries."""
+    entries, stamps, nodes = before
+    kept = flipped = dropped = 0
+    for x in range(n):
+        moved = f.stamps.of[x] != stamps[x]
+        p = f.memo_get(x)
+        if p is not None:
+            assert p == mirror.depth_parity(x), x
+        if x in entries:
+            changed = p is None or p != entries[x]
+            assert moved == changed, (x, entries[x], p)
+            if p is None:
+                dropped += 1
+            elif p != entries[x]:
+                flipped += 1
+            else:
+                kept += 1
+        else:
+            assert moved == (x in f._v and x not in nodes), x
+    f.verify()
+    return kept, flipped, dropped
+
+
+def _fill(f, rng, n):
+    """Read every vertex's parity, or now and then empty the memo and
+    read a random fifth, so that ops find their endpoints memoised or
+    not and trees with fewer entries than vertices."""
+    share = rng.choice((1.0, 1.0, 0.2))
+    if share < 1:
+        for g in list(f._tree.values()):
+            f._forget(g)
+    for x in range(n):
+        if rng.random() < share:
+            f.depth_parity(x)
+
+
+def _tally(total, got):
+    return [a + b for a, b in zip(total, got)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weighted_memo_follows_links_cuts_and_path_updates(seed):
+    """Random links, cuts with either endpoint first and path_updates on
+    H's forest beside the naive mirror, checked by _check_memo_moves."""
+    rng = random.Random(seed)
+    n, gamma = 24, 8
+    real = LinkCutForest(gamma)
+    mirror = NaiveWeightedForest(gamma)
+    edges = []
+    total = [0, 0, 0]
+    for _ in range(600):
+        _fill(real, rng, n)
+        before = _memo_snapshot(real, n)
+        u, v = rng.randrange(n), rng.randrange(n)
+        op = rng.randrange(4)
+        if op <= 1 and u != v and not mirror.connected(u, v):
+            w = rng.randint(0, gamma)
+            real.link(u, v, w)
+            mirror.link(u, v, w)
+            edges.append((u, v))
+        elif op == 2 and edges:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            if rng.random() < 0.5:
+                a, b = b, a
+            real.cut(a, b)
+            mirror.cut(a, b)
+        elif edges:
+            a, b = edges[rng.randrange(len(edges))]
+            _path_update_step(real, mirror, rng, a, b, edges, n, gamma)
+        total = _tally(total, _check_memo_moves(real, mirror, n, before))
+    kept, flipped, dropped = total
+    assert kept > 2000 and flipped > 300 and dropped > 20, total
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lean_memo_follows_links_cuts_and_set_root(seed):
+    """Random links, cuts with either endpoint first and set_roots on the
+    layer forest beside the naive mirror, checked by _check_memo_moves."""
+    rng = random.Random(seed)
+    n = 24
+    lean = ParityForest()
+    mirror = NaiveWeightedForest(1)
+    edges = []
+    total = [0, 0, 0]
+    for _ in range(600):
+        _fill(lean, rng, n)
+        before = _memo_snapshot(lean, n)
+        u, v = rng.randrange(n), rng.randrange(n)
+        op = rng.randrange(4)
+        if op <= 1 and u != v and not mirror.connected(u, v):
+            lean.link(u, v)
+            mirror.link(u, v, 0)
+            edges.append((u, v))
+        elif op == 2 and edges:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            if rng.random() < 0.5:
+                a, b = b, a
+            assert lean.cut(a, b) == mirror.find_root(a)
+            mirror.cut(*_child_first(mirror, a, b))
+        else:
+            lean.set_root(u)
+            mirror.set_root(u)
+        total = _tally(total, _check_memo_moves(lean, mirror, n, before))
+    kept, flipped, dropped = total
+    assert kept > 2000 and flipped > 300 and dropped > 20, total
+
+
+@pytest.mark.parametrize("make", [_weighted_path, _lean_path])
+def test_a_cut_whose_child_side_outgrows_the_memo_drops_it(make):
+    """On 0-1-2-3 rooted at 3, a cut walks its child side over the
+    neighbour lists only while the walk has passed no more vertices than the
+    tree has memo entries; past that it drops the tree's entries."""
+    def memoised(*xs):
+        f = make()
+        for x in xs:
+            f.depth_parity(x)
+        return f, [f.stamps.of[x] for x in range(4)]
+
+    # child side {0}, one vertex, against the entries {0, 3}: both kept,
+    # and 0's parity shifts by its old one
+    f, stamps = memoised(0, 3)
+    f.cut(0, 1)
+    assert (f.memo_get(0), f.memo_get(3)) == (0, 0)
+    assert [f.stamps.of[x] - stamps[x] for x in range(4)] == [1, 0, 0, 0]
+    f.verify()
+    # child side {0, 1} against the entries {0, 1, 3}: kept, and the
+    # child 1's parity is even, so no entry flips and no stamp moves
+    f, stamps = memoised(0, 1, 3)
+    f.cut(1, 2)
+    assert [f.memo_get(x) for x in (0, 1, 3)] == [1, 0, 0]
+    assert [f.stamps.of[x] for x in range(4)] == stamps
+    f.verify()
+    # child side {0, 1, 2}, more vertices than the entries {0, 3}: the
+    # walk stops and both entries are dropped, each stamped
+    f, stamps = memoised(0, 3)
+    f.cut(3, 2)
+    assert (f.memo_get(0), f.memo_get(3)) == (None, None)
+    assert [f.stamps.of[x] - stamps[x] for x in range(4)] == [1, 0, 0, 1]
+    assert [f.depth_parity(x) for x in range(4)] == [0, 1, 0, 0]
+    f.verify()
+
+
+@pytest.mark.parametrize("make", [_weighted_path, _lean_path])
+def test_verify_catches_a_stale_entry_a_misfiled_group_and_a_stray_edge(make):
+    for corrupt in ("entry", "group", "neighbours"):
+        f = make()
+        for x in range(4):
+            f.depth_parity(x)
+        f.verify()
+        if corrupt == "entry":
+            f._parity[2] ^= 1
+        elif corrupt == "group":
+            g = f._tree.pop(3)
+            g.root = 0
+            f._tree[0] = g
+        else:
+            f._v[0].nbrs.append(f._v[2])
+            f._v[2].nbrs.append(f._v[0])
+        with pytest.raises(ConsistencyError):
+            f.verify()
