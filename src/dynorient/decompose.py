@@ -140,14 +140,14 @@ class ArboricityDecomposer:
         Every unambiguous bundle points away from the endpoint holding
         the larger share, which is exactly the slot table's tail, and
         the ambiguous forest contributes v's parent edge if there is
-        one, read from the parent-pointer mirror of H.  This is
+        one, read from the set of H vertices with an H parent.  This is
         ``len(self.refine.rounded_out_edges(v))`` without the scan.  A v
         that is not an int, or a zero answer, needs the VertexRangeError
-        check of v; the dict lookups would take 1.0 for vertex 1."""
+        check of v; the lookups would take 1.0 for vertex 1."""
         if v.__class__ is not int:
             check_vertex(v, self.params.n_cap)
         deg = self.split.out_degree(v)
-        if self.refine.hl.parent.get(v) is not None:
+        if v in self.refine.hl.children:
             return deg + 1
         if not deg:
             check_vertex(v, self.params.n_cap)

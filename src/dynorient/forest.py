@@ -31,9 +31,10 @@ its range check, and restores the old root once.
 Each tree has a root, the orientation sink when the forest mirrors an
 out-orientation.  Which operations evert:
 
-* ``link`` everts u's tree at u, unless u already heads it;
+* ``link`` everts u's tree at u, unless u already heads it, and returns
+  the root u's tree had;
 * ``cut`` everts only when u is the parent endpoint, so that u's side ends
-  up rooted at u;
+  up rooted at u; it returns the child and, when it everts, the old root;
 * ``path_update`` everts at u and restores the old root before it returns,
   unless u is the root already;
 * ``edge_weight``, ``shift_edge_weight``, ``depth_parity`` and
@@ -100,7 +101,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .errors import CycleError, MissingEdgeError, WeightRangeError, require
+from .errors import (ConfigurationError, CycleError, MissingEdgeError,
+                     WeightRangeError, require)
 
 _INF = 1 << 60
 
@@ -456,6 +458,22 @@ class _ParityMemo:
             x.group = h
         return g
 
+    def edge_keys(self):
+        """Live view of the edge keys: it follows every link and cut, and
+        its truth test costs no Python-level call."""
+        return self._e.keys()
+
+    def depth_parity(self, v: int, default=0):
+        """Parity of the number of edges between v and its tree root;
+        ``default`` for a vertex the forest has never seen."""
+        p = self._parity.get(v)
+        if p is None:
+            x = self._v.get(v)
+            if x is None:
+                return default
+            p = self._remember(x, *self._read(x))
+        return p
+
     def verify(self):
         """Raise ConsistencyError, also under ``python -O``, unless every
         memo entry equals a fresh read of its root path, every memoised
@@ -490,7 +508,8 @@ class LinkCutForest(_ParityMemo):
     stays in [0, gamma], and reversal complements against gamma."""
 
     def __init__(self, gamma: int, stamps: ChangeStamps = None):
-        assert gamma >= 1
+        if gamma < 1:
+            raise ConfigurationError(f"gamma must be at least 1, got {gamma}")
         super().__init__(stamps)
         self.gamma = gamma
         self._v = {}
@@ -514,14 +533,11 @@ class LinkCutForest(_ParityMemo):
     # ------------------------------------------------------------------
     # structure
 
-    def edge_keys(self):
-        """Live view of the edge keys: it follows every link and cut."""
-        return self._e.keys()
-
-    def link(self, u: int, v: int, weight_u: int):
+    def link(self, u: int, v: int, weight_u: int) -> int:
         """Join u's tree to v's with an edge weighing ``weight_u`` toward u.
         The combined tree keeps v's root; CycleError if u and v are already
-        connected."""
+        connected.  Returns the root u's tree had, which the evert at u
+        hangs below u (u itself when it headed its tree)."""
         if u == v:
             raise CycleError(f"self loop at {u}")
         if not 0 <= weight_u <= self.gamma:
@@ -536,16 +552,22 @@ class LinkCutForest(_ParityMemo):
         # so nu kept a parent exactly when v lies in u's tree
         if nu.parent is not None:
             raise CycleError(f"{u} and {v} already connected")
+        g = nu.group
+        if g is not None:
+            root = g.root
+        elif nu.left is None:
+            root = u
+        else:
+            # u's old root heads u's path
+            root = _wfirst(nu).vid
+            _wsplay(nu)
         if self._parity:
             # nu still tops its own root path, which its edge count spans,
             # and so does nv: u's old tree hangs at depth(v) + 1 from u,
             # so its depths move by the parity of depth(u) + depth(v) + 1
-            g = nu.group
             walked = g is None
             if walked:
-                # u's old tree is found by its root, which heads u's path
-                g = self._tree.get(_wfirst(nu).vid)
-                _wsplay(nu)
+                g = self._tree.get(root)
             if g is not None:
                 self._hang(g, nv, walked, (nu.n_edges + nv.n_edges + 1) & 1)
         if nu.left is not None:
@@ -564,13 +586,17 @@ class LinkCutForest(_ParityMemo):
         self._e[key] = e
         nu.nbrs.append(nv)
         nv.nbrs.append(nu)
+        return root
 
-    def cut(self, u: int, v: int):
+    def cut(self, u: int, v: int) -> tuple:
         """Remove edge (u, v).
 
         u's side is rerooted at u; v's side keeps the old root when it lies
         there (it does whenever the edge was oriented u-toward-root), and
-        falls back to v otherwise.
+        falls back to v otherwise.  Returns ``(child, root)``: the endpoint
+        that hung below the other, and, when that was v, the root the
+        tree had, which the evert at u hangs below u; None when it was u,
+        whose cut moves no root.
         """
         key = edge_key(u, v)
         e = self._e.get(key)
@@ -594,26 +620,30 @@ class LinkCutForest(_ParityMemo):
         nu, nv = self._v[u], self._v[v]
         nu.nbrs.remove(nv)
         nv.nbrs.remove(nu)
-        if self._parity:
-            g = nu.group
-            if g is None:
-                g = nv.group
-            if g is None:
-                # the parent side's path still starts at the old root
-                g = self._tree.get(_wfirst(above).vid)
-            if g is not None:
-                # the child heads its side, whose depths move by its old
-                # parity; when u is the parent endpoint, the evert below
-                # moves the parent side's depths by u's, the other parity
-                g = self._split(g, nc, pc)
-                if g is not None and child != u:
-                    if not pc:
-                        self._flip(g)
-                    self._refile(g, u)
+        g = nu.group
+        if g is None:
+            g = nv.group
+        if g is not None:
+            root = g.root
+        elif self._parity or child != u:
+            # the parent side's path still starts at the old root
+            root = _wfirst(above).vid
+            g = self._tree.get(root)
+        if g is not None:
+            # the child heads its side, whose depths move by its old
+            # parity; when u is the parent endpoint, the evert below
+            # moves the parent side's depths by u's, the other parity
+            g = self._split(g, nc, pc)
+            if g is not None and child != u:
+                if not pc:
+                    self._flip(g)
+                self._refile(g, u)
         # the parent side keeps the old root, the child side is headed by
         # the child
-        if child != u:
-            _wevert(nu)
+        if child == u:
+            return u, None
+        _wevert(nu)
+        return child, root
 
     # ------------------------------------------------------------------
     # path operations
@@ -719,16 +749,8 @@ class LinkCutForest(_ParityMemo):
     # ------------------------------------------------------------------
     # root-relative queries (no rerooting)
 
-    def depth_parity(self, v: int, default=0):
-        """Parity of the number of edges between v and its tree root;
-        ``default`` for a vertex the forest has never seen."""
-        p = self._parity.get(v)
-        if p is None:
-            nv = self._v.get(v)
-            if nv is None:
-                return default
-            p = self._remember(nv, *self._read(nv))
-        return p
+    # named here too: perfbench/tracer.py counts a class's own methods
+    depth_parity = _ParityMemo.depth_parity
 
     @staticmethod
     def _read(x: _Node):
@@ -907,11 +929,6 @@ class ParityForest(_ParityMemo):
         """Iterate over edge keys currently in the forest."""
         return iter(list(self._e))
 
-    def edge_keys(self):
-        """Live view of the edge keys: it follows every link and cut, and
-        its truth test costs no Python-level call."""
-        return self._e.keys()
-
     def __len__(self):
         return len(self._e)
 
@@ -937,17 +954,6 @@ class ParityForest(_ParityMemo):
                     self._flip(g)
                 self._refile(g, r)
         x.rev = not x.rev
-
-    def depth_parity(self, v: int, default=0):
-        """Parity of the number of edges between v and its tree root;
-        ``default`` for a vertex the forest has never seen."""
-        p = self._parity.get(v)
-        if p is None:
-            x = self._v.get(v)
-            if x is None:
-                return default
-            p = self._remember(x, *self._read(x))
-        return p
 
     @staticmethod
     def _read(x: _Vertex):

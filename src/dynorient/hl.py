@@ -1,54 +1,33 @@
-"""Parent-pointer mirror of the refinement engine's forest H.
+"""Which vertices of the refinement engine's forest H have an H parent.
 
-The refinement engine keeps one of these beside H, a LinkCutForest: link
-and cut are called with identical arguments on both, and follow the same
-rooting rules, so ``parent`` names each vertex's H parent.  Orienting every
-H edge child -> parent gives each vertex at most one H out-edge, so readers
-take a vertex's H out-edge from a dict lookup instead of accessing H:
-``ArboricityDecomposer.out_degree`` and
-``RefinementEngine.rounded_out_edges`` both do.
-``RefinementEngine.verify`` checks ``parent`` against H's
-``first_edge_on_root_path`` at every vertex.  Rerooting reverses the
-parent pointers along a root path, so it costs the path's length.  The
-class keeps the name of the heavy-path orienter it replaced, because the
-benchmark's tracer (``perfbench/tracer.py``) imports it by that name.
+Orienting every H edge child -> parent gives each vertex at most one H
+out-edge, so ``ArboricityDecomposer.out_degree`` asks only whether v is in
+``children``.  H's ``LinkCutForest`` reports the roots its own ``link`` and
+``cut`` move, and the refinement engine hands them on here, so each update
+costs O(1); ``RefinementEngine.verify`` checks ``children`` against H's
+``first_edge_on_root_path``.  The class keeps the name of the heavy-path
+orienter it replaced, because the benchmark's tracer
+(``perfbench/tracer.py``) imports it by that name.
 """
-
-from .errors import MissingEdgeError
-from .forest import edge_key
 
 
 class HeavyLightOrienter:
 
     def __init__(self):
-        self.parent = {}    # v -> parent vertex, None at a root
+        self.children = set()   # the H vertices that have an H parent
 
-    def _evert(self, r):
-        """Make r the root of its tree by reversing its root path."""
-        par = self.parent
-        prev, x = None, r
-        while x is not None:
-            nxt = par.get(x)
-            par[x] = prev
-            prev, x = x, nxt
+    def link(self, u, root):
+        """H everted u's tree at u and hung u below another vertex: u and
+        ``root``, the root its tree had, now have parents."""
+        self.children.add(u)
+        self.children.add(root)
 
-    def has_edge(self, u, v):
-        return self.parent.get(u) == v or self.parent.get(v) == u
-
-    def link(self, u, v):
-        """Join u's tree below v; v's side keeps its root.  The caller
-        makes sure u and v are not connected."""
-        self._evert(u)
-        self.parent[u] = v
-        self.parent.setdefault(v, None)
-
-    def cut(self, u, v):
-        """Remove edge (u, v); u's side ends up rooted at u, v's side keeps
-        the old root when it held it (same rule as the mirrored forest)."""
-        if self.parent.get(u) == v:
-            self.parent[u] = None
-        elif self.parent.get(v) == u:
-            self.parent[v] = None
-            self._evert(u)
-        else:
-            raise MissingEdgeError(f"no tree edge {edge_key(u, v)}")
+    def cut(self, u, child, root):
+        """H cut an edge at u and returned ``(child, root)``: the child lost
+        its parent, and a ``root`` means H everted u's side at u, so u lost
+        its parent and the old root gained one, unless u was that root."""
+        children = self.children
+        children.discard(child)
+        if root is not None and u in children:
+            children.remove(u)
+            children.add(root)

@@ -5,8 +5,9 @@ both counts strictly inside (delta*gamma, (1-delta)*gamma) must be in H, and
 every H edge keeps its counts inside the closed interval widened by mu.  H is
 kept acyclic, so rounding is cheap: a non-H edge points away from its
 larger-count endpoint, and an H edge points from child to parent, so H
-contributes at most 1 per vertex.  The parents are read from
-``hl.HeavyLightOrienter``, a parent-pointer mirror of H.
+contributes at most 1 per vertex.  ``hl.HeavyLightOrienter`` keeps the
+set of vertices that have an H parent, from the roots H's link and cut
+report.
 
 Updates run in two phases.  Phase one lets the fractional engine insert or
 delete the gamma copies; every bundle it touches lands on stack Q.  Phase two
@@ -107,15 +108,13 @@ class RefinementEngine:
         """Move edge (a, b) into H, weight = current count toward b."""
         if self.on_pre_enroll is not None:
             self.on_pre_enroll(a, b)
-        self.H.link(a, b, self.g.count(a, b))
-        self.hl.link(a, b)
+        self.hl.link(a, self.H.link(a, b, self.g.count(a, b)))
         self._touched.add(edge_key(a, b))
 
     def _unhook(self, a, b):
         """Write the tree counts back and drop edge (a, b) from H."""
         self.store.sync_bundle(a, b)
-        self.H.cut(a, b)
-        self.hl.cut(a, b)
+        self.hl.cut(a, *self.H.cut(a, b))
         self._touched.add(edge_key(a, b))
 
     # ------------------------------------------------------------------
@@ -206,8 +205,9 @@ class RefinementEngine:
         carrying the larger count, and v's H parent edge, if any, points
         out of v, as in ``ArboricityDecomposer.out_degree``.  A non-H edge
         rounded away from v has a positive count out of v, so v's
-        out-neighbour set holds every candidate.  Pure: mutates nothing;
-        raises VertexRangeError for a v that is not an int in [0, n_cap)."""
+        out-neighbour set holds every candidate.  Changes no engine state
+        (H's read may reshape its splay trees); raises VertexRangeError for
+        a v that is not an int in [0, n_cap)."""
         check_vertex(v, self.params.n_cap)
         out = []
         for w in sorted(self.g.out_nbrs[v]):
@@ -221,9 +221,9 @@ class RefinementEngine:
             elif toward_w == toward_v and v < w:
                 log.debug("rounding tie on %s: pointing away from %d", key, v)
                 out.append((v, w))
-        par = self.hl.parent.get(v)
-        if par is not None:
-            out.append((v, par))
+        fe = self.H.first_edge_on_root_path(v)
+        if fe is not None:
+            out.append((v, fe[1] if fe[0] == v else fe[0]))
         return out
 
     def rounded_out_degree(self, v):
@@ -256,14 +256,11 @@ class RefinementEngine:
         require(check_eta_valid(g.loads, true) == [], "copy breaks 1-validity")
         require(is_forest(self.in_h), "H closed a cycle")
         self.H.verify()
-        for key in self.in_h:
-            require(self.hl.has_edge(*key), "H edge missing from the mirror", key)
-        # out-degrees read H's parents off the mirror; it must agree with
-        # H edge for edge (so the roots agree too)
-        for v, par in self.hl.parent.items():
-            fe = self.H.first_edge_on_root_path(v)
-            got = None if fe is None else edge_key(*fe)
-            require(got == (None if par is None else edge_key(v, par)), v, par)
+        # out-degrees read whether v has an H parent off hl.children
+        ends = {v for key in self.in_h for v in key}
+        require(self.hl.children == {
+            v for v in ends if self.H.first_edge_on_root_path(v) is not None},
+            "H's child set differs from its root paths")
         if alpha is not None:
             cap = int((1 + p.epsilon) * alpha) + 2
             for v in range(p.n_cap):

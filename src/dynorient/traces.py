@@ -50,11 +50,13 @@ def parse_trace(text):
 
 
 def format_trace(ops):
-    lines = []
-    for op in ops:
-        assert op[0] in ("a", "d", "c", "o", "x"), op
-        lines.append(" ".join(str(p) for p in op))
-    return "".join(line + "\n" for line in lines)
+    """Op tuples to text; raises TraceError unless ``parse_trace`` reads
+    the text back as ``ops``."""
+    ops = [tuple(op) for op in ops]
+    text = "".join(" ".join(map(str, op)) + "\n" for op in ops)
+    if parse_trace(text) != ops:
+        raise TraceError("the ops do not read back as themselves")
+    return text
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from dynorient import cli
+from dynorient import cli, forest
 from dynorient.decompose import ArboricityDecomposer
 from dynorient.errors import ConsistencyError
 from dynorient.forest import LinkCutForest, ParityForest
@@ -448,12 +448,13 @@ def test_corrupt_placement_is_reported_not_raised(corrupt):
 
 
 def test_every_forest_method_is_reached_from_the_cli(tmp_path, monkeypatch):
-    """No public method of either link-cut forest serves tests alone: the
-    CLI reaches each one on a dense churn that inverts a layer cycle
-    (``ParityForest.set_root``), with out-degree and colour queries in
-    both colouring modes and the engine checks every few ops."""
+    """No public method of either link-cut forest, nor of the parity memo
+    they share, serves tests alone: the CLI reaches each one on a dense
+    churn that inverts a layer cycle (``ParityForest.set_root``), with
+    out-degree and colour queries in both colouring modes and the engine
+    checks every few ops."""
     want, called = set(), set()
-    for cls in (LinkCutForest, ParityForest):
+    for cls in (forest._ParityMemo, LinkCutForest, ParityForest):
         for name, fn in list(vars(cls).items()):
             if name.startswith("_") or not callable(fn):
                 continue

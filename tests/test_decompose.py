@@ -209,7 +209,7 @@ def test_dense_churn_exercises_inversion_repairs(seed):
 
 @pytest.mark.parametrize("seed", [2, 45])
 def test_out_degree_matches_the_h_root_path_definition(seed):
-    # out_degree reads H's parent off the parent-pointer mirror; the
+    # out_degree reads whether v has an H parent off hl.children; the
     # reference is the link-cut forest's own root path
     rng = random.Random(seed)
     n = 12
@@ -271,9 +271,14 @@ def test_link_cut_accesses_per_update_stay_in_budget(monkeypatch):
     ``_place`` calling ``link`` alone, with no root read before it, and
     taking its ``CycleError`` as the designated-edge case gives 9.85 for
     the layers, and ``_unplace`` taking the old root from the layer
-    ``cut`` instead of a ``find_root`` before it gives 7.83."""
+    ``cut`` instead of a ``find_root`` before it gives 7.83.  Root walks
+    down an accessed path (``_wfirst`` on H, ``_first`` on the layers)
+    are pinned too: H made 0.9485 per update, all in ``path_update``,
+    while a parent-pointer mirror beside it reversed root paths; an H
+    ``link`` and ``cut`` that report the roots they move walk once when an
+    evert moves a root, 1.8711 in all, and the layers walk 2.8892."""
     from dynorient import forest
-    counts = {"H": 0, "layers": 0}
+    counts = {"H": 0, "layers": 0, "H walks": 0, "layer walks": 0}
 
     def counted(fn, name):
         def wrapped(x):
@@ -283,17 +288,22 @@ def test_link_cut_accesses_per_update_stay_in_budget(monkeypatch):
 
     monkeypatch.setattr(forest, "_waccess", counted(forest._waccess, "H"))
     monkeypatch.setattr(forest, "_access", counted(forest._access, "layers"))
+    monkeypatch.setattr(forest, "_wfirst",
+                        counted(forest._wfirst, "H walks"))
+    monkeypatch.setattr(forest, "_first", counted(forest._first, "layer walks"))
     rng = random.Random(1)
     n = 12
     d = decomposer(n=n, paranoid=False)
     for step, _ in enumerate(dense_churn(d, rng, n, 500,
                                          n * (n - 1) // 2 * 0.8, 0.1)):
         if step == 99:
-            counts.update(H=0, layers=0)
+            counts.update(dict.fromkeys(counts, 0))
     updates = step + 1 - 100
     assert updates == 388
     assert counts["H"] / updates <= 5.71, counts
     assert counts["layers"] / updates <= 7.83, counts
+    assert counts["H walks"] / updates <= 1.88, counts
+    assert counts["layer walks"] / updates <= 2.89, counts
     assert d.refine.inversions > 50, "too few rotations to weigh"
 
 
@@ -388,8 +398,10 @@ def test_update_work_with_colour_queries_on_stays_in_budget(monkeypatch):
     and 7.83 layer accesses per update of the query-free replay.  A memo
     that dropped the changed tree's entries, and so found every group by
     its root, made 1.992 and 4.116 root walks per update; found through a
-    memoised endpoint, they fall to 0.9485 and 2.9227, near the 0.95 and
-    2.89 of the query-free replay."""
+    memoised endpoint, they fall to 0.9485 and 2.9227.  An H write that
+    everts names the root it moves from the memo group it finds anyway,
+    so the H walks stay below the 1.8711 of the query-free replay, whose
+    empty memo makes a write walk for that root."""
     from dynorient import forest
     from dynorient.colouring import ProductColouring
     counts = dict.fromkeys(("_waccess", "_access", "_wfirst", "_first"), 0)
@@ -516,7 +528,7 @@ _QUERY_RANGE = textwrap.dedent("""
 
     def state():
         return (sorted(d.g.bundles.items()), list(d.g.loads),
-                sorted(d.placed.items()), dict(d.refine.hl.parent),
+                sorted(d.placed.items()), set(d.refine.hl.children),
                 [list(lst) for lst in b.out])
 
     before = state()

@@ -6,7 +6,11 @@ and shift paths through ``path_update``, and reroot a tree by cutting a
 vertex's parent edge and linking it back below the vertex."""
 
 import contextlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +234,32 @@ def test_isolated_vertex_defaults():
     assert _root(f, 7) == 7
     assert f.depth_parity(7) == 0
     assert f.first_edge_on_root_path(7) is None
+
+
+_GAMMA_CHECK = textwrap.dedent("""
+    from dynorient.errors import ConfigurationError
+    from dynorient.forest import LinkCutForest
+    for gamma in (0, -3):
+        try:
+            LinkCutForest(gamma)
+        except ConfigurationError:
+            continue
+        raise SystemExit(f"LinkCutForest({gamma}) was built")
+    LinkCutForest(1).link(0, 1, 1)
+    print("refused")
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_gamma_below_one_is_a_configuration_error(flags):
+    """``LinkCutForest`` refuses gamma 0 and -3 with ConfigurationError,
+    also under python -O, and builds a forest at gamma 1."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forest.__file__)))
+    proc = subprocess.run([sys.executable] + flags + ["-c", _GAMMA_CHECK],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"
 
 
 def test_reads_of_an_unseen_vertex_create_no_node():

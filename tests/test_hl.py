@@ -1,19 +1,24 @@
+"""``HeavyLightOrienter.children`` against H's own root paths.
+
+The orienter is fed the way the refinement engine feeds it,
+``hl.link(u, H.link(u, v, w))`` and ``hl.cut(u, *H.cut(u, v))``, and
+after every write ``children`` must equal H's non-root vertices: those
+with an edge on their root path.  H names the roots it moves from its
+parity memo when that holds entries, and by a root walk otherwise, so the
+random drive runs with an empty memo first and a filled one after."""
+
 import random
 
 import pytest
 
+from dynorient import forest
 from dynorient.errors import MissingEdgeError
 from dynorient.forest import LinkCutForest, edge_key
 from dynorient.hl import HeavyLightOrienter
 
 
-def root(hl, v):
-    """The root reached by walking v's parents; fails on a parent cycle."""
-    for _ in range(len(hl.parent) + 1):
-        if hl.parent.get(v) is None:
-            return v
-        v = hl.parent[v]
-    raise AssertionError("parent pointers close a cycle")
+def non_roots(lct, vs):
+    return {v for v in vs if lct.first_edge_on_root_path(v) is not None}
 
 
 def lct_root(lct, v):
@@ -25,34 +30,41 @@ def lct_root(lct, v):
     return v
 
 
-def audit(hl):
-    """Every parent chain ends at a root, and every parent is recorded."""
-    for v, p in hl.parent.items():
-        root(hl, v)
-        assert p is None or p in hl.parent, (v, p)
-        assert p is None or hl.has_edge(v, p) and hl.has_edge(p, v)
+class Pair:
+    """A link-cut forest and the orienter it feeds."""
+
+    def __init__(self):
+        self.H = LinkCutForest(8)
+        self.hl = HeavyLightOrienter()
+
+    def link(self, u, v):
+        self.hl.link(u, self.H.link(u, v, 4))
+
+    def cut(self, u, v):
+        self.hl.cut(u, *self.H.cut(u, v))
 
 
 def test_cut_rejects_missing():
-    hl = HeavyLightOrienter()
-    hl.link(0, 1)
-    with pytest.raises(MissingEdgeError):
-        hl.cut(2, 3)
-    with pytest.raises(MissingEdgeError):
-        hl.cut(0, 2)
-    assert hl.parent == {0: 1, 1: None}
+    # H refuses before the orienter hears of the cut
+    t = Pair()
+    t.link(0, 1)
+    for u, v in ((2, 3), (0, 2)):
+        with pytest.raises(MissingEdgeError):
+            t.cut(u, v)
+    assert t.hl.children == {0}
 
 
 def test_cut_root_rule_matches_forest():
-    hl = HeavyLightOrienter()
-    hl.link(0, 1)
-    hl.link(1, 2)
-    hl.link(2, 3)         # path 0-1-2-3 rooted 3
-    assert root(hl, 0) == 3
-    hl.cut(2, 1)          # side of 2 gets root 2, side of 1 gets root 1
-    assert root(hl, 2) == 2 and root(hl, 3) == 2
-    assert root(hl, 0) == 1 and root(hl, 1) == 1
-    audit(hl)
+    t = Pair()
+    t.link(0, 1)
+    t.link(1, 2)
+    t.link(2, 3)          # path 0-1-2-3 rooted 3
+    assert t.hl.children == {0, 1, 2}
+    t.cut(2, 1)           # u = 2 is the parent endpoint: 2 heads its side,
+    assert t.hl.children == {0, 3}   # and 1 heads the child side
+    assert lct_root(t.H, 3) == 2 and lct_root(t.H, 0) == 1
+    t.cut(0, 1)           # u = 0 is the child: no root moves
+    assert t.hl.children == {3}
 
 
 @pytest.mark.parametrize("offset", [0, 1000])
@@ -64,67 +76,80 @@ def test_roots_track_link_cut_forest(offset):
 
     rng = random.Random(11)
     n = 24
-    hl = HeavyLightOrienter()
-    lct = LinkCutForest(8)
+    vs = [v + offset for v in range(n)]
+    t = Pair()
     edges = set()
+    everts = 0
     for step in range(600):
         r = rng.random()
         if r < 0.45:
             u, v = rng.sample(range(n), 2)
-            if root(hl, vid(u)) == root(hl, vid(v)):
+            if lct_root(t.H, vid(u)) == lct_root(t.H, vid(v)):
                 continue
-            hl.link(vid(u), vid(v))
-            lct.link(vid(u), vid(v), 4)
+            t.link(vid(u), vid(v))
             edges.add(edge_key(u, v))
         elif r < 0.70 and edges:
             u, v = rng.choice(sorted(edges))
             if rng.random() < 0.5:
                 u, v = v, u
-            hl.cut(vid(u), vid(v))
-            lct.cut(vid(u), vid(v))
+            t.cut(vid(u), vid(v))
             edges.discard(edge_key(u, v))
         else:
-            # reroot v's tree at v: the cut roots v's side at v, and the
-            # relink hangs the far side below it
-            v = rng.randrange(n)
-            nbrs = [w for w in range(n) if edge_key(v, w) in edges]
-            if not nbrs:
+            # reroot v's tree at v: the cut of v's parent edge, made from
+            # either side, roots v's side at v, and the relink hangs the
+            # parent's side below it
+            v = vid(rng.randrange(n))
+            fe = t.H.first_edge_on_root_path(v)
+            if fe is None:
                 continue
-            w = rng.choice(nbrs)
-            hl.cut(vid(v), vid(w))
-            lct.cut(vid(v), vid(w))
-            hl.link(vid(w), vid(v))
-            lct.link(vid(w), vid(v), 4)
-            assert root(hl, vid(w)) == vid(v) == lct_root(lct, vid(w))
-        if step % 40 == 0:
-            audit(hl)
-            for v in range(n):
-                if lct.depth_parity(vid(v), None) is not None:
-                    assert root(hl, vid(v)) == lct_root(lct, vid(v)), (step, v)
-                    fe = lct.first_edge_on_root_path(vid(v))
-                    p = hl.parent[vid(v)]
-                    assert (fe is None) == (p is None), (step, v)
-                    assert fe is None or edge_key(*fe) == edge_key(vid(v), p)
-    audit(hl)
-
-
-def test_random_loads_keep_solid_edges_clean():
-    rng = random.Random(5)
-    hl = HeavyLightOrienter()
-    for v in range(1, 30):
-        hl.link(v, rng.randrange(v))
-    for _ in range(60):
-        # reroot at r by cutting r's parent edge from either side, which
-        # roots r's side at r, and hanging the parent's side below r
-        r = rng.randrange(30)
-        p = hl.parent[r]
-        if p is not None:
+            w = fe[1] if fe[0] == v else fe[0]
             if rng.random() < 0.5:
-                hl.cut(r, p)
+                t.cut(v, w)
             else:
-                hl.cut(p, r)
-            assert root(hl, r) == r and root(hl, p) != r
-            audit(hl)
-            hl.link(p, r)
-        assert all(root(hl, v) == r for v in range(30))
-        audit(hl)
+                child, root = t.H.cut(w, v)
+                assert child == v and root is not None
+                everts += 1
+                t.hl.cut(w, child, root)
+            assert t.hl.children == non_roots(t.H, vs), step
+            t.link(w, v)
+            assert lct_root(t.H, w) == v
+        assert t.hl.children == non_roots(t.H, vs), step
+        if step >= 300:
+            # memoised parities: H then names roots from its memo groups
+            for v in rng.sample(vs, 3):
+                t.H.depth_parity(v)
+    assert everts > 10
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+def test_a_reroot_walks_once_where_the_mirror_walked_the_path(monkeypatch, n):
+    """With no parity memo, each link or cut of H makes at most one root
+    walk (``_wfirst``), also when it reroots a path of n vertices end to
+    end; a parent-pointer mirror reversed the whole path there."""
+    walks = [0]
+
+    def counted(x, fn=forest._wfirst):
+        walks[0] += 1
+        return fn(x)
+
+    monkeypatch.setattr(forest, "_wfirst", counted)
+    t = Pair()
+    for v in range(n - 1):
+        t.link(v, v + 1)                 # the path, rooted at n - 1
+    root, leaf = n - 1, 0
+    for k in range(4):
+        # reroot at the leaf: cut it off, from the child side or from the
+        # parent side, and hang the rest of the path below it
+        nb = leaf + 1 if leaf == 0 else leaf - 1
+        before = walks[0]
+        if k % 2:
+            t.cut(nb, leaf)
+        else:
+            t.cut(leaf, nb)
+        assert walks[0] - before <= 1
+        before = walks[0]
+        t.link(nb, leaf)
+        assert walks[0] - before <= 1
+        root, leaf = leaf, root
+        assert t.hl.children == set(range(n)) - {root}
+        assert t.hl.children == non_roots(t.H, range(n))

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+from dynorient import traces
 from dynorient.errors import ConfigurationError, TraceError
 from dynorient.forest import edge_key
 from dynorient.oracles import exact_arboricity, is_forest
@@ -29,6 +35,37 @@ def test_round_trip_covers_every_op_kind():
     text = format_trace(ops)
     assert text == "a 0 1\nc 0\no 1\nx\nd 0 1\n"
     assert parse_trace(text) == ops
+
+
+_FORMAT_REFUSALS = textwrap.dedent("""
+    from dynorient.errors import TraceError
+    from dynorient.traces import format_trace, parse_trace
+    ops = [("a", 0, 1), ("c", 0), ("o", 1), ("x",), ("d", 0, 1)]
+    for bad in [("z", 1), ("a", 1), ("c", 1, 2), ("x", 0), ("o", -1),
+                ("a", 1, "2"), ("c", True), ("c", 1.0), ("c", "1 # 2"), ()]:
+        try:
+            format_trace(ops + [bad])
+        except TraceError:
+            continue
+        raise SystemExit(f"format_trace wrote {bad!r}")
+    if parse_trace(format_trace(ops)) != ops:
+        raise SystemExit("a valid trace did not round-trip")
+    print("refused")
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_format_refuses_every_op_the_parser_refuses(flags):
+    """``format_trace`` raises TraceError for an unknown kind, a wrong
+    arity, a negative or non-int id and any op that would not read back
+    as itself, so ``parse_trace(format_trace(ops)) == ops`` holds for
+    every text it writes; under python -O too."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(traces.__file__)))
+    proc = subprocess.run([sys.executable] + flags + ["-c", _FORMAT_REFUSALS],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"
 
 
 def test_comments_and_blank_lines_are_skipped():
