@@ -12,7 +12,9 @@ Three subcommands:
   forest reads charged to every colour query.  Both count the queries of
   the properness checks too, so they grow with --verify-every.
   An engine fault (ConsistencyError) in an op is an ``engine-state``
-  violation at that op, and ends the replay.
+  violation at that op, and ends the replay; so is an ``alpha-max-promise``
+  violation, where bf mode proves (PromiseViolation) that the trace's
+  arboricity exceeds --alpha-max and refuses the insert.
 * ``gen`` prints a deterministic trace of the requested kind; --seed
   picks its random stream and is the only seed any subcommand takes.
 * ``bench`` replays a trace without verification and prints one CSV row
@@ -35,7 +37,7 @@ from .acyclic import BFOrienter
 from .colouring import ProductColouring
 from .decompose import ArboricityDecomposer
 from .errors import (ConfigurationError, ConsistencyError, DynOrientError,
-                     TraceError, require)
+                     PromiseViolation, TraceError, require)
 from .forest import edge_key
 from .oracles import exact_arboricity, is_forest, is_proper
 from .params import Params
@@ -194,6 +196,10 @@ class _Session:
 # ----------------------------------------------------------------------
 # subcommands
 
+# errors that end a replay as a violation at their op, not as bad input
+_OP_FAULTS = (ConsistencyError, PromiseViolation)
+
+
 def _read_trace(args):
     if args.trace:
         with open(args.trace, "r", encoding="utf-8") as fh:
@@ -206,7 +212,7 @@ def _read_trace(args):
 def _apply(sess, idx, op):
     try:
         return sess.apply(op)
-    except ConsistencyError:
+    except _OP_FAULTS:
         raise
     except DynOrientError as e:
         raise TraceError(f"op {idx} {op!r}: {e}") from None
@@ -232,8 +238,10 @@ def _cmd_run(args, out):
             continue
         try:
             value = _apply(sess, idx, op)
-        except ConsistencyError as e:
-            violations.append({"op_index": idx, "invariant": "engine-state",
+        except _OP_FAULTS as e:
+            name = ("alpha-max-promise" if isinstance(e, PromiseViolation)
+                    else "engine-state")
+            violations.append({"op_index": idx, "invariant": name,
                                "detail": str(e)[:200]})
             break
         if value is not None:
@@ -337,7 +345,7 @@ def main(argv=None, out=None):
         return _cmd_bench(args, out)
     except (DynOrientError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        fault = isinstance(e, ConsistencyError)
+        fault = isinstance(e, _OP_FAULTS)
         return EXIT_VIOLATION if fault else EXIT_USAGE
 
 

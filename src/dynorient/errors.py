@@ -54,6 +54,11 @@ class TraceError(DynOrientError):
     """Malformed trace line or op not applicable to the current state."""
 
 
+class PromiseViolation(DynOrientError):
+    """An update proves that the graph breaks the engine's promise, such
+    as arboricity at most ``alpha_max``; the update is rolled back."""
+
+
 
 def check_vertex(v, n):
     """Raise ``VertexRangeError`` unless v is an int in [0, n).  A ``bool``

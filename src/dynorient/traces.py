@@ -150,7 +150,11 @@ def _maybe_query(ops, rng, n, query_rate):
 
 def gen_alpha_preserving(n, steps, seed, alpha_max, delete_bias=0.3,
                          query_rate=0.0):
-    """Random churn whose graph never exceeds arboricity alpha_max."""
+    """Random churn whose graph never exceeds arboricity alpha_max.
+
+    Each step deletes a uniform live edge with probability
+    ``delete_bias``, and always after 21 rejected inserts in a row; at
+    ``delete_bias`` 0 the graph climbs to what the witness can hold."""
     if n < 2:
         raise ConfigurationError("need at least two vertices")
     if alpha_max < 1:
@@ -242,8 +246,8 @@ def gen_adversarial_path(n, steps, seed):
     return ops
 
 
-TRACE_KINDS = ("alpha-preserving", "forest-only", "uniform-sparse",
-               "adversarial-path")
+TRACE_KINDS = ("alpha-preserving", "alpha-dense", "forest-only",
+               "uniform-sparse", "adversarial-path")
 
 
 def generate(kind, n, steps, seed, alpha_max=None, query_rate=0.0):
@@ -251,10 +255,13 @@ def generate(kind, n, steps, seed, alpha_max=None, query_rate=0.0):
     A negative step count raises ConfigurationError."""
     if steps < 0:
         raise ConfigurationError(f"step count {steps} is below 0")
+    if kind in ("alpha-preserving", "alpha-dense") and alpha_max is None:
+        raise ConfigurationError(f"{kind} traces need alpha_max")
     if kind == "alpha-preserving":
-        if alpha_max is None:
-            raise ConfigurationError("alpha-preserving traces need alpha_max")
         return gen_alpha_preserving(n, steps, seed, alpha_max,
+                                    query_rate=query_rate)
+    if kind == "alpha-dense":
+        return gen_alpha_preserving(n, steps, seed, alpha_max, delete_bias=0.0,
                                     query_rate=query_rate)
     if kind == "forest-only":
         return gen_forest_only(n, steps, seed, query_rate=query_rate)

@@ -326,6 +326,40 @@ def test_bench_exits_on_an_engine_fault_as_a_violation(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("error: synthetic fault")
 
 
+def _run_cli_subprocess(argv):
+    """Run the CLI in its own process, with a timeout that turns a replay
+    that never ends into a failure rather than a stalled suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "dynorient.cli"] + argv,
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_bf_run_reports_a_broken_alpha_max_promise(tmp_path):
+    # K12 has arboricity 6; sink flips with d = 4 would cascade forever
+    k12 = [("a", u, v) for u in range(12) for v in range(u + 1, 12)]
+    flags = ["--mode", "bf", "--alpha-max", "1", "--n", "12"]
+    code, text, _ = _run_cli_subprocess(
+        ["run"] + flags + [write_trace(tmp_path, k12 + [("o", 0)])])
+    assert code == cli.EXIT_VIOLATION
+    report = json.loads(text)
+    assert report["status"] == "violation"
+    [v] = report["violations"]
+    assert v["invariant"] == "alpha-max-promise"
+    # the replay stops there, with the refused insert rolled back: the
+    # end state is that of the trace cut just before it
+    idx = v["op_index"]
+    assert k12[idx] == ("a", 4, 5) and report["results"] == []
+    code, text, _ = _run_cli_subprocess(
+        ["run"] + flags + [write_trace(tmp_path, k12[:idx], "prefix.trace")])
+    assert code == cli.EXIT_OK
+    assert json.loads(text)["state_hash"] == report["state_hash"]
+    code, _, err = _run_cli_subprocess(
+        ["bench"] + flags + [write_trace(tmp_path, k12)])
+    assert code == cli.EXIT_VIOLATION and err.startswith("error: inserting")
+
+
 def test_gen_rejects_negative_steps_as_usage(capsys):
     argv = ["gen", "--kind", "uniform-sparse", "--n", "4", "--steps"]
     code, text = run_cli(argv + ["-2"])

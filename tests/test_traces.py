@@ -101,11 +101,25 @@ def test_forest_only_graph_is_always_a_forest():
     replay(ops, check=lambda live: is_forest(live))
 
 
-@pytest.mark.parametrize("alpha_max", [1, 2, 3])
-def test_alpha_preserving_respects_the_cap(alpha_max):
-    ops = generate("alpha-preserving", n=8, steps=120, seed=alpha_max,
-                   alpha_max=alpha_max)
+@pytest.mark.parametrize("kind, alpha_max", [
+    pytest.param(kind, a, id=f"{prefix}{a}")
+    for kind, prefix in (("alpha-preserving", ""), ("alpha-dense", "dense-"))
+    for a in (1, 2, 3)])
+def test_alpha_preserving_respects_the_cap(kind, alpha_max):
+    ops = generate(kind, n=8, steps=120, seed=alpha_max, alpha_max=alpha_max)
     replay(ops, check=lambda live: exact_arboricity(sorted(live)) <= alpha_max)
+
+
+@pytest.mark.parametrize("alpha_max", [1, 2, 3])
+def test_alpha_dense_reaches_its_cap(alpha_max):
+    # alpha_max * (n - 1) edges need alpha_max forests, so the peak below
+    # is arboricity alpha_max; alpha-preserving, which deletes with
+    # probability 0.3, peaks at 264, 434 and 436 edges on these inputs
+    n = 300
+    sizes = []
+    ops = generate("alpha-dense", n, 4 * n, seed=3, alpha_max=alpha_max)
+    replay(ops, check=lambda live: sizes.append(len(live)))
+    assert max(sizes) == alpha_max * (n - 1)
 
 
 def test_uniform_sparse_stays_near_its_target():
