@@ -35,9 +35,8 @@ order) and the counters, and raises PromiseViolation.  The log, like the
 stack, is only kept once some list overflows.
 """
 
-from .errors import (ConfigurationError, DuplicateEdgeError,
-                     MissingEdgeError, PromiseViolation, SelfLoopError,
-                     VertexRangeError, require)
+from .errors import (DuplicateEdgeError, MissingEdgeError, PromiseViolation,
+                     SelfLoopError, VertexRangeError, check_size, require)
 from .forest import edge_key
 
 
@@ -45,10 +44,8 @@ class BFOrienter:
     """Sink-flip orienter with out-degrees capped at d = 2*(alpha_max+1)."""
 
     def __init__(self, n_cap: int, alpha_max: int | None = None):
-        if n_cap < 1:
-            raise ConfigurationError(f"n_cap must be >= 1, got {n_cap}")
-        if alpha_max is None or alpha_max < 1:
-            raise ConfigurationError(f"alpha_max must be >= 1, got {alpha_max}")
+        check_size("n_cap", n_cap)
+        check_size("alpha_max", alpha_max)
         self.n_cap = n_cap
         self.d = 2 * (alpha_max + 1)
         self.out = [[] for _ in range(n_cap)]

@@ -48,12 +48,19 @@ F_i's edge set the tree edges and ``m_tail`` the designated edges by tail.
 A move edits the slot table first and a filler may take the vacated slot,
 so ``_unplace`` is handed the layer the edge left, and only ``m_tail``
 still knows a designated edge's old tail.  ``placed`` and ``m`` are views.
+
+``out_deg`` holds each vertex's rounded out-degree, its slot count plus 1
+if it has an H parent, so ``out_degree`` is one list read.  The table is
+written only where one of those two facts changes: the slot table's
+``on_insert``, ``on_delete`` and ``on_reorient`` move a slot count, and
+H's orienter (``hl.py``) an H parent, on the roots H's link and cut
+report.  ``verify`` checks every entry against both.
 """
 
 from collections import deque
 
 from .errors import (ConfigurationError, ConsistencyError, CycleError,
-                     check_vertex, require)
+                     check_ends, check_vertex, require)
 from .forest import ChangeStamps, ParityForest, edge_key
 from .oracles import is_forest
 from .refine import RefinementEngine
@@ -80,13 +87,17 @@ class ArboricityDecomposer:
         # change stamps of every vertex, bumped by H, the layer forests,
         # the inversions and the pool edits; the colourings read them
         self.stamps = ChangeStamps(params.n_cap)
+        # rounded out-degree of every vertex, written by the slot table
+        # and H's orienter
+        self.out_deg = [0] * params.n_cap
         self.refine = RefinementEngine(params, paranoid=paranoid,
-                                       stamps=self.stamps)
+                                       stamps=self.stamps,
+                                       out_deg=self.out_deg)
         self.refine.on_pre_enroll = self._pull
         self.g = self.refine.g
         self.store = self.refine.store
         self.frac = self.refine.frac
-        self.split = SlotTable()
+        self.split = SlotTable(self.out_deg)
         self.F = []         # layer -> ParityForest of that layer's tree edges
         self.m_tail = []    # layer -> {tail vertex: designated cycle edge key}
         self.incidence = {} # vertex -> pooled cycle edge keys at it
@@ -116,9 +127,12 @@ class ArboricityDecomposer:
     # public updates
 
     def insert_edge(self, u, v):
+        # the refinement engine checks both ids before any write
         self._settle(self.refine.insert_edge(u, v))
 
     def delete_edge(self, u, v):
+        # before _pull, whose key lookup would take 1.0 for vertex 1
+        check_ends(u, v, self.params.n_cap)
         self._pull(u, v)
         self._settle(self.refine.delete_edge(u, v))
 
@@ -140,18 +154,19 @@ class ArboricityDecomposer:
         Every unambiguous bundle points away from the endpoint holding
         the larger share, which is exactly the slot table's tail, and
         the ambiguous forest contributes v's parent edge if there is
-        one, read from the set of H vertices with an H parent.  This is
-        ``len(self.refine.rounded_out_edges(v))`` without the scan.  A v
-        that is not an int, or a zero answer, needs the VertexRangeError
-        check of v; the lookups would take 1.0 for vertex 1."""
-        if v.__class__ is not int:
-            check_vertex(v, self.params.n_cap)
-        deg = self.split.out_degree(v)
-        if v in self.refine.hl.children:
-            return deg + 1
-        if not deg:
-            check_vertex(v, self.params.n_cap)
-        return deg
+        one.  Both are kept in ``out_deg`` as they change, so this is
+        ``len(self.refine.rounded_out_edges(v))`` read from one list.
+        A non-negative int indexes it directly; anything else, and an
+        int past the list, needs the VertexRangeError check of v (a bool
+        is the int it is), since the list would take -1 for vertex
+        n_cap - 1."""
+        if v.__class__ is int and v >= 0:
+            try:
+                return self.out_deg[v]
+            except IndexError:
+                pass
+        check_vertex(v, self.params.n_cap)
+        return self.out_deg[v]
 
     # ------------------------------------------------------------------
     # layer plumbing
@@ -629,6 +644,10 @@ class ArboricityDecomposer:
                 r = f.find_root(a)
                 held = self.split.slots.get(r, {}).get(i)
                 require(held is None or tails.get(r) == held, i, r, held)
+        children = self.refine.hl.children
+        for v, deg in enumerate(self.out_deg):
+            require(deg == self.split.out_degree(v) + (v in children),
+                    "rounded out-degree table", v, deg)
         pooled = [k for tails in self.m_tail for k in tails.values()]
         require(is_forest(pooled), "pooled cycle edges closed a cycle")
         require(set(pooled) == {k for ks in self.incidence.values() for k in ks})

@@ -67,6 +67,22 @@ def check_vertex(v, n):
         raise VertexRangeError(f"vertex {v!r} outside the ints [0, {n})")
 
 
+def check_size(name, value):
+    """Raise ``ConfigurationError`` unless value is an int of at least 1.
+    A ``bool`` is an int, as in ``check_vertex``."""
+    if not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{name} must be an int >= 1, got {value!r}")
+
+
+def check_ends(u, v, n):
+    """``check_vertex`` for both ends of an edge, with a fast path for
+    two ints in range."""
+    if not (u.__class__ is int and v.__class__ is int
+            and 0 <= u < n and 0 <= v < n):
+        check_vertex(u, n)
+        check_vertex(v, n)
+
+
 def require(ok, *context):
     """Raise ``ConsistencyError(*context)`` unless ``ok``; unlike ``assert``,
     it still checks under ``python -O``."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_size
 
 DELTA_NUM = 2
 MU_NUM = 1
@@ -27,10 +27,8 @@ class Params:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.n_cap < 1:
-            raise ConfigurationError(f"n_cap must be >= 1, got {self.n_cap}")
-        if self.gamma < 1:
-            raise ConfigurationError(f"gamma must be >= 1, got {self.gamma}")
+        check_size("n_cap", self.n_cap)
+        check_size("gamma", self.gamma)
         if self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
 

@@ -6,7 +6,8 @@ every H edge keeps its counts inside the closed interval widened by mu.  H is
 kept acyclic, so rounding is cheap: a non-H edge points away from its
 larger-count endpoint, and an H edge points from child to parent, so H
 contributes at most 1 per vertex.  ``hl.HeavyLightOrienter`` keeps the
-set of vertices that have an H parent, from the roots H's link and cut
+set of vertices that have an H parent, and adds each H parent to the
+rounded out-degree table it is handed, from the roots H's link and cut
 report.
 
 Updates run in two phases.  Phase one lets the fractional engine insert or
@@ -37,7 +38,7 @@ map: ``in_h`` and the EdgeStore's routing read a live view of its keys.
 import logging
 from collections import Counter
 
-from .errors import ConfigurationError, check_vertex, require
+from .errors import ConfigurationError, check_ends, check_vertex, require
 from .forest import LinkCutForest, edge_key
 from .fractional import EdgeStore, FractionalOrienter
 from .graph import GraphState
@@ -50,7 +51,8 @@ log = logging.getLogger(__name__)
 
 class RefinementEngine:
 
-    def __init__(self, params, paranoid: bool = False, stamps=None):
+    def __init__(self, params, paranoid: bool = False, stamps=None,
+                 out_deg=None):
         if params.gamma <= DELTA_NUM:
             raise ConfigurationError(
                 f"gamma must exceed {DELTA_NUM}, got {params.gamma}")
@@ -60,7 +62,9 @@ class RefinementEngine:
         self.H = LinkCutForest(params.gamma, stamps)
         self.store = EdgeStore(self.g, self.H)
         self.frac = FractionalOrienter(self.g, self.store)
-        self.hl = HeavyLightOrienter()
+        # H's orienter writes H parents into the caller's rounded
+        # out-degree table, or its own when none given
+        self.hl = HeavyLightOrienter(out_deg)
         self.in_h = self.H.edge_keys()   # H's edge set, a live view
         self.paranoid = paranoid
         self.inversions = 0
@@ -75,7 +79,9 @@ class RefinementEngine:
     # public updates
 
     def insert_edge(self, u, v):
-        """Insert the bundle; returns every bundle key the update touched."""
+        """Insert the bundle; returns every bundle key the update touched.
+        Both ids are checked before any write."""
+        check_ends(u, v, self.params.n_cap)
         self._touched = {edge_key(u, v)}
         q = self.frac.gamma_insert(u, v)
         self._drain(q)
@@ -84,6 +90,7 @@ class RefinementEngine:
         return set(self._touched)
 
     def delete_edge(self, u, v):
+        check_ends(u, v, self.params.n_cap)
         self._touched = {edge_key(u, v)}
         if edge_key(u, v) in self.in_h:
             self._unhook(u, v)
@@ -256,7 +263,7 @@ class RefinementEngine:
         require(check_eta_valid(g.loads, true) == [], "copy breaks 1-validity")
         require(is_forest(self.in_h), "H closed a cycle")
         self.H.verify()
-        # out-degrees read whether v has an H parent off hl.children
+        # the decomposer checks its out-degree table against hl.children
         ends = {v for key in self.in_h for v in key}
         require(self.hl.children == {
             v for v in ends if self.H.first_edge_on_root_path(v) is not None},

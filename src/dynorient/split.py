@@ -10,7 +10,14 @@ restore the no-hole property with at most one compaction, so an event moves
 at most two edges between layers.  Every move is reported as a
 ``(key, from_slot, to_slot)`` triple with None at a boundary; a downstream
 structure mirrors the moves, applying all removals before any insertion.
+
+Each vertex's out-edge count is also kept in ``out_deg`` as it changes:
+``on_insert`` adds 1 at the new tail, ``on_delete`` takes 1 from the
+tail, and ``on_reorient`` does both; compactions, ``swap`` and ``rotate``
+leave every count as it was.
 """
+
+from collections import defaultdict
 
 from .errors import MissingEdgeError, require
 from .forest import edge_key
@@ -18,9 +25,13 @@ from .forest import edge_key
 
 class SlotTable:
 
-    def __init__(self):
+    def __init__(self, out_deg=None):
         self.slots = {}      # vertex -> {slot index: edge key}
         self.where = {}      # edge key -> (tail vertex, slot index)
+        # vertex -> out-edge count; a decomposer shares the table with
+        # H's orienter, which adds 1 per H parent, and a table built here
+        # is a dict that grows on demand
+        self.out_deg = defaultdict(int) if out_deg is None else out_deg
 
     def _table(self, v):
         return self.slots.setdefault(v, {})
@@ -53,10 +64,12 @@ class SlotTable:
         assert key not in self.where, f"{key} already assigned"
         j = len(self._table(v))
         self._set(key, v, j)
+        self.out_deg[v] += 1
         return [(key, None, j)]
 
     def _remove(self, key):
         tail, i = self._clear(key)
+        self.out_deg[tail] -= 1
         moves = [(key, i, None)]
         t = self.slots[tail]
         last = len(t)
@@ -83,6 +96,7 @@ class SlotTable:
         moves = self._remove(key)
         j = len(self._table(v))
         self._set(key, v, j)
+        self.out_deg[v] += 1
         removal = moves[0]
         moves[0] = (key, removal[1], j)
         return moves

@@ -10,8 +10,9 @@ import pytest
 
 from dynorient import decompose
 from dynorient.decompose import ArboricityDecomposer
-from dynorient.errors import (ConfigurationError, DuplicateEdgeError,
-                              MissingEdgeError, VertexRangeError)
+from dynorient.errors import (ConfigurationError, ConsistencyError,
+                              DuplicateEdgeError, MissingEdgeError,
+                              VertexRangeError)
 from dynorient.forest import edge_key
 from dynorient.oracles import exact_arboricity, is_forest
 from dynorient.params import Params
@@ -662,3 +663,132 @@ def test_deleting_everything_leaves_a_clean_slate():
     assert all(not ms for ms in d.m) and not d.refine.in_h
     assert all(l == 0 for l in d.g.loads)
     assert d.forests() == []
+
+
+def _block_churn_ops(seed, n=12, steps=200):
+    """The ``dense_churn`` pattern as ops: a near-complete graph on n
+    vertices, deleting with odds 0.5 above 80% of the pairs."""
+    rng = random.Random(seed)
+    edges = set()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ops = []
+    for _ in range(steps):
+        if edges and rng.random() < (0.5 if len(edges) > len(pairs) * 0.8
+                                     else 0.1):
+            key = rng.choice(sorted(edges))
+            edges.discard(key)
+            ops.append(("d",) + key)
+        else:
+            key = rng.choice([k for k in pairs if k not in edges])
+            edges.add(key)
+            ops.append(("a",) + key)
+    return ops
+
+
+@pytest.mark.parametrize("kind", ["uniform-sparse", "alpha-dense",
+                                  "dense-block"])
+def test_out_degree_table_matches_the_slots_and_h_after_every_op(kind):
+    """``out_degree`` reads the table the slot table and H's orienter
+    keep; after every op it must equal the scan of ``rounded_out_edges``
+    and the slot count plus v's H parent bit.  Deletes name their
+    endpoints in random order, so H cuts come from either endpoint, and
+    the cuts made at the parent endpoint evert a side and move a root."""
+    from dynorient import traces
+    if kind == "dense-block":
+        n, ops = 12, _block_churn_ops(5, steps=300)
+    else:
+        n = 14
+        ops = traces.generate(kind, n, 300, seed=3,
+                              alpha_max=3 if kind == "alpha-dense" else None)
+    d = decomposer(n=n, paranoid=False, epsilon=0.5)
+    hl = d.refine.hl
+    cuts = {"at the child": 0, "at the root": 0, "moving a root": 0}
+
+    def cut(u, child, root, fn=hl.cut):
+        if root is None:
+            cuts["at the child"] += 1
+        else:
+            cuts["at the root" if root == u else "moving a root"] += 1
+        fn(u, child, root)
+
+    hl.cut = cut
+    rng = random.Random(kind)
+    for op in ops:
+        if op[0] == "a":
+            d.insert_edge(op[1], op[2])
+        elif op[0] == "d":
+            u, v = op[1:]
+            d.delete_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+        for v in range(n):
+            deg = d.out_degree(v)
+            assert deg == len(d.refine.rounded_out_edges(v)), (op, v)
+            assert deg == d.split.out_degree(v) + (v in hl.children), (op, v)
+    d.verify()
+    assert all(cuts.values()), cuts
+
+
+def test_verify_checks_every_out_degree_entry():
+    d = decomposer(n=6)
+    for u, v in ((0, 1), (1, 2), (0, 2), (2, 3)):
+        d.insert_edge(u, v)
+    d.verify()
+    for v in (0, 5):
+        d.out_deg[v] += 1
+        with pytest.raises(ConsistencyError):
+            d.verify()
+        d.out_deg[v] -= 1
+    d.verify()
+
+
+_BAD_UPDATE_IDS = textwrap.dedent("""
+    import argparse
+    from dynorient import cli
+    from dynorient.errors import VertexRangeError
+    from dynorient.params import Params
+    from dynorient.refine import RefinementEngine
+    sess = cli._Session(argparse.Namespace(
+        mode="arb", n=6, gamma=8, epsilon=1.0, alpha_max=None, paranoid=False))
+    eng = RefinementEngine(Params(n_cap=6, gamma=8))
+    for u, v in ((0, 1), (1, 2), (2, 0), (2, 3)):
+        sess.apply(("a", u, v))
+        eng.insert_edge(u, v)
+
+    def engine_state():
+        return (sorted(eng.g.bundles.items()), list(eng.g.loads),
+                sorted(eng.in_h), set(eng.hl.children))
+
+    before = (sess.state_hash(), engine_state())
+    for target in (sess.d, eng):
+        # an insert's free end and a delete's other end: (1, 4) is no
+        # edge, (1, 2) is one, so 1.0 would alias a live key
+        for op, other in ((target.insert_edge, 4), (target.delete_edge, 2)):
+            for bad in (1.0, 1.5, "1", None, -1, 6, 7):
+                for u, v in ((bad, other), (other, bad)):
+                    try:
+                        op(u, v)
+                    except VertexRangeError:
+                        pass
+                    else:
+                        raise SystemExit(f"{op.__qualname__} took {u!r}, {v!r}")
+                    target.verify()
+                    if (sess.state_hash(), engine_state()) != before:
+                        raise SystemExit(
+                            f"{op.__qualname__}({u!r}, {v!r}) changed state")
+    print("rejected")
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_updates_reject_bad_vertex_ids_before_any_write(flags):
+    """``insert_edge`` and ``delete_edge`` of the decomposer and of the
+    refinement engine raise VertexRangeError for a float, a string, None,
+    a negative id and ids of n_cap and up, in either endpoint, before any
+    write: ``verify`` passes and the CLI state hash is unchanged after
+    each refused op, also under python -O."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        decompose.__file__)))
+    proc = subprocess.run([sys.executable] + flags + ["-c", _BAD_UPDATE_IDS],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.strip() == "rejected"

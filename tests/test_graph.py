@@ -35,6 +35,50 @@ def test_params_validation():
         small_params(epsilon=0)
 
 
+_NON_INT_SIZES = textwrap.dedent("""
+    from dynorient import ArboricityDecomposer, Params
+    from dynorient.acyclic import BFOrienter
+    from dynorient.errors import ConfigurationError
+    builds = [
+        lambda: ArboricityDecomposer(Params(n_cap=4.0, gamma=8)),
+        lambda: ArboricityDecomposer(Params(n_cap=4, gamma=8.0)),
+        lambda: Params(n_cap="4", gamma=8),
+        lambda: Params(n_cap=4, gamma=None),
+        lambda: BFOrienter(4.0, 1),
+        lambda: BFOrienter("4", 1),
+        lambda: BFOrienter(4, 1.5),
+        lambda: BFOrienter(4, None),
+    ]
+    for build in builds:
+        try:
+            build()
+        except ConfigurationError:
+            continue
+        raise SystemExit("built a non-int size")
+    # a bool is an int, as for vertex ids: True is 1
+    d = ArboricityDecomposer(Params(n_cap=True + 1, gamma=8))
+    d.insert_edge(0, 1)
+    b = BFOrienter(2, alpha_max=True)
+    b.bf_insert(0, 1)
+    if b.d != 4 or Params(n_cap=True, gamma=8).n_cap != 1:
+        raise SystemExit("a bool size read apart from its int")
+    print("rejected")
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_non_int_sizes_raise_configuration_error(flags):
+    """A float, string or None for ``Params``' n_cap or gamma, or for
+    ``BFOrienter``'s n_cap or alpha_max, raises ConfigurationError at
+    construction, also under python -O; a bool is the int it is."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graph.__file__)))
+    proc = subprocess.run([sys.executable] + flags + ["-c", _NON_INT_SIZES],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.strip() == "rejected"
+
+
 def test_params_thresholds():
     p = small_params()
     assert p.low_cut == 2 and p.high_cut == 6

@@ -114,6 +114,8 @@ def test_roots_track_link_cut_forest(offset):
             t.link(w, v)
             assert lct_root(t.H, w) == v
         assert t.hl.children == non_roots(t.H, vs), step
+        # built alone, the orienter's table counts H parents only
+        assert all(t.hl.out_deg[v] == (v in t.hl.children) for v in vs)
         if step >= 300:
             # memoised parities: H then names roots from its memo groups
             for v in rng.sample(vs, 3):

@@ -127,6 +127,7 @@ def test_random_events_keep_prefix_invariant(seed):
     t, out = random_driver(seed, 1000)
     for v, keys in out.items():
         assert t.out_degree(v) == len(keys)
+        assert t.out_deg[v] == len(keys)     # the count kept per event
         assert {t.where[k][0] for k in keys} <= {v}
     layers = layers_of(t)
     assert sorted(layers) == list(range(t.partition_count()))
