@@ -27,11 +27,11 @@ one of them when it changes:
 
 A miss is the pass an unmemoised query makes: one flat pass with one
 forest read per tree factor, tried on the forest's parity memo first,
-so the worst-case query bound is unchanged; since the forests re-file
-their entries instead of dropping them, most factors answer from the
-memo with no access.  ``passes`` counts the misses.  Whether a layer's
-tree factor is active is the truth of a live view of that forest's edge
-keys.
+so a miss is amortised O(alpha log n), as splay accesses are; since the
+forests re-file their entries instead of dropping them, most factors
+answer from the memo with no access.  ``passes`` counts the misses.
+Whether a layer's tree factor is active is the truth of a live view of
+that forest's edge keys.
 The pooled cycle edges live in plain sets, so their parities are found
 by a walk over a component and cached here for every vertex of it until
 the decomposer's ``pool_version`` moves.  The code is packed during the

@@ -54,7 +54,8 @@ if it has an H parent, so ``out_degree`` is one list read.  The table is
 written only where one of those two facts changes: the slot table's
 ``on_insert``, ``on_delete`` and ``on_reorient`` move a slot count, and
 H's orienter (``hl.py``) an H parent, on the roots H's link and cut
-report.  ``verify`` checks every entry against both.
+report.  ``verify`` checks every entry against the slot count and H's
+own root path, the definition ``rounded_out_edges`` reads.
 """
 
 from collections import deque
@@ -644,9 +645,10 @@ class ArboricityDecomposer:
                 r = f.find_root(a)
                 held = self.split.slots.get(r, {}).get(i)
                 require(held is None or tails.get(r) == held, i, r, held)
-        children = self.refine.hl.children
+        root_edge = self.refine.H.first_edge_on_root_path
         for v, deg in enumerate(self.out_deg):
-            require(deg == self.split.out_degree(v) + (v in children),
+            require(deg == self.split.out_degree(v)
+                    + (root_edge(v) is not None),
                     "rounded out-degree table", v, deg)
         pooled = [k for tails in self.m_tail for k in tails.values()]
         require(is_forest(pooled), "pooled cycle edges closed a cycle")

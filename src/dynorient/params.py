@@ -11,8 +11,8 @@ parameterizes reported load/out-degree bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import ConfigurationError, check_size
 
@@ -29,23 +29,12 @@ class Params:
     def __post_init__(self):
         check_size("n_cap", self.n_cap)
         check_size("gamma", self.gamma)
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-
-    @classmethod
-    def recommended(cls, n_cap: int, epsilon: float = 1.0,
-                    gamma_cap: int = 64) -> "Params":
-        """Derive gamma from n and epsilon.
-
-        The asymptotic recipe is eps' = epsilon/20, gamma = ceil(log2 n / eps'^2),
-        delta = 2/gamma, mu = 1/gamma.  That gamma is enormous for desk-scale n,
-        so it is capped at ``gamma_cap``; every admissible gamma keeps the
-        maintained invariants, only the advertised bound degrades.
-        """
-        eps_prime = epsilon / 20.0
-        raw = math.ceil(math.log2(max(2, n_cap)) / (eps_prime * eps_prime))
-        gamma = max(4, min(gamma_cap, raw))
-        return cls(n_cap=n_cap, gamma=gamma, epsilon=epsilon)
+        # a bool is the int it is, as in check_size; nan and inf fail the
+        # chained comparison
+        eps = self.epsilon
+        if not (isinstance(eps, Real) and 0 < eps < float("inf")):
+            raise ConfigurationError(
+                f"epsilon must be a finite real above 0, got {eps!r}")
 
     # -- derived integer thresholds ------------------------------------
 

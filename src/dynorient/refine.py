@@ -5,10 +5,10 @@ both counts strictly inside (delta*gamma, (1-delta)*gamma) must be in H, and
 every H edge keeps its counts inside the closed interval widened by mu.  H is
 kept acyclic, so rounding is cheap: a non-H edge points away from its
 larger-count endpoint, and an H edge points from child to parent, so H
-contributes at most 1 per vertex.  ``hl.HeavyLightOrienter`` keeps the
-set of vertices that have an H parent, and adds each H parent to the
-rounded out-degree table it is handed, from the roots H's link and cut
-report.
+contributes at most 1 per vertex.  ``hl.HeavyLightOrienter`` adds each
+H parent to the rounded out-degree table it is handed, from the roots H's
+link and cut report; H's root paths are the reference it is audited
+against.
 
 Updates run in two phases.  Phase one lets the fractional engine insert or
 delete the gamma copies; every bundle it touches lands on stack Q.  Phase two
@@ -233,9 +233,6 @@ class RefinementEngine:
             out.append((v, fe[1] if fe[0] == v else fe[0]))
         return out
 
-    def rounded_out_degree(self, v):
-        return len(self.rounded_out_edges(v))
-
     # ------------------------------------------------------------------
     # audits
 
@@ -263,13 +260,8 @@ class RefinementEngine:
         require(check_eta_valid(g.loads, true) == [], "copy breaks 1-validity")
         require(is_forest(self.in_h), "H closed a cycle")
         self.H.verify()
-        # the decomposer checks its out-degree table against hl.children
-        ends = {v for key in self.in_h for v in key}
-        require(self.hl.children == {
-            v for v in ends if self.H.first_edge_on_root_path(v) is not None},
-            "H's child set differs from its root paths")
         if alpha is not None:
             cap = int((1 + p.epsilon) * alpha) + 2
             for v in range(p.n_cap):
-                d = self.rounded_out_degree(v)
+                d = len(self.rounded_out_edges(v))
                 require(d <= cap, v, d, cap)

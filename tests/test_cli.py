@@ -535,3 +535,22 @@ def test_gen_rejects_alpha_max_below_one_under_python_O():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == cli.EXIT_USAGE
     assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0", "-1"])
+def test_run_rejects_a_bad_epsilon_as_usage(epsilon, tmp_path, capsys):
+    path = write_trace(tmp_path, [("a", 0, 1), ("a", 1, 2)])
+    code, text = run_cli(["run", "--n", "6", f"--epsilon={epsilon}", path])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error: epsilon")
+
+
+def test_run_rejects_a_nan_epsilon_under_python_O(tmp_path):
+    path = write_trace(tmp_path, [("a", 0, 1), ("a", 1, 2)])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = ["run", "--n", "6", "--epsilon", "nan", path]
+    proc = subprocess.run([sys.executable, "-O", "-m", "dynorient.cli"] + argv,
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == "" and proc.stderr.startswith("error: epsilon")

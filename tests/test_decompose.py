@@ -210,8 +210,8 @@ def test_dense_churn_exercises_inversion_repairs(seed):
 
 @pytest.mark.parametrize("seed", [2, 45])
 def test_out_degree_matches_the_h_root_path_definition(seed):
-    # out_degree reads whether v has an H parent off hl.children; the
-    # reference is the link-cut forest's own root path
+    # out_degree reads whether v has an H parent off the table H's
+    # orienter writes; the reference is the link-cut forest's own root path
     rng = random.Random(seed)
     n = 12
     d = decomposer(n=n, paranoid=False, epsilon=0.5)
@@ -529,7 +529,7 @@ _QUERY_RANGE = textwrap.dedent("""
 
     def state():
         return (sorted(d.g.bundles.items()), list(d.g.loads),
-                sorted(d.placed.items()), set(d.refine.hl.children),
+                sorted(d.placed.items()), list(d.out_deg),
                 [list(lst) for lst in b.out])
 
     before = state()
@@ -690,9 +690,10 @@ def _block_churn_ops(seed, n=12, steps=200):
 def test_out_degree_table_matches_the_slots_and_h_after_every_op(kind):
     """``out_degree`` reads the table the slot table and H's orienter
     keep; after every op it must equal the scan of ``rounded_out_edges``
-    and the slot count plus v's H parent bit.  Deletes name their
-    endpoints in random order, so H cuts come from either endpoint, and
-    the cuts made at the parent endpoint evert a side and move a root."""
+    and the slot count plus 1 if H's root path leaves v.  Deletes name
+    their endpoints in random order, so H cuts come from either endpoint,
+    and the cuts made at the parent endpoint evert a side and move a
+    root."""
     from dynorient import traces
     if kind == "dense-block":
         n, ops = 12, _block_churn_ops(5, steps=300)
@@ -722,7 +723,8 @@ def test_out_degree_table_matches_the_slots_and_h_after_every_op(kind):
         for v in range(n):
             deg = d.out_degree(v)
             assert deg == len(d.refine.rounded_out_edges(v)), (op, v)
-            assert deg == d.split.out_degree(v) + (v in hl.children), (op, v)
+            up = d.refine.H.first_edge_on_root_path(v) is not None
+            assert deg == d.split.out_degree(v) + up, (op, v)
     d.verify()
     assert all(cuts.values()), cuts
 
@@ -755,7 +757,7 @@ _BAD_UPDATE_IDS = textwrap.dedent("""
 
     def engine_state():
         return (sorted(eng.g.bundles.items()), list(eng.g.loads),
-                sorted(eng.in_h), set(eng.hl.children))
+                sorted(eng.in_h), sorted(eng.hl.out_deg.items()))
 
     before = (sess.state_hash(), engine_state())
     for target in (sess.d, eng):

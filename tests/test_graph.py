@@ -79,6 +79,40 @@ def test_non_int_sizes_raise_configuration_error(flags):
     assert proc.stdout.strip() == "rejected"
 
 
+_BAD_EPSILONS = textwrap.dedent("""
+    from fractions import Fraction
+    from dynorient import ArboricityDecomposer, Params
+    from dynorient.errors import ConfigurationError
+    for bad in ("1", None, float("nan"), float("inf"), float("-inf"), 0,
+                -1.5, False, 1j, [1.0]):
+        try:
+            Params(n_cap=4, gamma=8, epsilon=bad)
+        except ConfigurationError:
+            continue
+        raise SystemExit(f"built epsilon={bad!r}")
+    # a bool is the int it is, as for sizes: True is 1
+    for good in (True, 1, 0.5, Fraction(1, 3), 1e300):
+        d = ArboricityDecomposer(Params(n_cap=4, gamma=8, epsilon=good))
+        d.insert_edge(0, 1)
+        d.verify(alpha=1)
+    print("rejected")
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_epsilon_must_be_a_finite_real_above_zero(flags):
+    """``Params`` raises ConfigurationError for an epsilon that is not a
+    finite real above 0 (a string, None, nan, +-inf, 0, a negative, False,
+    a complex, a list), also under python -O; ints, floats, fractions and
+    True build a decomposer whose ``verify(alpha=1)`` passes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graph.__file__)))
+    proc = subprocess.run([sys.executable] + flags + ["-c", _BAD_EPSILONS],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.strip() == "rejected"
+
+
 def test_params_thresholds():
     p = small_params()
     assert p.low_cut == 2 and p.high_cut == 6
@@ -89,15 +123,6 @@ def test_params_thresholds():
     assert not p.in_open_interval(6)
     assert p.in_closed_interval(1) and p.in_closed_interval(7)
     assert not p.in_closed_interval(0) and not p.in_closed_interval(8)
-
-
-def test_params_recommended_recipe():
-    p = Params.recommended(n_cap=1024, epsilon=1.0)
-    # eps' = 1/20, gamma = ceil(log2(1024) / eps'^2) = 4000, above the cap
-    assert p.gamma == 64
-    assert (p.low_cut, p.low_boundary) == (2, 1)   # delta = 2/gamma, mu = 1/gamma
-    q = Params.recommended(n_cap=1024, epsilon=1.0, gamma_cap=8000)
-    assert q.gamma == 4000
 
 
 def test_empty_state():

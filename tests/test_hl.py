@@ -1,9 +1,11 @@
-"""``HeavyLightOrienter.children`` against H's own root paths.
+"""``HeavyLightOrienter``'s out-degree table against H's own root paths.
 
 The orienter is fed the way the refinement engine feeds it,
-``hl.link(u, H.link(u, v, w))`` and ``hl.cut(u, *H.cut(u, v))``, and
-after every write ``children`` must equal H's non-root vertices: those
-with an edge on their root path.  H names the roots it moves from its
+``hl.link(u, H.link(u, v, w))`` and ``hl.cut(u, *H.cut(u, v))``.  Built
+alone, its table holds only the H share, 1 for each vertex with an H
+parent, so after every write the vertices with a nonzero entry must be
+H's non-root vertices, those with an edge on their root path, and every
+entry must be 0 or 1.  H names the roots it moves from its
 parity memo when that holds entries, and by a root walk otherwise, so the
 random drive runs with an empty memo first and a filled one after."""
 
@@ -19,6 +21,13 @@ from dynorient.hl import HeavyLightOrienter
 
 def non_roots(lct, vs):
     return {v for v in vs if lct.first_edge_on_root_path(v) is not None}
+
+
+def h_parents(hl, vs):
+    """The vertices the orienter's table credits with an H parent; an
+    entry other than 0 or 1 fails here."""
+    assert all(hl.out_deg[v] in (0, 1) for v in vs)
+    return {v for v in vs if hl.out_deg[v]}
 
 
 def lct_root(lct, v):
@@ -51,7 +60,7 @@ def test_cut_rejects_missing():
     for u, v in ((2, 3), (0, 2)):
         with pytest.raises(MissingEdgeError):
             t.cut(u, v)
-    assert t.hl.children == {0}
+    assert h_parents(t.hl, range(8)) == {0}
 
 
 def test_cut_root_rule_matches_forest():
@@ -59,12 +68,12 @@ def test_cut_root_rule_matches_forest():
     t.link(0, 1)
     t.link(1, 2)
     t.link(2, 3)          # path 0-1-2-3 rooted 3
-    assert t.hl.children == {0, 1, 2}
+    assert h_parents(t.hl, range(8)) == {0, 1, 2}
     t.cut(2, 1)           # u = 2 is the parent endpoint: 2 heads its side,
-    assert t.hl.children == {0, 3}   # and 1 heads the child side
+    assert h_parents(t.hl, range(8)) == {0, 3}   # and 1 heads the child side
     assert lct_root(t.H, 3) == 2 and lct_root(t.H, 0) == 1
     t.cut(0, 1)           # u = 0 is the child: no root moves
-    assert t.hl.children == {3}
+    assert h_parents(t.hl, range(8)) == {3}
 
 
 @pytest.mark.parametrize("offset", [0, 1000])
@@ -110,12 +119,10 @@ def test_roots_track_link_cut_forest(offset):
                 assert child == v and root is not None
                 everts += 1
                 t.hl.cut(w, child, root)
-            assert t.hl.children == non_roots(t.H, vs), step
+            assert h_parents(t.hl, vs) == non_roots(t.H, vs), step
             t.link(w, v)
             assert lct_root(t.H, w) == v
-        assert t.hl.children == non_roots(t.H, vs), step
-        # built alone, the orienter's table counts H parents only
-        assert all(t.hl.out_deg[v] == (v in t.hl.children) for v in vs)
+        assert h_parents(t.hl, vs) == non_roots(t.H, vs), step
         if step >= 300:
             # memoised parities: H then names roots from its memo groups
             for v in rng.sample(vs, 3):
@@ -153,5 +160,5 @@ def test_a_reroot_walks_once_where_the_mirror_walked_the_path(monkeypatch, n):
         t.link(nb, leaf)
         assert walks[0] - before <= 1
         root, leaf = leaf, root
-        assert t.hl.children == set(range(n)) - {root}
-        assert t.hl.children == non_roots(t.H, range(n))
+        assert h_parents(t.hl, range(n)) == set(range(n)) - {root}
+        assert h_parents(t.hl, range(n)) == non_roots(t.H, range(n))

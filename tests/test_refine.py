@@ -43,7 +43,7 @@ def test_single_edge_lands_in_h_with_half_split():
     assert eng.g.counts(0, 1) == (4, 4)
     assert (0, 1) in eng.in_h
     assert eng.H.edge_weight(0, 1) == 4
-    assert eng.rounded_out_degree(0) <= 2
+    assert len(eng.rounded_out_edges(0)) <= 2
     eng.verify(alpha=1)
 
 
@@ -200,7 +200,7 @@ def test_rounding_points_away_from_heavy_endpoint():
     stage(eng, raw_edges=[(0, 1, 7, 1)])
     assert eng.rounded_out_edges(0) == [(0, 1)]
     assert eng.rounded_out_edges(1) == []
-    assert eng.rounded_out_degree(2) == 0    # isolated vertex
+    assert eng.rounded_out_edges(2) == []    # isolated vertex
     # exact tie (transient only): lower id wins
     eng2 = engine()
     stage(eng2, raw_edges=[(2, 5, 4, 4)])
@@ -212,7 +212,7 @@ def test_h_contributes_at_most_two_per_vertex():
     eng = engine(n=6)
     stage(eng, h_edges=[(i, i + 1, 4) for i in range(5)])
     for v in range(6):
-        assert eng.rounded_out_degree(v) <= 2
+        assert len(eng.rounded_out_edges(v)) <= 2
 
 
 class FifoEngine(RefinementEngine):
