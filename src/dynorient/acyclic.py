@@ -38,6 +38,7 @@ stack, is only kept once some list overflows.
 from .errors import (DuplicateEdgeError, MissingEdgeError, PromiseViolation,
                      SelfLoopError, VertexRangeError, check_size, require)
 from .forest import edge_key
+from .oracles import is_acyclic
 
 
 class BFOrienter:
@@ -184,16 +185,5 @@ class BFOrienter:
             require(len(set(lst)) == len(lst), v, lst)
             require(v not in lst, v)
         require(sum(map(len, self.out)) == self.edge_count, "edge count")
-        indeg = [0] * self.n_cap
-        for lst in self.out:
-            for w in lst:
-                indeg[w] += 1
-        order = [v for v in range(self.n_cap) if not indeg[v]]
-        seen = len(order)
-        while order:
-            for w in self.out[order.pop()]:
-                indeg[w] -= 1
-                if not indeg[w]:
-                    order.append(w)
-                    seen += 1
-        require(seen == self.n_cap, "orientation has a directed cycle")
+        require(is_acyclic(self.n_cap, self.out),
+                "orientation has a directed cycle")

@@ -40,7 +40,7 @@ from .errors import (ConfigurationError, ConsistencyError, DynOrientError,
                      PromiseViolation, TraceError, require)
 from .forest import edge_key
 from .oracles import exact_arboricity, is_forest, is_proper
-from .params import Params
+from .params import Params, check_epsilon
 from .traces import TRACE_KINDS, format_trace, generate, parse_trace
 
 EXIT_OK = 0
@@ -61,11 +61,12 @@ class _Session:
     def __init__(self, args):
         self.mode = args.mode
         self.n = args.n
-        self.epsilon = args.epsilon
         self.live = set()
         if self.mode == "bf":
             if args.alpha_max is None:
                 raise ConfigurationError("bf mode needs --alpha-max")
+            # bf mode reads no epsilon, but takes only what Params takes
+            check_epsilon(args.epsilon, args.n)
             self.bf = BFOrienter(args.n, alpha_max=args.alpha_max)
             self.d = None
             self.col = None
@@ -137,7 +138,7 @@ class _Session:
         self.d.verify(alpha=self._alpha() if self.n <= 12 else None)
 
     def _check_out_degree(self):
-        bound = int((1 + self.epsilon) * self._alpha()) + 2
+        bound = self.d.params.forest_cap(self._alpha())
         for v in range(self.n):
             deg = self.d.out_degree(v)
             require(deg <= bound, f"out-degree {deg} > {bound} at vertex {v}")

@@ -32,10 +32,11 @@ forests re-file their entries instead of dropping them, most factors
 answer from the memo with no access.  ``passes`` counts the misses.
 Whether a layer's tree factor is active is the truth of a live view of
 that forest's edge keys.
-The pooled cycle edges live in plain sets, so their parities are found
-by a walk over a component and cached here for every vertex of it until
-the decomposer's ``pool_version`` moves.  The code is packed during the
-pass, so the answer skips ``ColourCode``'s digit check, which holds by
+The pooled cycle edges live in plain sets, not in a link/cut structure;
+the decomposer files their parities in ``pool_parity`` at each pool
+edit, so the pooled digit is one dict read, and the factor is active
+while that table is non-empty.  The code is packed during the pass, so
+the answer skips ``ColourCode``'s digit check, which holds by
 construction.
 """
 
@@ -127,8 +128,6 @@ class ProductColouring:
         self._mode = mode
         self.forest_queries = 0
         self.passes = 0             # misses: the passes made, one per miss
-        self._pool = {}             # vertex -> pooled-forest parity
-        self._pool_version = None   # decomp.pool_version the cache is of
         # layer -> (memo get, forest, live view of its edge keys,
         # designated tails); layers are only ever appended, so the list
         # only grows with them
@@ -153,37 +152,6 @@ class ProductColouring:
             layers.extend((f.memo_get, f, f.edge_keys(), tails)
                           for f, tails in zip(d.F[k:], d.m_tail[k:]))
         return layers
-
-    def _pool_parity(self, v):
-        """Parity of v's distance to the smallest vertex of its pooled
-        component, from the cache when the pool has not changed since."""
-        d = self.d
-        pool = self._pool
-        if self._pool_version != d.pool_version:
-            pool.clear()
-            self._pool_version = d.pool_version
-        p = pool.get(v)
-        if p is None:
-            # The pooled cycle edges form a forest but live in plain
-            # sets, not in a link/cut structure: walk v's component once
-            # and file the parity of every vertex in it.  In a forest two
-            # distances from v have the parity of the path between their
-            # ends, so each vertex's parity is its distance from v plus
-            # the smallest vertex's.
-            incidence = d.incidence
-            dist = {v: 0}
-            order = [v]
-            for x in order:
-                for a, b in incidence.get(x, ()):
-                    y = b if a == x else a
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        order.append(y)
-            base = dist[min(dist)]
-            for x, k in dist.items():
-                pool[x] = (k + base) & 1
-            p = pool[v]
-        return p
 
     # ------------------------------------------------------------------
     # queries
@@ -237,8 +205,9 @@ class ProductColouring:
                         digits.append(p)
                         code += p * scale
                     scale *= 2
-            if d.incidence:
-                p = self._pool_parity(v)
+            pool = d.pool_parity
+            if pool:
+                p = pool.get(v, 0)
                 digits.append(p)
                 code += p * scale
                 scale *= 2
@@ -289,7 +258,7 @@ class ProductColouring:
         layers = self._layer_views()
         if self._mode == FOREST_MODE:
             total = 2 ** (sum(1 for _, _, edges, _ in layers if edges)
-                          + bool(d.incidence))
+                          + bool(d.pool_parity))
         else:
             total = 3 ** sum(1 for _, _, edges, tails in layers
                              if edges or tails)

@@ -49,6 +49,11 @@ A move edits the slot table first and a filler may take the vacated slot,
 so ``_unplace`` is handed the layer the edge left, and only ``m_tail``
 still knows a designated edge's old tail.  ``placed`` and ``m`` are views.
 
+``pool_parity`` holds the pooled forest's colour digit: each pooled
+vertex's distance parity to the smallest vertex of its pooled component.
+Each pool edit re-files the components it leaves by one walk, the walk
+the pool audits use too, and bumps their stamps.
+
 ``out_deg`` holds each vertex's rounded out-degree, its slot count plus 1
 if it has an H parent, so ``out_degree`` is one list read.  The table is
 written only where one of those two facts changes: the slot table's
@@ -102,7 +107,9 @@ class ArboricityDecomposer:
         self.F = []         # layer -> ParityForest of that layer's tree edges
         self.m_tail = []    # layer -> {tail vertex: designated cycle edge key}
         self.incidence = {} # vertex -> pooled cycle edge keys at it
-        self.pool_version = 0   # bumped by every change to ``incidence``
+        # vertex with a pooled edge -> parity of its distance to the
+        # smallest vertex of its pooled component: the pooled factor's digit
+        self.pool_parity = {}
         self.queue = deque()    # evicted or fresh edges awaiting placement
         self._dirty = deque()   # cycle edges whose pooled component needs audit
         self.moves = 0
@@ -247,38 +254,51 @@ class ArboricityDecomposer:
         self._pool_discard(self.m_tail[i].pop(t))
 
     def _pool_add(self, key):
-        """Pool a designated edge.  Every vertex of its new pooled
-        component is stamped, its tail among them, and the epoch moves
-        when the pool turns non-empty.  A layer holding a designated edge
-        also holds the tree path the edge closes, so ``m_tail`` never
-        turns a colour factor on or off by itself; the pool does."""
-        self.pool_version += 1
+        """Pool a designated edge and re-file its merged component.  The
+        epoch moves when the pool turns non-empty.  A layer holding a
+        designated edge also holds the tree path the edge closes, so
+        ``m_tail`` never turns a colour factor on or off by itself; the
+        pool does."""
         if not self.incidence:
             self.stamps.epoch += 1
         for v in key:
             self.incidence.setdefault(v, set()).add(key)
-        self._stamp_component(key)
+        self._file(key[0])
 
     def _pool_discard(self, key):
-        """Unpool a designated edge, stamped like ``_pool_add``."""
-        self.pool_version += 1
-        self._stamp_component(key)
+        """Unpool a designated edge and re-file both sides it leaves; an
+        end left with no pooled edge loses its entry.  The epoch moves
+        when the pool turns empty."""
         for v in key:
-            ks = self.incidence.get(v)
-            if ks is not None:
-                ks.discard(key)
-                if not ks:
-                    del self.incidence[v]
+            ks = self.incidence[v]
+            ks.discard(key)
+            if not ks:
+                del self.incidence[v]
+        a, b = key
+        if b not in self._file(a):
+            self._file(b)
         if not self.incidence:
             self.stamps.epoch += 1
 
-    def _stamp_component(self, key):
-        """Bump the stamp of every vertex of the pooled component holding
-        key: their pooled parities are measured from its smallest vertex,
-        which a merge or split can move."""
+    def _file(self, v):
+        """File the pooled parity of every vertex of v's pooled component
+        and bump its stamp: the parities are measured from the smallest
+        vertex, which an edit can move.  Returns the component's
+        distances from v."""
+        keys, dist = self._component(v)
+        parity = self.pool_parity
         stamp = self.stamps.of
-        for v in self._component(key)[1]:
-            stamp[v] += 1
+        # in a forest two distances from v have the parity of the path
+        # between their ends, so a vertex's parity is its distance from v
+        # plus the smallest vertex's; a pooled cycle the drain closes is
+        # re-filed by the discard that opens it
+        base = dist[min(dist)]
+        for x, k in dist.items():
+            parity[x] = (k + base) & 1
+            stamp[x] += 1
+        if not keys:
+            del parity[v]
+        return dist
 
     # ------------------------------------------------------------------
     # update pipeline
@@ -348,7 +368,7 @@ class ArboricityDecomposer:
         spot = self._spot(key)
         if spot is None or spot[0] != "M":
             return
-        comp_keys, comp_verts = self._component(key)
+        comp_keys, comp_verts = self._component(key[0])
         where = self.split.where
         by_label = {}
         for k in comp_keys:
@@ -369,21 +389,22 @@ class ArboricityDecomposer:
             self._break_cycle_step(cycle, comp_keys, comp_verts)
             self._dirty.extend(sorted(comp_keys))
 
-    def _component(self, start):
-        keys = {start}
-        verts = set(start)
-        frontier = list(start)
-        while frontier:
-            v = frontier.pop()
-            for k in self.incidence.get(v, ()):
-                if k in keys:
-                    continue
-                keys.add(k)
-                for w in k:
-                    if w not in verts:
-                        verts.add(w)
-                        frontier.append(w)
-        return keys, verts
+    def _component(self, v):
+        """The pooled component of vertex v, by one breadth-first walk:
+        its edge keys, and each vertex's distance from v."""
+        incidence = self.incidence
+        keys = set()
+        dist = {v: 0}
+        order = [v]
+        for x in order:
+            for k in incidence.get(x, ()):
+                if k not in keys:
+                    keys.add(k)
+                    y = _other(k, x)
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        order.append(y)
+        return keys, dist
 
     def _pool_cycle(self, comp_keys, comp_verts):
         """Some cycle among the pooled edges as (keys, vertices), or None."""
@@ -656,16 +677,24 @@ class ArboricityDecomposer:
         for v, ks in self.incidence.items():
             for k in ks:
                 require(v in k, v, k)
+        # a 2-colouring of each pooled tree, pinned by its smallest vertex,
+        # is the distance parity from that vertex
+        parity = self.pool_parity
+        require(parity.keys() == self.incidence.keys(), "pooled parity keys")
+        for a, b in pooled:
+            require(parity[a] != parity[b], "pooled parity", a, b)
         seen = set()
         width = max(1, self.split.partition_count())
         for k in pooled:
             if k in seen:
                 continue
-            comp_keys, _ = self._component(k)
+            comp_keys, comp_verts = self._component(k[0])
             seen |= comp_keys
             labels = [where[ck][1] for ck in comp_keys]   # slotted, see above
             require(len(labels) == len(set(labels)), "component not colourful")
             require(len(comp_keys) <= width, len(comp_keys), width)
+            low = min(comp_verts)
+            require(parity[low] == 0, "pooled parity", low)
         if alpha is not None:
-            cap = int((1 + self.params.epsilon) * alpha) + 2
+            cap = self.params.forest_cap(alpha)
             require(len(self.forests()) <= cap, len(self.forests()), cap)

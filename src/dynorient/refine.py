@@ -261,7 +261,7 @@ class RefinementEngine:
         require(is_forest(self.in_h), "H closed a cycle")
         self.H.verify()
         if alpha is not None:
-            cap = int((1 + p.epsilon) * alpha) + 2
+            cap = p.forest_cap(alpha)
             for v in range(p.n_cap):
                 d = len(self.rounded_out_edges(v))
                 require(d <= cap, v, d, cap)

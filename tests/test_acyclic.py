@@ -10,10 +10,10 @@ import pytest
 
 from dynorient import acyclic
 from dynorient.acyclic import BFOrienter
-from dynorient.errors import (ConfigurationError, DuplicateEdgeError,
-                              DynOrientError, MissingEdgeError,
-                              PromiseViolation, SelfLoopError,
-                              VertexRangeError)
+from dynorient.errors import (ConfigurationError, ConsistencyError,
+                              DuplicateEdgeError, DynOrientError,
+                              MissingEdgeError, PromiseViolation,
+                              SelfLoopError, VertexRangeError)
 from dynorient.forest import edge_key
 from dynorient.oracles import (exact_arboricity, is_acyclic, is_forest,
                                reverse_replay_reorientations)
@@ -35,6 +35,19 @@ def test_first_insert_turns_the_named_endpoint_into_a_sink():
     assert b.bf_out_edges(0) == []
     assert b.bf_out_edges(1) == [0]
     b.verify()
+
+
+def test_verify_rejects_a_directed_cycle():
+    # a 3-cycle fits every cap, list and count check; only the peeling
+    # finds it
+    b = BFOrienter(3, alpha_max=1)
+    for u, v in ((0, 1), (1, 2)):
+        b.bf_insert(u, v)
+    b.verify()
+    b.out = [[1], [2], [0]]
+    b.edge_count = 3
+    with pytest.raises(ConsistencyError, match="directed cycle"):
+        b.verify()
 
 
 def test_triangle_insertion_stays_acyclic_without_cascades():

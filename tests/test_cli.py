@@ -545,6 +545,19 @@ def test_run_rejects_a_bad_epsilon_as_usage(epsilon, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: epsilon")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--mode", "bf", "--alpha-max", "2", "--n", "6", "--epsilon=nan"],
+    ["--mode", "arb", "--n", "4", "--epsilon", "1e308"],
+], ids=["bf-nan", "arb-overflow"])
+def test_run_checks_epsilon_in_bf_mode_and_against_n(flags, tmp_path, capsys):
+    # bf mode reads no epsilon yet refuses a nan one as the decomposer
+    # modes do; a finite 1e308 overflows (1 + epsilon) * 4 on K4
+    k4 = [("a", u, v) for u in range(4) for v in range(u + 1, 4)]
+    code, text = run_cli(["run"] + flags + [write_trace(tmp_path, k4)])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error: epsilon")
+
+
 def test_run_rejects_a_nan_epsilon_under_python_O(tmp_path):
     path = write_trace(tmp_path, [("a", 0, 1), ("a", 1, 2)])
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -468,37 +468,47 @@ def _fresh_pool_parity(d, n):
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_cached_pool_parity_matches_a_fresh_walk_after_every_update(seed):
-    """The colouring caches pooled-cycle parities until the decomposer's
-    ``pool_version`` moves.  After every update of a dense churn, in both
-    modes and in a shuffled vertex order, the cached parity equals a
-    fresh walk, and so does the pooled digit of a forest-mode colour;
-    the replay both keeps and drops the cache many times."""
+    """The decomposer files pooled-cycle parities in ``pool_parity`` at
+    each pool edit.  After every update of a dense churn the table holds
+    exactly the pooled vertices, each at the parity a fresh walk finds,
+    and in a shuffled vertex order so does the pooled digit of a
+    forest-mode colour; the pool is non-empty after many updates."""
     from dynorient.colouring import ProductColouring
     rng = random.Random(seed)
     order = random.Random(seed + 1)
     n = 12
     d = decomposer(n=n, paranoid=False)
-    cols = [ProductColouring(d, mode=m)
-            for m in ("forest-decomposition", "pseudoforest")]
-    kept = dropped = 0
-    version = d.pool_version
+    col = ProductColouring(d, mode="forest-decomposition")
+    pooled = 0
     for _ in dense_churn(d, rng, n, 400, n * (n - 1) // 2 * 0.8, 0.1):
-        if d.incidence:
-            if d.pool_version == version:
-                kept += 1
-            else:
-                dropped += 1
-        version = d.pool_version
         want = _fresh_pool_parity(d, n)
+        assert d.pool_parity.keys() == d.incidence.keys()
+        assert [d.pool_parity.get(v, 0) for v in range(n)] == want
+        if not d.pool_parity:
+            continue
+        pooled += 1
         layers = sum(1 for f in d.F if len(f))
         vs = list(range(n))
         order.shuffle(vs)
-        for col in cols:
-            for v in vs:
-                assert col._pool_parity(v) == want[v], v
-                if d.incidence and col.mode() == "forest-decomposition":
-                    assert col.colour(v).digits[layers] == want[v], v
-    assert kept > 50 and dropped > 50, (kept, dropped)
+        for v in vs:
+            assert col.colour(v).digits[layers] == want[v], v
+    assert pooled > 300, pooled
+
+
+def test_verify_rejects_a_flipped_pooled_parity():
+    # the triangle's cycle edge (1, 2) pools 1 and 2, at parities 0 and 1
+    d = decomposer()
+    stage(d, TRIANGLE)
+    assert d.m_tail == [{1: (1, 2)}] and d.pool_parity == {1: 0, 2: 1}
+    d.verify()
+    for corrupt in ({1: 0, 2: 0}, {1: 1, 2: 0}, {1: 0, 2: 1, 5: 0}):
+        # one end flipped, the whole component swapped so that its
+        # smallest vertex reads 1, and an entry off the pool
+        d.pool_parity = corrupt
+        with pytest.raises(ConsistencyError, match="pooled parity"):
+            d.verify()
+    d.pool_parity = {1: 0, 2: 1}
+    d.verify()
 
 
 def test_out_of_range_vertex_is_rejected_and_changes_nothing():

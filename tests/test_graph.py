@@ -83,8 +83,9 @@ _BAD_EPSILONS = textwrap.dedent("""
     from fractions import Fraction
     from dynorient import ArboricityDecomposer, Params
     from dynorient.errors import ConfigurationError
+    # 1e308 is finite, but (1 + 1e308) * 4 overflows
     for bad in ("1", None, float("nan"), float("inf"), float("-inf"), 0,
-                -1.5, False, 1j, [1.0]):
+                -1.5, False, 1j, [1.0], 1e308):
         try:
             Params(n_cap=4, gamma=8, epsilon=bad)
         except ConfigurationError:
@@ -103,8 +104,9 @@ _BAD_EPSILONS = textwrap.dedent("""
 def test_epsilon_must_be_a_finite_real_above_zero(flags):
     """``Params`` raises ConfigurationError for an epsilon that is not a
     finite real above 0 (a string, None, nan, +-inf, 0, a negative, False,
-    a complex, a list), also under python -O; ints, floats, fractions and
-    True build a decomposer whose ``verify(alpha=1)`` passes."""
+    a complex, a list) or whose (1 + epsilon) * n_cap overflows, also
+    under python -O; ints, floats, fractions and True build a decomposer
+    whose ``verify(alpha=1)`` passes."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(graph.__file__)))
     proc = subprocess.run([sys.executable] + flags + ["-c", _BAD_EPSILONS],
                           capture_output=True, text=True, timeout=120,
