@@ -558,8 +558,6 @@ class ArboricityDecomposer:
         loop = list(zip(path, path[1:] + [h]))  # h -> ... -> t -> h
         suspects = [edge_key(a, b) for a, b in loop
                     if abs(loads[a] - loads[b]) >= 2]
-        if self.paranoid:
-            loads_before = list(loads)
         x = p.gamma - p.low_cut
         for a, b in loop:
             ca, cb = g.counts(a, b)
@@ -577,8 +575,6 @@ class ArboricityDecomposer:
         stamp[t] += 1
         stamp[h] += 1
         self.inversions += 1
-        if self.paranoid:
-            assert loads == loads_before, "inversion moved a load"
         if suspects:
             self._repair(suspects)
 

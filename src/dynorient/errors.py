@@ -33,10 +33,6 @@ class CycleError(DynOrientError):
     """Linking the two endpoints would close a cycle in a forest."""
 
 
-class NotConnectedError(DynOrientError):
-    """Path operation on endpoints in different trees."""
-
-
 class WeightRangeError(DynOrientError):
     """A path update would push some edge weight outside [0, gamma]."""
 

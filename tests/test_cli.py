@@ -110,6 +110,20 @@ def test_bf_mode_runs_and_reports_counters(tmp_path):
     assert report["counters"]["reorientations"] >= report["counters"]["flips"] > 0
 
 
+def test_bf_mode_answers_out_degrees_and_refuses_colours(tmp_path, capsys):
+    flags = ["run", "--mode", "bf", "--alpha-max", "1", "--n", "4"]
+    trace = write_trace(tmp_path, [("a", 0, 1), ("a", 1, 2), ("o", 1),
+                                   ("o", 0)])
+    code, text = run_cli(flags + [trace])
+    assert code == cli.EXIT_OK
+    assert [r["value"] for r in json.loads(text)["results"]] == [0, 1]
+    trace = write_trace(tmp_path, [("a", 0, 1), ("c", 1)], "colour.trace")
+    code, text = run_cli(flags + [trace])
+    assert code == cli.EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == (
+        "error: op 1 ('c', 1): colour queries need a decomposer mode\n")
+
+
 
 def _dense_churn_trace(seed, n=12, steps=150):
     """Churn on a near-complete graph, shaped like the decomposer's dense

@@ -19,7 +19,7 @@ from dynorient import forest
 from dynorient.errors import (ConsistencyError, CycleError, MissingEdgeError,
                               WeightRangeError)
 from dynorient.forest import LinkCutForest, ParityForest, edge_key
-from dynorient.oracles import NaiveWeightedForest
+from naive_oracles import NaiveWeightedForest
 
 
 def _recording(seen, which, shift):

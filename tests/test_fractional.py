@@ -11,9 +11,10 @@ from dynorient.errors import MissingEdgeError, SelfLoopError, DuplicateEdgeError
 from dynorient.forest import LinkCutForest, edge_key
 from dynorient.fractional import EdgeStore, FractionalOrienter
 from dynorient.graph import GraphState
-from dynorient.oracles import NaiveCopyWalk, check_eta_valid
+from dynorient.oracles import check_eta_valid
 from dynorient.params import Params
 from dynorient.refine import RefinementEngine
+from naive_oracles import NaiveCopyWalk
 
 
 def make(gamma, n=8, **kw):

@@ -16,9 +16,9 @@ from dynorient.colouring import ProductColouring
 from dynorient.forest import LinkCutForest
 from dynorient.fractional import EdgeStore, FractionalOrienter
 from dynorient.graph import GraphState
-from dynorient.oracles import NaiveCopyWalk
 from dynorient.params import Params
 from dynorient.traces import generate
+from naive_oracles import NaiveCopyWalk
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
