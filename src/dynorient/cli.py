@@ -118,27 +118,25 @@ class _Session:
     # ------------------------------------------------------------------
 
     def checks(self):
-        """(name, callable) pairs; callables raise on violation."""
+        """(name, callable) pairs; callables raise on violation.  The
+        exact arboricity, which both bounds read up to n = 12, is
+        computed once per call."""
         out = []
         if self.bf is not None:
             out.append(("engine-state", self.bf.verify))
             out.append(("partition-forests", self._check_partitions))
             return out
-        out.append(("engine-state", self._check_engine))
-        if self.n <= 12:
-            out.append(("out-degree-bound", self._check_out_degree))
+        alpha = exact_arboricity(self.live) if self.n <= 12 else None
+        out.append(("engine-state", lambda: self.d.verify(alpha=alpha)))
+        if alpha is not None:
+            out.append(("out-degree-bound",
+                        lambda: self._check_out_degree(alpha)))
         if self.mode in _COLOUR_MODE:
             out.append(("colouring-proper", self._check_proper))
         return out
 
-    def _alpha(self):
-        return exact_arboricity(sorted(self.live)) if self.live else 0
-
-    def _check_engine(self):
-        self.d.verify(alpha=self._alpha() if self.n <= 12 else None)
-
-    def _check_out_degree(self):
-        bound = self.d.params.forest_cap(self._alpha())
+    def _check_out_degree(self, alpha):
+        bound = self.d.params.forest_cap(alpha)
         for v in range(self.n):
             deg = self.d.out_degree(v)
             require(deg <= bound, f"out-degree {deg} > {bound} at vertex {v}")

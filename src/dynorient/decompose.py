@@ -14,9 +14,9 @@ Three mechanisms keep the layers aligned with the rounding as counts move:
 
 * slot diffs.  After each refinement update, every touched bundle's true
   tail is compared against its slot entry and the slot table replayed
-  (insert / delete / reorient).  Edges knocked out of a slot re-enter
-  through a placement queue that re-reads current state, so stale queue
-  entries are harmless.
+  by edge key (insert / remove / reorient).  Edges knocked out of a slot
+  re-enter through a placement queue that re-reads current state, so
+  stale queue entries are harmless.
 
 * cycle inversions.  Switching two designated cycle edges at a shared
   vertex needs both to point out of it, and a designated edge reverses by
@@ -57,8 +57,8 @@ the pool audits use too, and bumps their stamps.
 ``out_deg`` holds each vertex's rounded out-degree, its slot count plus 1
 if it has an H parent, so ``out_degree`` is one list read.  The table is
 written only where one of those two facts changes: the slot table's
-``on_insert``, ``on_delete`` and ``on_reorient`` move a slot count, and
-H's orienter (``hl.py``) an H parent, on the roots H's link and cut
+``insert``, ``remove`` and ``reorient`` move a slot count, and H's
+orienter (``hl.py``) an H parent, on the roots H's link and cut
 report.  ``verify`` checks every entry against the slot count and H's
 own root path, the definition ``rounded_out_edges`` reads.
 """
@@ -96,8 +96,8 @@ class ArboricityDecomposer:
         # rounded out-degree of every vertex, written by the slot table
         # and H's orienter
         self.out_deg = [0] * params.n_cap
-        self.refine = RefinementEngine(params, paranoid=paranoid,
-                                       stamps=self.stamps,
+        # the refinement is audited once per update, by verify below
+        self.refine = RefinementEngine(params, stamps=self.stamps,
                                        out_deg=self.out_deg)
         self.refine.on_pre_enroll = self._pull
         self.g = self.refine.g
@@ -141,7 +141,7 @@ class ArboricityDecomposer:
     def delete_edge(self, u, v):
         # before _pull, whose key lookup would take 1.0 for vertex 1
         check_ends(u, v, self.params.n_cap)
-        self._pull(u, v)
+        self._pull(edge_key(u, v))
         self._settle(self.refine.delete_edge(u, v))
 
     def forests(self):
@@ -209,13 +209,11 @@ class ArboricityDecomposer:
             path.append(_other(slots[x][i], x))
         return path
 
-    def _pull(self, a, b):
-        """Take edge (a, b) out of the slot table and its layer, if it is
+    def _pull(self, key):
+        """Take the edge out of the slot table and its layer, if it is
         slotted: it is leaving the layers, for good or for repair."""
-        key = edge_key(a, b)
-        slot = self.split.where.get(key)
-        if slot is not None:
-            self._apply_moves(self.split.on_delete(slot[0], _other(key, slot[0])))
+        if key in self.split.where:
+            self._apply_moves(self.split.remove(key))
 
     def _apply_moves(self, moves):
         self.moves += len(moves)
@@ -314,19 +312,18 @@ class ArboricityDecomposer:
         table.  Reading the slot entry fresh per key keeps compactions by
         earlier events from going stale."""
         for key in sorted(touched):
+            # a key with no tail left the slots on its way out: deleted,
+            # enrolled into H or pulled for repair
+            if key not in self.g.bundles or key in self.refine.in_h:
+                continue
+            ca, cb = self.store.true_counts(*key)
+            assert ca != cb, (key, ca)
+            new_tail = key[0] if ca > cb else key[1]
             old = self.split.where.get(key)
-            new_tail = None
-            if key in self.g.bundles and key not in self.refine.in_h:
-                ca, cb = self.store.true_counts(*key)
-                assert ca != cb, (key, ca)
-                new_tail = key[0] if ca > cb else key[1]
             if old is None:
-                if new_tail is not None:
-                    self._apply_moves(self.split.on_insert(new_tail, _other(key, new_tail)))
-            elif new_tail is None:
-                self._pull(*key)
+                self._apply_moves(self.split.insert(key, new_tail))
             elif old[0] != new_tail:
-                self._apply_moves(self.split.on_reorient(old[0], new_tail))
+                self._apply_moves(self.split.reorient(key, new_tail))
 
     def _drain_queue(self):
         guard = 0
@@ -508,9 +505,8 @@ class ArboricityDecomposer:
             self._invert(ip, p)
         if self._spot(q) == ("M", iq) and where[q][0] != v:
             self._invert(iq, q)
+        # a designated edge that kept its spot kept its tail, now v
         if self._spot(p) != ("M", ip) or self._spot(q) != ("M", iq):
-            return False
-        if where[p][0] != v or where[q][0] != v:
             return False
         self.surplus_ops += 1
         self.split.swap(v, ip, iq)
@@ -596,7 +592,7 @@ class ArboricityDecomposer:
                 if self.g.loads[s] - self.g.loads[d] < 2:
                     continue
                 if key in self.split.where:
-                    self._pull(*key)
+                    self._pull(key)
                     acted = True
                 removed = 0
                 limit = self.g.count(s, d)
@@ -625,6 +621,8 @@ class ArboricityDecomposer:
         g = self.g
         where = self.split.where
         in_h = self.refine.in_h
+        require(all(k in g.bundles and k not in in_h for k in where),
+                "a slotted key is no bundle outside H")
         for key in g.bundles:
             a, b = key
             ca, cb = self.store.true_counts(a, b)
@@ -660,8 +658,8 @@ class ArboricityDecomposer:
             # or the designated cycle edge
             for a, b in f.edges():
                 r = f.find_root(a)
-                held = self.split.slots.get(r, {}).get(i)
-                require(held is None or tails.get(r) == held, i, r, held)
+                row = self.split.slots.get(r, ())
+                require(len(row) <= i or tails.get(r) == row[i], i, r, row)
         root_edge = self.refine.H.first_edge_on_root_path
         for v, deg in enumerate(self.out_deg):
             require(deg == self.split.out_degree(v)
@@ -693,4 +691,5 @@ class ArboricityDecomposer:
             require(parity[low] == 0, "pooled parity", low)
         if alpha is not None:
             cap = self.params.forest_cap(alpha)
-            require(len(self.forests()) <= cap, len(self.forests()), cap)
+            count = len(self.forests())
+            require(count <= cap, count, cap)

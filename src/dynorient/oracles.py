@@ -12,8 +12,6 @@ from .forest import edge_key
 
 _SUBSET_CAP = 12
 
-_arb_cache = {}
-
 
 def _bit_adjacency(es):
     verts = sorted({x for e in es for x in e})
@@ -32,11 +30,7 @@ def exact_arboricity(edges) -> int:
     """Smallest number of forests covering all edges: ceil of the maximum
     over vertex subsets J of |E(J)| / (|V(J)| - 1)."""
     es = frozenset(edge_key(u, v) for u, v in edges)
-    hit = _arb_cache.get(es)
-    if hit is not None:
-        return hit
     if not es:
-        _arb_cache[es] = 0
         return 0
     adj = _bit_adjacency(es)
     size = 1 << len(adj)
@@ -50,9 +44,7 @@ def exact_arboricity(edges) -> int:
         d = mask.bit_count() - 1
         if d >= 1 and ne * best_d > best_n * d:
             best_n, best_d = ne, d
-    out = -(-best_n // best_d)
-    _arb_cache[es] = out
-    return out
+    return -(-best_n // best_d)
 
 
 # ----------------------------------------------------------------------

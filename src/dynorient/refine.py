@@ -69,9 +69,9 @@ class RefinementEngine:
         self.paranoid = paranoid
         self.inversions = 0
         self.expulsions = 0
-        # owners layering structures on top of H can ask to be told right
-        # before an edge is pulled into H, and can read back which bundles
-        # an update touched
+        # owners layering structures on top of H can ask to be handed an
+        # edge's key right before it is pulled into H, and can read back
+        # which bundles an update touched
         self.on_pre_enroll = None
         self._touched = set()
 
@@ -113,10 +113,11 @@ class RefinementEngine:
 
     def _enroll(self, a, b):
         """Move edge (a, b) into H, weight = current count toward b."""
+        key = edge_key(a, b)
         if self.on_pre_enroll is not None:
-            self.on_pre_enroll(a, b)
+            self.on_pre_enroll(key)
         self.hl.link(a, self.H.link(a, b, self.g.count(a, b)))
-        self._touched.add(edge_key(a, b))
+        self._touched.add(key)
 
     def _unhook(self, a, b):
         """Write the tree counts back and drop edge (a, b) from H."""

@@ -42,6 +42,26 @@ def test_gen_is_deterministic_and_parsable():
     assert text1.splitlines()[0].startswith(("a ", "d "))
 
 
+def test_run_computes_the_arboricity_once_per_checkpoint(tmp_path,
+                                                         monkeypatch):
+    """``engine-state`` and ``out-degree-bound`` share one exact
+    arboricity per checkpoint: one after every op, and one at the end."""
+    calls = []
+    exact = cli.exact_arboricity
+
+    def counted(edges):
+        calls.append(1)
+        return exact(edges)
+
+    monkeypatch.setattr(cli, "exact_arboricity", counted)
+    ops = generate("uniform-sparse", 8, 60, 2)
+    trace = write_trace(tmp_path, ops)
+    code, text = run_cli(["run", "--mode", "arb", "--n", "8",
+                          "--verify-every", "1", trace])
+    assert code == cli.EXIT_OK, text
+    assert len(calls) == len(ops) + 1
+
+
 def test_run_answers_queries_inline(tmp_path):
     trace = write_trace(tmp_path, [("a", 0, 1), ("o", 0), ("o", 1), ("c", 0),
                                    ("c", 1), ("x",)])

@@ -208,6 +208,27 @@ def test_dense_churn_exercises_inversion_repairs(seed):
     assert d.inversions >= 1 and d.repair_pairs >= 1
 
 
+def test_paranoid_update_audits_the_refinement_once(monkeypatch):
+    """A paranoid decomposer runs ``RefinementEngine.verify`` once per
+    update, from its own ``verify``, and not again inside the update."""
+    from dynorient.refine import RefinementEngine
+    audits = []
+    inner = RefinementEngine.verify
+
+    def counted(self, *args, **kw):
+        audits.append(self)
+        return inner(self, *args, **kw)
+
+    monkeypatch.setattr(RefinementEngine, "verify", counted)
+    rng = random.Random(2)
+    d = decomposer(n=10)
+    updates = 0
+    for _ in dense_churn(d, rng, 10, 200, 36, 0.1):
+        updates += 1
+    assert updates == 200 and d.inversions >= 1
+    assert len(audits) == updates and set(audits) == {d.refine}
+
+
 @pytest.mark.parametrize("seed", [2, 45])
 def test_out_degree_matches_the_h_root_path_definition(seed):
     # out_degree reads whether v has an H parent off the table H's
@@ -509,6 +530,17 @@ def test_verify_rejects_a_flipped_pooled_parity():
             d.verify()
     d.pool_parity = {1: 0, 2: 1}
     d.verify()
+
+
+def test_verify_rejects_a_slotted_key_that_is_no_bundle():
+    # the slot diffs skip keys that are no bundle outside H, so a stray
+    # slot would never leave the table
+    d = decomposer()
+    stage(d, TRIANGLE)
+    d.verify()
+    d.split.insert((3, 4), 3)
+    with pytest.raises(ConsistencyError, match="no bundle outside H"):
+        d.verify()
 
 
 def test_out_of_range_vertex_is_rejected_and_changes_nothing():

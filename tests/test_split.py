@@ -18,7 +18,7 @@ def layers_of(t):
 
 def test_first_out_edge_takes_slot_zero():
     t = SlotTable()
-    assert t.on_insert(3, 7) == [((3, 7), None, 0)]
+    assert t.insert((3, 7), 3) == [((3, 7), None, 0)]
     assert t.where[(3, 7)] == (3, 0)
     assert t.out_degree(3) == 1 and t.out_degree(7) == 0
     t.check()
@@ -26,8 +26,8 @@ def test_first_out_edge_takes_slot_zero():
 
 def test_reorient_sole_edge_moves_to_other_endpoint():
     t = SlotTable()
-    t.on_insert(0, 1)
-    moves = t.on_reorient(0, 1)
+    t.insert((0, 1), 0)
+    moves = t.reorient((0, 1), 1)
     assert moves == [((0, 1), 0, 0)]
     assert t.where[(0, 1)] == (1, 0)
     assert t.out_degree(0) == 0
@@ -36,11 +36,11 @@ def test_reorient_sole_edge_moves_to_other_endpoint():
 
 def test_reorient_middle_slot_logs_exactly_two_moves():
     t = SlotTable()
-    t.on_insert(0, 1)
-    t.on_insert(0, 2)
-    t.on_insert(0, 3)
-    t.on_insert(2, 9)      # target tail already has one out-edge
-    moves = t.on_reorient(0, 2)
+    t.insert((0, 1), 0)
+    t.insert((0, 2), 0)
+    t.insert((0, 3), 0)
+    t.insert((2, 9), 2)    # target tail already has one out-edge
+    moves = t.reorient((0, 2), 2)
     assert moves == [((0, 2), 1, 1), ((0, 3), 2, 1)]
     assert t.where[(0, 2)] == (2, 1)
     assert t.where[(0, 3)] == (0, 1)
@@ -49,10 +49,10 @@ def test_reorient_middle_slot_logs_exactly_two_moves():
 
 def test_delete_from_middle_slot_compacts_once():
     t = SlotTable()
-    t.on_insert(0, 1)
-    t.on_insert(0, 2)
-    t.on_insert(0, 3)
-    moves = t.on_delete(0, 2)
+    t.insert((0, 1), 0)
+    t.insert((0, 2), 0)
+    t.insert((0, 3), 0)
+    moves = t.remove((0, 2))
     assert moves == [((0, 2), 1, None), ((0, 3), 2, 1)]
     assert t.out_degree(0) == 2
     t.check()
@@ -61,16 +61,16 @@ def test_delete_from_middle_slot_compacts_once():
 def test_unassigned_edge_raises():
     t = SlotTable()
     with pytest.raises(MissingEdgeError):
-        t.on_delete(1, 2)
+        t.remove((1, 2))
     with pytest.raises(MissingEdgeError):
-        t.on_reorient(1, 2)
+        t.reorient((1, 2), 2)
     assert not t.where and not t.slots
 
 
 def test_swap_exchanges_two_slots_of_one_vertex():
     t = SlotTable()
-    t.on_insert(4, 1)
-    t.on_insert(4, 2)
+    t.insert((1, 4), 4)
+    t.insert((2, 4), 4)
     t.swap(4, 0, 1)
     assert t.where[(1, 4)] == (4, 1)
     assert t.where[(2, 4)] == (4, 0)
@@ -79,9 +79,9 @@ def test_swap_exchanges_two_slots_of_one_vertex():
 
 def test_rotate_shifts_tails_around_a_cycle():
     t = SlotTable()
-    t.on_insert(0, 1)
-    t.on_insert(1, 2)
-    t.on_insert(2, 0)
+    t.insert((0, 1), 0)
+    t.insert((1, 2), 1)
+    t.insert((0, 2), 2)
     t.rotate([((0, 1), 1), ((1, 2), 2), ((0, 2), 0)])
     assert t.where[(0, 1)] == (1, 0)
     assert t.where[(1, 2)] == (2, 0)
@@ -99,7 +99,7 @@ def random_driver(seed, ops, n=20, cap=4):
             u, v = rng.sample(range(n), 2)
             if edge_key(u, v) in t.where or len(out[u]) >= cap:
                 continue
-            moves = t.on_insert(u, v)
+            moves = t.insert(edge_key(u, v), u)
             out[u].add(edge_key(u, v))
         elif kind < 0.75 and t.where:
             key = rng.choice(sorted(t.where))
@@ -107,13 +107,13 @@ def random_driver(seed, ops, n=20, cap=4):
             head = key[0] if tail == key[1] else key[1]
             if len(out[head]) >= cap:
                 continue
-            moves = t.on_reorient(tail, head)
+            moves = t.reorient(key, head)
             out[tail].discard(key)
             out[head].add(key)
         elif t.where:
             key = rng.choice(sorted(t.where))
             tail = t.where[key][0]
-            moves = t.on_delete(*key)
+            moves = t.remove(key)
             out[tail].discard(key)
         else:
             continue
@@ -141,3 +141,99 @@ def test_layers_are_pseudoforests_and_bounded_by_degree_cap():
         assert is_pseudoforest(layer)
         tails = [t.where[k][0] for k in layer]
         assert len(tails) == len(set(tails))    # one out-edge per vertex
+
+
+def _model_remove(rows, key):
+    """Moves of dropping key from the plain per-vertex lists."""
+    row = next(r for r in rows.values() if key in r)
+    i = row.index(key)
+    last = row.pop()
+    if last == key:
+        return [(key, i, None)]
+    row[i] = last
+    return [(key, i, None), (last, len(row), i)]
+
+
+def _layer_cycle(t, i, start):
+    """The slot-i edges of the cycle reached from start, as (tail, key)
+    pairs in walk order, or None if the walk stops at a vertex with no
+    slot-i edge."""
+    seen = []
+    x = start
+    while x not in seen:
+        row = t.slots.get(x, [])
+        if len(row) <= i:
+            return None
+        seen.append(x)
+        a, b = row[i]
+        x = b if x == a else a
+    at = seen.index(x)
+    return [(v, t.slots[v][i]) for v in seen[at:]]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_random_events_match_a_plain_list_model(seed):
+    """Every event's move triples, and afterwards ``where``, the rows and
+    ``out_deg``, equal those of a plain list per vertex."""
+    rng = random.Random(seed)
+    n = 8
+    t = SlotTable()
+    rows = {v: [] for v in range(n)}
+    kinds = {"insert": 0, "remove": 0, "reorient": 0, "swap": 0, "rotate": 0}
+    for _ in range(3000):
+        kind = rng.choice(sorted(kinds))
+        live = sorted(t.where)
+        if kind == "insert":
+            u, v = rng.sample(range(n), 2)
+            key = edge_key(u, v)
+            if key in t.where:
+                continue
+            moves = t.insert(key, u)
+            rows[u].append(key)
+            want = [(key, None, len(rows[u]) - 1)]
+        elif kind == "remove" and live:
+            key = rng.choice(live)
+            moves = t.remove(key)
+            want = _model_remove(rows, key)
+        elif kind == "reorient" and live:
+            key = rng.choice(live)
+            tail = t.where[key][0]
+            head = key[0] if tail == key[1] else key[1]
+            moves = t.reorient(key, head)
+            want = _model_remove(rows, key)
+            rows[head].append(key)
+            want[0] = (key, want[0][1], len(rows[head]) - 1)
+        elif kind == "swap":
+            v = rng.randrange(n)
+            if len(rows[v]) < 2:
+                continue
+            i, j = rng.sample(range(len(rows[v])), 2)
+            moves = t.swap(v, i, j)
+            rows[v][i], rows[v][j] = rows[v][j], rows[v][i]
+            want = None
+        elif kind == "rotate" and live:
+            starts = [(i, v) for i in range(t.partition_count())
+                      for v in range(n)]
+            rng.shuffle(starts)
+            i, cycle = next(((i, c) for i, v in starts
+                             if (c := _layer_cycle(t, i, v))), (0, None))
+            if cycle is None:
+                continue
+            # each cycle edge turns to its head, which takes it in slot i
+            turned = [(key, key[0] if v == key[1] else key[1])
+                      for v, key in cycle]
+            moves = t.rotate(turned)
+            for key, head in turned:
+                rows[head][i] = key
+            want = None
+        else:
+            continue
+        kinds[kind] += 1
+        assert moves == want, (kind, moves, want)
+        assert t.where == {k: (v, i) for v, row in rows.items()
+                           for i, k in enumerate(row)}
+        assert {v: row for v, row in t.slots.items() if row} == \
+            {v: row for v, row in rows.items() if row}
+        assert all(t.out_deg[v] == len(rows[v]) for v in range(n))
+        t.check()
+    assert min(kinds.values()) >= 20, kinds
