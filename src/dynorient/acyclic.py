@@ -66,9 +66,6 @@ class BFOrienter:
             pass
         raise VertexRangeError(f"vertex {v!r} outside [0, {self.n_cap})")
 
-    def edges(self):
-        return sorted(edge_key(u, v) for u, lst in enumerate(self.out) for v in lst)
-
     def bf_insert(self, u, v):
         """Add the edge oriented away from u, then make u a sink and chase
         any out-degree overflows.  Returns (#vertices flipped, #single-edge

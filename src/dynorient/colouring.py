@@ -10,9 +10,9 @@ writes to them.
 
 Each colouring memoises its last answer per vertex, with the vertex's
 change stamp and the epoch it was made under (``forest.ChangeStamps``,
-owned by the decomposer).  A hit is one dict lookup and two int
-compares.  The stamps are exact because every input of an answer bumps
-one of them when it changes:
+owned by the refinement engine and adopted by the decomposer).  A hit
+is one dict lookup and two int compares.  The stamps are exact because
+every input of an answer bumps one of them when it changes:
 
 * a forest bumps a vertex's stamp when a link, cut or evert flips or
   drops that vertex's memoised depth parity, and when it first makes a
@@ -196,7 +196,7 @@ class ProductColouring:
                 if edges:
                     p = get(v)
                     if p is None:
-                        p = f.depth_parity(v, None)
+                        p = f.depth_parity(v)
                     if p is None:
                         reads += 1
                         digits.append(0)
@@ -220,7 +220,7 @@ class ProductColouring:
                 elif edges or tails:
                     p = get(v)
                     if p is None:
-                        p = f.depth_parity(v, None)
+                        p = f.depth_parity(v)
                     if p is None:
                         reads += 1
                         digits.append(0)
@@ -236,7 +236,7 @@ class ProductColouring:
             h = d.refine.H
             p = h.memo_get(v)
             if p is None:
-                p = h.depth_parity(v, None)
+                p = h.depth_parity(v)
             if p is None:
                 reads += 1
                 digits.append(0)

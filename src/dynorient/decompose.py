@@ -55,7 +55,9 @@ Each pool edit re-files the components it leaves by one walk, the walk
 the pool audits use too, and bumps their stamps.
 
 ``out_deg`` holds each vertex's rounded out-degree, its slot count plus 1
-if it has an H parent, so ``out_degree`` is one list read.  The table is
+if it has an H parent, so ``out_degree`` is one list read.  The table and
+the change stamps ``stamps`` are the refinement engine's, adopted here
+and handed to the slot table and every layer forest.  The table is
 written only where one of those two facts changes: the slot table's
 ``insert``, ``remove`` and ``reorient`` move a slot count, and H's
 orienter (``hl.py``) an H parent, on the roots H's link and cut
@@ -67,7 +69,7 @@ from collections import deque
 
 from .errors import (ConfigurationError, ConsistencyError, CycleError,
                      check_ends, check_vertex, require)
-from .forest import ChangeStamps, ParityForest, edge_key
+from .forest import ParityForest, edge_key
 from .oracles import is_forest
 from .refine import RefinementEngine
 from .split import SlotTable
@@ -90,16 +92,14 @@ class ArboricityDecomposer:
             )
         self.params = params
         self.paranoid = paranoid
+        self.refine = RefinementEngine(params)
+        self.refine.on_pre_enroll = self._pull
         # change stamps of every vertex, bumped by H, the layer forests,
         # the inversions and the pool edits; the colourings read them
-        self.stamps = ChangeStamps(params.n_cap)
+        self.stamps = self.refine.stamps
         # rounded out-degree of every vertex, written by the slot table
         # and H's orienter
-        self.out_deg = [0] * params.n_cap
-        # the refinement is audited once per update, by verify below
-        self.refine = RefinementEngine(params, stamps=self.stamps,
-                                       out_deg=self.out_deg)
-        self.refine.on_pre_enroll = self._pull
+        self.out_deg = self.refine.out_deg
         self.g = self.refine.g
         self.store = self.refine.store
         self.frac = self.refine.frac
@@ -127,7 +127,7 @@ class ArboricityDecomposer:
         """Key -> ("F", i) or ("M", i), read off ``F`` and ``m_tail``."""
         out = {}
         for i, (f, tails) in enumerate(zip(self.F, self.m_tail)):
-            out.update(dict.fromkeys(f.edges(), ("F", i)))
+            out.update(dict.fromkeys(f.edge_keys(), ("F", i)))
             out.update(dict.fromkeys(tails.values(), ("M", i)))
         return out
 
@@ -147,7 +147,7 @@ class ArboricityDecomposer:
     def forests(self):
         """The decomposition as sorted edge-key lists: tree layers, then
         the pooled cycle edges, then the ambiguous-count forest."""
-        out = [sorted(f.edges()) for f in self.F if len(f)]
+        out = [sorted(f.edge_keys()) for f in self.F if len(f)]
         pooled = sorted(k for ks in self.m for k in ks)
         if pooled:
             out.append(pooled)
@@ -532,8 +532,6 @@ class ArboricityDecomposer:
         self._pool_add(ykey)
         self.surplus_ops += 1
         self._dirty.append(ykey)
-        if self.paranoid:
-            assert f.find_root(y) == y, (ykey,)
 
     # ------------------------------------------------------------------
     # cycle inversion and validity repair
@@ -643,7 +641,7 @@ class ArboricityDecomposer:
         for i, f in enumerate(self.F):
             f.verify()
             tails = self.m_tail[i]
-            for k in f.edges():
+            for k in f.edge_keys():
                 require(k in g.bundles and k not in in_h
                         and where.get(k, (None, None))[1] == i, i, k)
             ends = set()
@@ -656,7 +654,7 @@ class ArboricityDecomposer:
                     ends.add(v)
             # a layer root holds no tree out-edge: its slot is either free
             # or the designated cycle edge
-            for a, b in f.edges():
+            for a, b in f.edge_keys():
                 r = f.find_root(a)
                 row = self.split.slots.get(r, ())
                 require(len(row) <= i or tails.get(r) == row[i], i, r, row)

@@ -82,13 +82,14 @@ v's root, so no write makes more root walks than a memo that dropped
 every changed tree.  A typed error is raised before any entry moves.
 Every other operation leaves all depths as they were (``path_update``
 restores the root it moved) and keeps the memo.  Reads create no node:
-a vertex the forest has never seen has depth parity 0 (or the caller's
-``default``), is its own root and has no edge on its root path.
+a vertex the forest has never seen has depth parity None, is its own
+root and has no edge on its root path.
 ``memo_get`` reads the memo alone, with no access, and ``verify``
 checks every entry and group against fresh reads.
 
-Both forests report to a ``ChangeStamps`` they are handed (or make their
-own), which the colourings read to keep their per-vertex answers exact:
+Both forests report to the ``ChangeStamps`` they are handed, which the
+refinement engine owns and the colourings read to keep their per-vertex
+answers exact:
 every memo entry a write flips or drops, and every vertex's first node,
 bumps that vertex's stamp, and a link onto an empty forest or a cut that
 empties it bumps the epoch.  An entry a write keeps as it was keeps its
@@ -98,8 +99,6 @@ Both forests are iterative throughout, so deep paths do not recurse.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from .errors import (ConfigurationError, CycleError, MissingEdgeError,
                      WeightRangeError, require)
@@ -310,13 +309,15 @@ class ChangeStamps:
     """Change stamps shared by the forests of one decomposition and read
     by its colourings: ``of[v]`` grows whenever a depth parity, node or
     designation of v that a colour reads may have changed, and ``epoch``
-    grows whenever a colour factor turns on or off.  ``of`` is a list of
-    ``n`` ints, or a dict that grows on demand when no ``n`` is given."""
+    grows whenever a colour factor turns on or off.  ``of`` holds ``n``
+    ints, one per vertex id.  The refinement engine owns the one table
+    of a decomposition and hands it to H and, through the decomposer, to
+    every layer forest."""
 
     __slots__ = ("of", "epoch")
 
-    def __init__(self, n=None):
-        self.of = defaultdict(int) if n is None else [0] * n
+    def __init__(self, n):
+        self.of = [0] * n
         self.epoch = 0
 
 
@@ -340,10 +341,10 @@ class _ParityMemo:
     Each vertex node also lists its neighbour nodes, the adjacency the
     cut walks its child side over."""
 
-    def __init__(self, stamps):
+    def __init__(self, stamps: ChangeStamps):
         self._parity = {}   # vertex -> depth parity
         self._tree = {}     # root -> _Group of the nodes memoised under it
-        self.stamps = ChangeStamps() if stamps is None else stamps
+        self.stamps = stamps
         # v's memoised depth parity, or None: a read with no access, for
         # callers that try the memo before ``depth_parity``
         self.memo_get = self._parity.get
@@ -463,14 +464,14 @@ class _ParityMemo:
         its truth test costs no Python-level call."""
         return self._e.keys()
 
-    def depth_parity(self, v: int, default=0):
+    def depth_parity(self, v: int):
         """Parity of the number of edges between v and its tree root;
-        ``default`` for a vertex the forest has never seen."""
+        None for a vertex the forest has never seen."""
         p = self._parity.get(v)
         if p is None:
             x = self._v.get(v)
             if x is None:
-                return default
+                return None
             p = self._remember(x, *self._read(x))
         return p
 
@@ -507,7 +508,7 @@ class LinkCutForest(_ParityMemo):
     """Weighted dynamic forest over integer vertex ids; every edge weight
     stays in [0, gamma], and reversal complements against gamma."""
 
-    def __init__(self, gamma: int, stamps: ChangeStamps = None):
+    def __init__(self, gamma: int, stamps: ChangeStamps):
         if gamma < 1:
             raise ConfigurationError(f"gamma must be at least 1, got {gamma}")
         super().__init__(stamps)
@@ -905,7 +906,7 @@ class ParityForest(_ParityMemo):
     """Rooted dynamic forest over integer vertex ids with root, connectivity
     and depth-parity reads and no weights."""
 
-    def __init__(self, stamps: ChangeStamps = None):
+    def __init__(self, stamps: ChangeStamps):
         super().__init__(stamps)
         self._v = {}
         self._e = {}      # edge key -> None, a set with a read-only view
@@ -924,10 +925,6 @@ class ParityForest(_ParityMemo):
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self._e
-
-    def edges(self):
-        """Iterate over edge keys currently in the forest."""
-        return iter(list(self._e))
 
     def __len__(self):
         return len(self._e)

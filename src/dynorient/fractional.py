@@ -71,7 +71,7 @@ class EdgeStore:
     def flip_copy(self, u, v):
         """Reorient one copy from u->v to v->u (no load change)."""
         if ((u, v) if u < v else (v, u)) not in self.in_tree:
-            self.g.move_copies(u, v, 1)
+            self.g.move_copies(u, v)
             return
         cu = self.tree.shift_edge_weight(u, v, -1)
         self.g.set_counts_raw(u, v, cu, self.g.gamma - cu)

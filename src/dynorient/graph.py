@@ -118,10 +118,10 @@ class GraphState:
         self.in_deg[v] -= 1
         self._bound_heap(v)
 
-    def move_copies(self, u: int, v: int, k: int = 1):
-        """Reorient k copies of (u, v) from u -> v to v -> u.  No load
-        change; WeightRangeError, with nothing changed, unless
-        0 <= k <= the copies oriented u -> v."""
+    def move_copies(self, u: int, v: int):
+        """Reorient one copy of (u, v) from u -> v to v -> u.  No load
+        change; WeightRangeError, with nothing changed, when no copy is
+        oriented u -> v."""
         if u < v:
             c = self.bundles.get((u, v))
             i = 0
@@ -132,14 +132,11 @@ class GraphState:
             raise MissingEdgeError(f"no edge {edge_key(u, v)}")
         cu = c[i]
         cv = c[1 - i]
-        if not 0 <= k <= cu:
-            raise WeightRangeError(
-                f"cannot move {k} of the {cu} copies oriented {u}->{v}")
-        if not k:
-            return
-        c[i] = cu - k
-        c[1 - i] = cv + k
-        if cu == k:
+        if not cu:
+            raise WeightRangeError(f"no copy oriented {u}->{v} to move")
+        c[i] = cu - 1
+        c[1 - i] = cv + 1
+        if cu == 1:
             self._lose_out(u, v)
         if not cv:
             self._gain_out(v, u)

@@ -6,24 +6,22 @@ out-edge.  H's ``LinkCutForest`` reports the roots its own ``link`` and
 ``cut`` move, and the refinement engine hands them on here, so each update
 costs O(1).  Each change of whether a vertex has an H parent adds or takes
 1 from its entry in ``out_deg``, the rounded out-degree table that
-``ArboricityDecomposer.out_degree`` reads; the slot table writes the rest
-of each entry.  The table is the one record of who has an H parent: the
-decomposer's audit checks each entry against H's
+``ArboricityDecomposer.out_degree`` reads.  The refinement engine owns
+that table and hands it here; the decomposer's slot table writes the
+rest of each entry.  The table is the one record of who has an H
+parent: the decomposer's audit checks each entry against H's
 ``first_edge_on_root_path``.  The class keeps the name of the heavy-path
 orienter it replaced, because the benchmark's tracer
 (``perfbench/tracer.py``) imports it by that name.
 """
 
-from collections import defaultdict
-
 
 class HeavyLightOrienter:
 
-    def __init__(self, out_deg=None):
-        # vertex -> 1 per H parent; a decomposer shares the table with
-        # its slot table, which adds the slot counts, and a table built
-        # here is a dict that grows on demand
-        self.out_deg = defaultdict(int) if out_deg is None else out_deg
+    def __init__(self, out_deg):
+        # vertex -> 1 per H parent; a decomposer's slot table adds the
+        # slot counts to the same table
+        self.out_deg = out_deg
 
     def link(self, u, root):
         """H everted u's tree at u and hung u below another vertex: the

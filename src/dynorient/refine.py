@@ -6,9 +6,13 @@ every H edge keeps its counts inside the closed interval widened by mu.  H is
 kept acyclic, so rounding is cheap: a non-H edge points away from its
 larger-count endpoint, and an H edge points from child to parent, so H
 contributes at most 1 per vertex.  ``hl.HeavyLightOrienter`` adds each
-H parent to the rounded out-degree table it is handed, from the roots H's
-link and cut report; H's root paths are the reference it is audited
-against.
+H parent to the rounded out-degree table, from the roots H's link and cut
+report; H's root paths are the reference it is audited against.
+
+The engine owns the two per-vertex tables of a decomposition, each of
+n_cap entries: the change stamps ``stamps`` that H bumps, and the rounded
+out-degree table ``out_deg`` that H's orienter writes.  The decomposer
+adopts both and hands them on to its layer forests and slot table.
 
 Updates run in two phases.  Phase one lets the fractional engine insert or
 delete the gamma copies; every bundle it touches lands on stack Q.  Phase two
@@ -39,7 +43,7 @@ import logging
 from collections import Counter
 
 from .errors import ConfigurationError, check_ends, check_vertex, require
-from .forest import LinkCutForest, edge_key
+from .forest import ChangeStamps, LinkCutForest, edge_key
 from .fractional import EdgeStore, FractionalOrienter
 from .graph import GraphState
 from .hl import HeavyLightOrienter
@@ -51,22 +55,19 @@ log = logging.getLogger(__name__)
 
 class RefinementEngine:
 
-    def __init__(self, params, paranoid: bool = False, stamps=None,
-                 out_deg=None):
+    def __init__(self, params):
         if params.gamma <= DELTA_NUM:
             raise ConfigurationError(
                 f"gamma must exceed {DELTA_NUM}, got {params.gamma}")
         self.params = params
         self.g = GraphState(params)
-        # H bumps the caller's change stamps, or its own when none given
-        self.H = LinkCutForest(params.gamma, stamps)
+        self.stamps = ChangeStamps(params.n_cap)
+        self.out_deg = [0] * params.n_cap
+        self.H = LinkCutForest(params.gamma, self.stamps)
         self.store = EdgeStore(self.g, self.H)
         self.frac = FractionalOrienter(self.g, self.store)
-        # H's orienter writes H parents into the caller's rounded
-        # out-degree table, or its own when none given
-        self.hl = HeavyLightOrienter(out_deg)
+        self.hl = HeavyLightOrienter(self.out_deg)
         self.in_h = self.H.edge_keys()   # H's edge set, a live view
-        self.paranoid = paranoid
         self.inversions = 0
         self.expulsions = 0
         # owners layering structures on top of H can ask to be handed an
@@ -85,8 +86,6 @@ class RefinementEngine:
         self._touched = {edge_key(u, v)}
         q = self.frac.gamma_insert(u, v)
         self._drain(q)
-        if self.paranoid:
-            self.verify()
         return set(self._touched)
 
     def delete_edge(self, u, v):
@@ -96,8 +95,6 @@ class RefinementEngine:
             self._unhook(u, v)
         q = self.frac.gamma_delete(u, v)
         self._drain(q)
-        if self.paranoid:
-            self.verify()
         return set(self._touched)
 
     def absorb(self, q):

@@ -14,26 +14,24 @@ layers.  Every move is reported as a ``(key, from_slot, to_slot)`` triple
 with None at a boundary; a downstream structure mirrors the moves,
 applying all removals before any insertion.
 
-Each vertex's out-edge count is also kept in ``out_deg`` as it changes:
-``insert`` adds 1 at the tail, ``remove`` takes 1 from it, and
-``reorient`` does both; the filler moves, ``swap`` and ``rotate`` leave
-every count as it was.
+Each vertex's out-edge count is also added to ``out_deg``, the rounded
+out-degree table the refinement engine owns and H's orienter shares, as
+it changes: ``insert`` adds 1 at the tail, ``remove`` takes 1 from it,
+and ``reorient`` does both; the filler moves, ``swap`` and ``rotate``
+leave every count as it was.
 """
-
-from collections import defaultdict
 
 from .errors import MissingEdgeError, require
 
 
 class SlotTable:
 
-    def __init__(self, out_deg=None):
+    def __init__(self, out_deg):
         self.slots = {}      # vertex -> row of edge keys, index = slot
         self.where = {}      # edge key -> (tail vertex, slot index)
-        # vertex -> out-edge count; a decomposer shares the table with
-        # H's orienter, which adds 1 per H parent, and a table built here
-        # is a dict that grows on demand
-        self.out_deg = defaultdict(int) if out_deg is None else out_deg
+        # vertex -> out-edge count, shared with H's orienter, which adds
+        # 1 per H parent
+        self.out_deg = out_deg
 
     # ------------------------------------------------------------------
     # queries

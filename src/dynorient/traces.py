@@ -190,17 +190,17 @@ def gen_forest_only(n, steps, seed, query_rate=0.0):
                                 query_rate=query_rate)
 
 
-def gen_uniform_sparse(n, steps, seed, density=2.0, query_rate=0.0):
-    """Uniform random churn held near ``density * n`` edges.
+def gen_uniform_sparse(n, steps, seed, query_rate=0.0):
+    """Uniform random churn held near ``2 * n`` edges.
 
     No arboricity control beyond sparsity itself, which already keeps
-    the expected arboricity O(density); cheap enough to generate for
-    very large n.
+    the expected arboricity O(1); cheap enough to generate for very
+    large n.
     """
     if n < 2:
         raise ConfigurationError("need at least two vertices")
     rng = random.Random(seed)
-    target = max(1, int(density * n))
+    target = 2 * n
     live = _EdgePool()
     ops = []
     while len(ops) < steps:

@@ -221,6 +221,9 @@ class NaiveWeightedForest:
         return w
 
     def depth_parity(self, v):
+        """None for a vertex the mirror has never seen, as in the forests."""
+        if v not in self.nbrs:
+            return None
         return (len(self._path_or_self(self.find_root(v), v)) - 1) & 1
 
     def _path_or_self(self, u, v):

@@ -18,7 +18,7 @@ import pytest
 from dynorient.acyclic import BFOrienter
 from dynorient.colouring import ProductColouring
 from dynorient.decompose import ArboricityDecomposer
-from dynorient.forest import LinkCutForest, edge_key
+from dynorient.forest import ChangeStamps, LinkCutForest, edge_key
 from dynorient.oracles import (check_eta_valid, exact_arboricity, is_acyclic,
                                is_forest)
 from dynorient.params import Params
@@ -28,8 +28,11 @@ from naive_oracles import NaiveWeightedForest, reverse_replay_reorientations
 
 @pytest.fixture(scope="module")
 def grid_traces():
-    """200 small churn traces spread over the (epsilon, gamma) grid."""
+    """200 small churn traces spread over the (epsilon, gamma) grid, each
+    with the exact arboricity of its live edge set after every op; the
+    oracle runs once per distinct edge set."""
     cases = []
+    arboricity = {}
     idx = 0
     for eps in (0.5, 1.0):
         for gamma in (8, 16):
@@ -40,8 +43,21 @@ def grid_traces():
                 alpha_max = rng.randrange(1, 4)
                 ops = generate("alpha-preserving", n, 40, seed=9000 + idx,
                                alpha_max=alpha_max)
+                live = set()
+                alphas = []
+                for op in ops:
+                    key = edge_key(op[1], op[2])
+                    if op[0] == "a":
+                        live.add(key)
+                    else:
+                        live.discard(key)
+                    es = frozenset(live)
+                    if es not in arboricity:
+                        arboricity[es] = exact_arboricity(es)
+                    alphas.append(arboricity[es])
                 cases.append({"eps": eps, "gamma": gamma, "n": n,
-                              "alpha_max": alpha_max, "ops": ops})
+                              "alpha_max": alpha_max, "ops": ops,
+                              "alphas": alphas})
     return cases
 
 
@@ -95,7 +111,8 @@ def _walk_root(f, v):
 def test_1_dynamic_forest_matches_the_naive_mirror():
     rng = random.Random(99)
     n, gamma = 200, 16
-    real, toy = LinkCutForest(gamma), NaiveWeightedForest(gamma)
+    real = LinkCutForest(gamma, ChangeStamps(n))
+    toy = NaiveWeightedForest(gamma)
     edges = []
     done = 0
     started = time.perf_counter()
@@ -154,9 +171,9 @@ def test_2_rounded_out_degree_stays_under_the_bound(grid_traces):
                    epsilon=case["eps"])
         d = ArboricityDecomposer(p, paranoid=False)
         live = set()
-        for op in case["ops"]:
+        for op, alpha in zip(case["ops"], case["alphas"]):
             _step(d, op, live)
-            bound = int((1 + case["eps"]) * exact_arboricity(live)) + 2
+            bound = int((1 + case["eps"]) * alpha) + 2
             worst = max(d.out_degree(v) for v in range(case["n"]))
             if worst > bound:
                 violations += 1
@@ -226,10 +243,10 @@ def test_4_decomposition_is_small_disjoint_and_covering(grid_traces):
                    epsilon=case["eps"])
         d = ArboricityDecomposer(p, paranoid=False)
         live = set()
-        for op in case["ops"]:
+        for op, alpha in zip(case["ops"], case["alphas"]):
             _step(d, op, live)
             parts = d.forests()
-            cap = int((1 + case["eps"]) * exact_arboricity(live)) + 2
+            cap = int((1 + case["eps"]) * alpha) + 2
             if len(parts) > cap:
                 violations += 1
             union = set()

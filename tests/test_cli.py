@@ -482,7 +482,7 @@ def _k5_session():
 
 def _cut_tree_edge(d):
     f = next(f for f in d.F if len(f))
-    f.cut(*sorted(f.edges())[0])
+    f.cut(*sorted(f.edge_keys())[0])
 
 
 def _drop_designation(d):

@@ -433,9 +433,9 @@ def test_a_repeated_query_is_a_memo_hit_with_no_forest_read(
             return fn(x)
         monkeypatch.setattr(forest, name, counted)
     for cls in (forest.ParityForest, forest.LinkCutForest):
-        def counted(self, v, default=0, fn=cls.depth_parity):
+        def counted(self, v, fn=cls.depth_parity):
             calls.append("depth_parity")
-            return fn(self, v, default)
+            return fn(self, v)
         monkeypatch.setattr(cls, "depth_parity", counted)
 
     def counted_pass(self, v, fn=ProductColouring._pass):

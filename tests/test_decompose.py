@@ -16,6 +16,7 @@ from dynorient.errors import (ConfigurationError, ConsistencyError,
 from dynorient.forest import edge_key
 from dynorient.oracles import exact_arboricity, is_forest
 from dynorient.params import Params
+from dynorient.refine import RefinementEngine
 
 
 def decomposer(n=10, gamma=8, paranoid=True, **kw):
@@ -211,7 +212,6 @@ def test_dense_churn_exercises_inversion_repairs(seed):
 def test_paranoid_update_audits_the_refinement_once(monkeypatch):
     """A paranoid decomposer runs ``RefinementEngine.verify`` once per
     update, from its own ``verify``, and not again inside the update."""
-    from dynorient.refine import RefinementEngine
     audits = []
     inner = RefinementEngine.verify
 
@@ -784,6 +784,27 @@ def test_verify_checks_every_out_degree_entry():
     d.verify()
 
 
+def test_the_refinement_owns_the_stamps_and_the_out_degree_table():
+    """A refinement engine builds the change stamps and the rounded
+    out-degree table as lists of n_cap entries; a decomposer adopts both
+    and shares each, by identity, with H, every layer forest, the slot
+    table and H's orienter."""
+    eng = RefinementEngine(Params(n_cap=7, gamma=8))
+    for u, v in ((0, 1), (1, 2), (0, 2)):
+        eng.insert_edge(u, v)
+    for table in (eng.stamps.of, eng.out_deg):
+        assert type(table) is list and len(table) == 7
+    d = decomposer(n=10, paranoid=False)
+    for _ in dense_churn(d, random.Random(2), 10, 120, 36, 0.1):
+        pass
+    r = d.refine
+    assert len(d.F) >= 2
+    assert d.stamps is r.stamps and r.H.stamps is r.stamps
+    assert all(f.stamps is r.stamps for f in d.F)
+    assert d.out_deg is r.out_deg
+    assert d.split.out_deg is r.out_deg and r.hl.out_deg is r.out_deg
+
+
 _BAD_UPDATE_IDS = textwrap.dedent("""
     import argparse
     from dynorient import cli
@@ -799,7 +820,7 @@ _BAD_UPDATE_IDS = textwrap.dedent("""
 
     def engine_state():
         return (sorted(eng.g.bundles.items()), list(eng.g.loads),
-                sorted(eng.in_h), sorted(eng.hl.out_deg.items()))
+                sorted(eng.in_h), list(eng.hl.out_deg))
 
     before = (sess.state_hash(), engine_state())
     for target in (sess.d, eng):

@@ -18,8 +18,20 @@ from hypothesis import given, settings, strategies as st
 from dynorient import forest
 from dynorient.errors import (ConsistencyError, CycleError, MissingEdgeError,
                               WeightRangeError)
-from dynorient.forest import LinkCutForest, ParityForest, edge_key
+from dynorient.forest import (ChangeStamps, LinkCutForest, ParityForest,
+                              edge_key)
 from naive_oracles import NaiveWeightedForest
+
+
+def _weighted(gamma, n=64):
+    """H's forest over vertex ids below n, with change stamps of its own."""
+    return LinkCutForest(gamma, ChangeStamps(n))
+
+
+def _lean(n=64):
+    """A layer forest over vertex ids below n, with change stamps of its
+    own."""
+    return ParityForest(ChangeStamps(n))
 
 
 def _recording(seen, which, shift):
@@ -77,7 +89,7 @@ def _reroot(f, u, mirror=None):
 
 
 def test_link_singletons_weight_three():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 3)
     assert _range(f, 0, 1) == (3, 3)
     assert f.edge_weight(0, 1) == 3
@@ -85,7 +97,7 @@ def test_link_singletons_weight_three():
 
 
 def test_link_weight_at_gamma_cap():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 8)
     assert _range(f, 0, 1) == (8, 8)
     with pytest.raises(WeightRangeError):
@@ -93,7 +105,7 @@ def test_link_weight_at_gamma_cap():
 
 
 def test_duplicate_link_rejected():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 4)
     with pytest.raises(CycleError):
         f.link(0, 1, 4)
@@ -106,7 +118,7 @@ def test_duplicate_link_rejected():
 
 def _abc_path(gamma=8):
     # a-b-c with numerators 3 at a (edge ab) and 5 at b (edge bc)
-    f = LinkCutForest(gamma=gamma)
+    f = _weighted(gamma)
     f.link(0, 1, 3)
     f.link(1, 2, 5)
     return f
@@ -166,7 +178,7 @@ def test_extreme_edge_witnesses():
 
 
 def test_extreme_tie_breaks_toward_first_endpoint():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     for a, b in ((0, 1), (1, 2), (2, 3)):
         f.link(a, b, 4)
     assert edge_key(*_extreme(f, 0, 3, "min")) == (0, 1)
@@ -174,7 +186,7 @@ def test_extreme_tie_breaks_toward_first_endpoint():
 
 
 def test_roots_through_link_and_cut():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 4)       # combined tree keeps 1's root
     assert _root(f, 0) == 1
     f.link(1, 2, 4)       # now rooted at 2
@@ -203,7 +215,7 @@ def test_roots_through_link_and_cut():
 
 
 def test_cut_only_edge_isolates_both():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 4)
     f.cut(0, 1)
     assert _root(f, 0) == 0
@@ -214,7 +226,7 @@ def test_cut_only_edge_isolates_both():
 
 
 def test_parities_and_first_edge():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 4)
     f.link(1, 2, 4)
     assert _root(f, 0) == 2
@@ -230,22 +242,22 @@ def test_parities_and_first_edge():
 
 
 def test_isolated_vertex_defaults():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     assert _root(f, 7) == 7
-    assert f.depth_parity(7) == 0
+    assert f.depth_parity(7) is None
     assert f.first_edge_on_root_path(7) is None
 
 
 _GAMMA_CHECK = textwrap.dedent("""
     from dynorient.errors import ConfigurationError
-    from dynorient.forest import LinkCutForest
+    from dynorient.forest import ChangeStamps, LinkCutForest
     for gamma in (0, -3):
         try:
-            LinkCutForest(gamma)
+            LinkCutForest(gamma, ChangeStamps(2))
         except ConfigurationError:
             continue
         raise SystemExit(f"LinkCutForest({gamma}) was built")
-    LinkCutForest(1).link(0, 1, 1)
+    LinkCutForest(1, ChangeStamps(2)).link(0, 1, 1)
     print("refused")
 """)
 
@@ -263,19 +275,19 @@ def test_gamma_below_one_is_a_configuration_error(flags):
 
 
 def test_reads_of_an_unseen_vertex_create_no_node():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 4)
     assert f.first_edge_on_root_path(7) is None and _range(f, 7, 0) is None
-    assert f.depth_parity(7, None) is None
-    p = ParityForest()
+    assert f.depth_parity(7) is None
+    p = _lean()
     p.link(0, 1)
-    assert p.find_root(5) == 5 and p.depth_parity(5, None) is None
+    assert p.find_root(5) == 5 and p.depth_parity(5) is None
     assert not p.connected(5, 5)
 
 
 def test_path_ops_require_connectivity():
     # with no u..v path, path_update answers None without asking decide
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 4)
     seen = []
     assert f.path_update(0, 2, _recording(seen, "min", 1)) is None
@@ -323,17 +335,16 @@ def _trees(mirror):
 def _check_parities(f, mirror, n, changed=()):
     """Every vertex's depth parity against the mirror, read twice so the
     second read comes from the memo.  A vertex the mirror has never seen
-    reads 0 and stays unseen by it.  Outside ``changed``, the tree the
+    reads None and stays unseen by it.  Outside ``changed``, the tree the
     last write changed, every parity was read before that write, so its
     first read comes from the memo too, with no access at all."""
     with _accesses() as spent:
         for x in range(n):
             if x not in changed:
-                want = mirror.depth_parity(x) if mirror.has_vertex(x) else 0
-                assert f.depth_parity(x) == want, x
+                assert f.depth_parity(x) == mirror.depth_parity(x), x
     assert spent[0] == 0, "a write dropped the memo of another tree"
     for x in range(n):
-        want = mirror.depth_parity(x) if mirror.has_vertex(x) else 0
+        want = mirror.depth_parity(x)
         assert f.depth_parity(x) == want, x
         assert f.depth_parity(x) == want, x
 
@@ -398,7 +409,7 @@ def _drive(seed, n, steps, gamma=8):
     hit the memo.  Returns the path_update outcomes seen and the most
     trees with an edge held at once."""
     rng = random.Random(seed)
-    real = LinkCutForest(gamma)
+    real = _weighted(gamma)
     mirror = NaiveWeightedForest(gamma)
     edges = []
     kinds = set()
@@ -476,7 +487,7 @@ def test_mirror_equivalence_medium(seed):
 
 def test_deep_path_no_recursion_trouble():
     n = 3000
-    f = LinkCutForest(gamma=4)
+    f = _weighted(4, n)
     for i in range(n - 1):
         f.link(i + 1, i, 2)   # keeps root at 0, path grows downward
     assert _root(f, n - 1) == 0
@@ -515,7 +526,7 @@ def test_path_update_matches_mirror_fuzz(seed, n):
 
 def test_path_update_pinned_witnesses_and_shift():
     # a-b-c-d rooted at d, numerators 4, 2, 2 from the a side
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     f.link(0, 1, 4)
     f.link(1, 2, 2)
     f.link(2, 3, 2)
@@ -533,7 +544,7 @@ def test_path_update_pinned_witnesses_and_shift():
 
 def test_path_update_deep_path():
     n = 3000
-    f = LinkCutForest(gamma=4)
+    f = _weighted(4, n)
     for i in range(n - 1):
         f.link(i + 1, i, 2)   # keeps root at 0, path grows downward
     assert f.shift_edge_weight(n // 2, n // 2 + 1, -1) == 1
@@ -571,7 +582,7 @@ def _compare_parity(lean, mirror, verts):
             assert lean.connected(x, y) == mirror.connected(x, y), (x, y)
             assert lean.has_edge(x, y) == mirror.has_edge(x, y), (x, y)
     assert len(lean) == len(mirror.ew)
-    assert set(lean.edges()) == set(mirror.ew)
+    assert set(lean.edge_keys()) == set(mirror.ew)
 
 
 def _drive_parity(seed, n, steps):
@@ -582,7 +593,7 @@ def _drive_parity(seed, n, steps):
     child first, which leaves every root where the lean forest's cut does.
     Returns the most trees with an edge held at once."""
     rng = random.Random(seed)
-    lean = ParityForest()
+    lean = _lean()
     mirror = NaiveWeightedForest(1)
     edges = []
     most = 0
@@ -642,7 +653,7 @@ def test_parity_forest_matches_mirror_fuzz(seed, n):
 @pytest.mark.parametrize("child_first", [True, False])
 def test_parity_forest_cut_keeps_both_roots(child_first):
     # a-b-c-d rooted at d
-    f = ParityForest()
+    f = _lean()
     f.link(0, 1)
     f.link(1, 2)
     f.link(2, 3)
@@ -672,7 +683,7 @@ def test_parity_forest_cut_keeps_both_roots(child_first):
 
 def test_parity_forest_deep_path_no_recursion_trouble():
     n = 3000
-    f = ParityForest()
+    f = _lean(n)
     for i in range(n - 1):
         f.link(i + 1, i)      # keeps root at 0, path grows downward
     assert f.find_root(n - 1) == 0
@@ -706,14 +717,14 @@ def _counted_accesses(monkeypatch):
 
 
 def _weighted_path():
-    f = LinkCutForest(gamma=8)
+    f = _weighted(8)
     for a in range(3):
         f.link(a, a + 1, 4)         # 0-1-2-3 rooted at 3
     return f
 
 
 def _lean_path():
-    f = ParityForest()
+    f = _lean()
     for a in range(3):
         f.link(a, a + 1)
     return f
@@ -723,12 +734,11 @@ def _lean_path():
 def test_parity_read_creates_no_vertex(make):
     f = make()
     nodes = len(f._v)
-    assert f.depth_parity(9) == 0
+    assert f.depth_parity(9) is None
     if isinstance(f, ParityForest):
         assert not f.connected(9, 9) and f.find_root(9) == 9
     else:
         assert f.first_edge_on_root_path(9) is None and _range(f, 9, 0) is None
-    assert f.depth_parity(9, None) is None
     assert len(f._v) == nodes
 
 
@@ -848,7 +858,7 @@ def test_weighted_memo_follows_links_cuts_and_path_updates(seed):
     H's forest beside the naive mirror, checked by _check_memo_moves."""
     rng = random.Random(seed)
     n, gamma = 24, 8
-    real = LinkCutForest(gamma)
+    real = _weighted(gamma)
     mirror = NaiveWeightedForest(gamma)
     edges = []
     total = [0, 0, 0]
@@ -882,7 +892,7 @@ def test_lean_memo_follows_links_cuts_and_set_root(seed):
     layer forest beside the naive mirror, checked by _check_memo_moves."""
     rng = random.Random(seed)
     n = 24
-    lean = ParityForest()
+    lean = _lean()
     mirror = NaiveWeightedForest(1)
     edges = []
     total = [0, 0, 0]

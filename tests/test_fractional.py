@@ -8,7 +8,7 @@ import pytest
 
 import dynorient
 from dynorient.errors import MissingEdgeError, SelfLoopError, DuplicateEdgeError
-from dynorient.forest import LinkCutForest, edge_key
+from dynorient.forest import ChangeStamps, LinkCutForest, edge_key
 from dynorient.fractional import EdgeStore, FractionalOrienter
 from dynorient.graph import GraphState
 from dynorient.oracles import check_eta_valid
@@ -21,7 +21,8 @@ def make(gamma, n=8, **kw):
     p = Params(gamma=gamma, n_cap=n, **kw)
     g = GraphState(p)
     # the tree has no edges, so every key goes to the raw tables
-    return g, FractionalOrienter(g, EdgeStore(g, LinkCutForest(gamma)))
+    tree = LinkCutForest(gamma, ChangeStamps(n))
+    return g, FractionalOrienter(g, EdgeStore(g, tree))
 
 
 def in_nbrs(g, v):
@@ -160,7 +161,7 @@ def test_update_nbrs_without_provider_is_noop():
 def test_chain_flips_route_through_resident_edges():
     # full bundles only: a resident edge's counts always sum to gamma
     g, _ = make(gamma=4, n=4)
-    forest = LinkCutForest(4)
+    forest = LinkCutForest(4, ChangeStamps(4))
     fo = FractionalOrienter(g, EdgeStore(g, forest))
     stage_chain(g, [(0, 3, 4, 0), (1, 2, 3, 1)])
     assert g.loads[:4] == [4, 3, 1, 0]
@@ -466,14 +467,15 @@ def test_drain_of_a_raw_log_decides_as_its_deduplicated_log(seed):
 
 _WALK_PAST_ITS_BOUND = textwrap.dedent("""
     from dynorient.errors import ConsistencyError
-    from dynorient.forest import LinkCutForest
+    from dynorient.forest import ChangeStamps, LinkCutForest
     from dynorient.fractional import EdgeStore, FractionalOrienter
     from dynorient.graph import GraphState
     from dynorient.params import Params
 
     def make():
         g = GraphState(Params(n_cap=6, gamma=8))
-        return g, FractionalOrienter(g, EdgeStore(g, LinkCutForest(8)))
+        tree = LinkCutForest(8, ChangeStamps(6))
+        return g, FractionalOrienter(g, EdgeStore(g, tree))
 
     def any_in_nbr(self, v):
         # the heaviest in-neighbour, whatever its load

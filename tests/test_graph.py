@@ -161,12 +161,13 @@ def test_move_copies_and_membership():
     g = GraphState(small_params())
     g.add_bundle(0, 1)
     g.set_counts_raw(0, 1, 3, 5)
-    g.move_copies(0, 1, 3)
-    assert g.counts(0, 1) == (0, 8)
-    assert 1 not in g.out_nbrs[0]
-    assert 0 in g.out_nbrs[1]
+    for left in (2, 1, 0):
+        g.move_copies(0, 1)
+        assert g.counts(0, 1) == (left, 8 - left)
+        assert (1 in g.out_nbrs[0]) == (left > 0)
+        assert 0 in g.out_nbrs[1]
     with pytest.raises(WeightRangeError):
-        g.move_copies(0, 1, 1)
+        g.move_copies(0, 1)
     assert g.counts(0, 1) == (0, 8)
 
 
@@ -185,8 +186,7 @@ _RAW_WRITES_UNDER_O = textwrap.dedent("""
                 list(g.loads), [set(s) for s in g.out_nbrs], list(g.in_deg))
 
     before = state()
-    bad = [(lambda: g.move_copies(0, 1, 1), WeightRangeError),
-           (lambda: g.move_copies(1, 0, -1), WeightRangeError),
+    bad = [(lambda: g.move_copies(0, 1), WeightRangeError),
            (lambda: g.set_counts_raw(0, 1, -1, 8), WeightRangeError),
            (lambda: g.set_counts_raw(0, 1, 1, 8), WeightRangeError),
            (lambda: g.bump_load(0, -1), ConsistencyError),
@@ -206,7 +206,7 @@ _RAW_WRITES_UNDER_O = textwrap.dedent("""
 
 def test_raw_writes_raise_typed_errors_before_any_write_under_python_O():
     # a raw flip of a copy that is not there once drove a count negative
-    # under -O: set_counts_raw(0, 1, 0, 8), then move_copies(0, 1, 1)
+    # under -O: set_counts_raw(0, 1, 0, 8), then move_copies(0, 1)
     src = os.path.dirname(os.path.dirname(os.path.abspath(graph.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", _RAW_WRITES_UNDER_O],
                           capture_output=True, text=True, timeout=120,

@@ -15,7 +15,7 @@ import pytest
 
 from dynorient import forest
 from dynorient.errors import MissingEdgeError
-from dynorient.forest import LinkCutForest, edge_key
+from dynorient.forest import ChangeStamps, LinkCutForest, edge_key
 from dynorient.hl import HeavyLightOrienter
 
 
@@ -40,11 +40,12 @@ def lct_root(lct, v):
 
 
 class Pair:
-    """A link-cut forest and the orienter it feeds."""
+    """A link-cut forest over vertex ids below n and the orienter it
+    feeds."""
 
-    def __init__(self):
-        self.H = LinkCutForest(8)
-        self.hl = HeavyLightOrienter()
+    def __init__(self, n=8):
+        self.H = LinkCutForest(8, ChangeStamps(n))
+        self.hl = HeavyLightOrienter([0] * n)
 
     def link(self, u, v):
         self.hl.link(u, self.H.link(u, v, 4))
@@ -86,7 +87,7 @@ def test_roots_track_link_cut_forest(offset):
     rng = random.Random(11)
     n = 24
     vs = [v + offset for v in range(n)]
-    t = Pair()
+    t = Pair(offset + n)
     edges = set()
     everts = 0
     for step in range(600):
@@ -142,7 +143,7 @@ def test_a_reroot_walks_once_where_the_mirror_walked_the_path(monkeypatch, n):
         return fn(x)
 
     monkeypatch.setattr(forest, "_wfirst", counted)
-    t = Pair()
+    t = Pair(n)
     for v in range(n - 1):
         t.link(v, v + 1)                 # the path, rooted at n - 1
     root, leaf = n - 1, 0

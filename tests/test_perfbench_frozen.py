@@ -13,7 +13,7 @@ import random
 
 from dynorient import cli
 from dynorient.colouring import ProductColouring
-from dynorient.forest import LinkCutForest
+from dynorient.forest import ChangeStamps, LinkCutForest
 from dynorient.fractional import EdgeStore, FractionalOrienter
 from dynorient.graph import GraphState
 from dynorient.params import Params
@@ -73,7 +73,8 @@ def test_benchmark_tracer_counts_every_copy_flip():
     try:
         tracer.install()
         g = GraphState(Params(n_cap=n, gamma=gamma))
-        fo = FractionalOrienter(g, EdgeStore(g, LinkCutForest(gamma)))
+        fo = FractionalOrienter(
+            g, EdgeStore(g, LinkCutForest(gamma, ChangeStamps(n))))
         ref = NaiveCopyWalk(gamma, g.loads)
         tracer.enabled = True
         for _ in range(150):

@@ -10,9 +10,8 @@ from dynorient.params import Params
 from dynorient.refine import RefinementEngine
 
 
-def engine(n=8, gamma=8, paranoid=True, **kw):
-    p = Params(n_cap=n, gamma=gamma, epsilon=kw.pop("epsilon", 1.0))
-    return RefinementEngine(p, paranoid=paranoid)
+def engine(n=8, gamma=8):
+    return RefinementEngine(Params(n_cap=n, gamma=gamma, epsilon=1.0))
 
 
 def stage(eng, h_edges=(), raw_edges=()):
@@ -67,6 +66,7 @@ def test_verify_catches_a_load_moved_between_vertices():
 def test_verify_catches_an_in_degree_off_its_in_neighbours():
     eng = engine(n=3)
     eng.insert_edge(0, 1)
+    eng.verify()
     eng.insert_edge(1, 2)
     eng.verify()
     # the heaps' rebuild rule reads the in-degrees alone
@@ -78,6 +78,7 @@ def test_verify_catches_an_in_degree_off_its_in_neighbours():
 def test_duplicate_and_missing_raise():
     eng = engine()
     eng.insert_edge(0, 1)
+    eng.verify()
     with pytest.raises(DuplicateEdgeError):
         eng.insert_edge(1, 0)
     with pytest.raises(MissingEdgeError):
@@ -104,6 +105,7 @@ def test_delete_restores_empty_state():
     tri = [(0, 1), (1, 2), (2, 0)]
     for u, v in tri:
         eng.insert_edge(u, v)
+        eng.verify()
     for u, v in tri:
         eng.delete_edge(u, v)
         eng.verify()
@@ -242,8 +244,8 @@ class FifoEngine(RefinementEngine):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_drain_order_does_not_affect_invariants(seed):
     rng = random.Random(seed)
-    lifo = engine(n=10, paranoid=False)
-    fifo = FifoEngine(lifo.params, paranoid=False)
+    lifo = engine(n=10)
+    fifo = FifoEngine(lifo.params)
     present = set()
     for _ in range(80):
         if present and rng.random() < 0.35:
@@ -266,7 +268,7 @@ def test_drain_order_does_not_affect_invariants(seed):
 @pytest.mark.parametrize("seed,gamma", [(3, 8), (4, 16)])
 def test_random_trace_meets_rounded_degree_bound(seed, gamma):
     rng = random.Random(seed)
-    eng = engine(n=8, gamma=gamma, paranoid=False)
+    eng = engine(n=8, gamma=gamma)
     present = set()
     for _ in range(70):
         if present and rng.random() < 0.3:

@@ -17,7 +17,7 @@ def layers_of(t):
 
 
 def test_first_out_edge_takes_slot_zero():
-    t = SlotTable()
+    t = SlotTable([0] * 10)
     assert t.insert((3, 7), 3) == [((3, 7), None, 0)]
     assert t.where[(3, 7)] == (3, 0)
     assert t.out_degree(3) == 1 and t.out_degree(7) == 0
@@ -25,7 +25,7 @@ def test_first_out_edge_takes_slot_zero():
 
 
 def test_reorient_sole_edge_moves_to_other_endpoint():
-    t = SlotTable()
+    t = SlotTable([0] * 10)
     t.insert((0, 1), 0)
     moves = t.reorient((0, 1), 1)
     assert moves == [((0, 1), 0, 0)]
@@ -35,7 +35,7 @@ def test_reorient_sole_edge_moves_to_other_endpoint():
 
 
 def test_reorient_middle_slot_logs_exactly_two_moves():
-    t = SlotTable()
+    t = SlotTable([0] * 10)
     t.insert((0, 1), 0)
     t.insert((0, 2), 0)
     t.insert((0, 3), 0)
@@ -48,7 +48,7 @@ def test_reorient_middle_slot_logs_exactly_two_moves():
 
 
 def test_delete_from_middle_slot_compacts_once():
-    t = SlotTable()
+    t = SlotTable([0] * 10)
     t.insert((0, 1), 0)
     t.insert((0, 2), 0)
     t.insert((0, 3), 0)
@@ -59,7 +59,7 @@ def test_delete_from_middle_slot_compacts_once():
 
 
 def test_unassigned_edge_raises():
-    t = SlotTable()
+    t = SlotTable([0] * 10)
     with pytest.raises(MissingEdgeError):
         t.remove((1, 2))
     with pytest.raises(MissingEdgeError):
@@ -68,7 +68,7 @@ def test_unassigned_edge_raises():
 
 
 def test_swap_exchanges_two_slots_of_one_vertex():
-    t = SlotTable()
+    t = SlotTable([0] * 10)
     t.insert((1, 4), 4)
     t.insert((2, 4), 4)
     t.swap(4, 0, 1)
@@ -78,7 +78,7 @@ def test_swap_exchanges_two_slots_of_one_vertex():
 
 
 def test_rotate_shifts_tails_around_a_cycle():
-    t = SlotTable()
+    t = SlotTable([0] * 10)
     t.insert((0, 1), 0)
     t.insert((1, 2), 1)
     t.insert((0, 2), 2)
@@ -91,7 +91,7 @@ def test_rotate_shifts_tails_around_a_cycle():
 
 def random_driver(seed, ops, n=20, cap=4):
     rng = random.Random(seed)
-    t = SlotTable()
+    t = SlotTable([0] * n)
     out = {v: set() for v in range(n)}
     for _ in range(ops):
         kind = rng.random()
@@ -177,7 +177,7 @@ def test_random_events_match_a_plain_list_model(seed):
     ``out_deg``, equal those of a plain list per vertex."""
     rng = random.Random(seed)
     n = 8
-    t = SlotTable()
+    t = SlotTable([0] * n)
     rows = {v: [] for v in range(n)}
     kinds = {"insert": 0, "remove": 0, "reorient": 0, "swap": 0, "rotate": 0}
     for _ in range(3000):

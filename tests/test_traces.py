@@ -123,7 +123,7 @@ def test_alpha_dense_reaches_its_cap(alpha_max):
 
 
 def test_uniform_sparse_stays_near_its_target():
-    ops = gen_uniform_sparse(n=30, steps=400, seed=1, density=2.0)
+    ops = gen_uniform_sparse(n=30, steps=400, seed=1)
     live = replay(ops, check=lambda live: len(live) <= 61)
     assert len(live) > 10
 
